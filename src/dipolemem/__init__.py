@@ -3,9 +3,9 @@ time-controllable light-matter coupling."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, ConvergenceError, DipolememError,
-                     ParameterError, ResolutionError, SingularTransformError,
-                     StabilityError, UnsupportedCaseError)
+from .errors import (ConfigError, DipolememError, ParameterError,
+                     ResolutionError, SingularTransformError, StabilityError,
+                     UnsupportedCaseError)
 from .schedules import (DipolePhysical, EffectiveField, FieldEnvelope,
                         GaussianSegment, PiecewiseLinearSegment, Schedule,
                         SquareSegment, TabulatedSegment, TimeGrid,
@@ -33,8 +33,7 @@ __all__ = [
     "__version__",
     # errors
     "DipolememError", "ParameterError", "ConfigError", "StabilityError",
-    "ResolutionError", "SingularTransformError", "ConvergenceError",
-    "UnsupportedCaseError",
+    "ResolutionError", "SingularTransformError", "UnsupportedCaseError",
     # schedules
     "TimeGrid", "FieldEnvelope", "EffectiveField", "Schedule",
     "SquareSegment", "GaussianSegment", "PiecewiseLinearSegment",

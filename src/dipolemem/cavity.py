@@ -17,24 +17,25 @@ Two models of one atom/ensemble dipole coupled to a one-sided cavity:
 Both use a classical fixed-step 4th-order Runge-Kutta scheme on the
 TimeGrid (reproducible; no adaptivity).  Schedules are evaluated at the
 exact stage times; input-field samples are linearly interpolated at the
-half步 stage, which is the best available with sampled data.
+half step, which is the best available with sampled data.
 
-Efficiencies are defined through the photon-number ledger: for
-gamma = Delta = 0 the dynamics obey d|sigma|^2/dt = |E_in|^2 - |E_out|^2,
-so a normalized input pulse splits into stored excitation, leaked
-(reflected/transmitted) energy and, for gamma > 0, dipole decay loss.
+Efficiencies are defined through the photon-number ledger
+(`schedules.ledger`): for gamma = Delta = 0 the dynamics obey
+d|sigma|^2/dt = |E_in|^2 - |E_out|^2, so a normalized input pulse splits
+into stored excitation, leaked (reflected/transmitted) energy and, for
+gamma > 0, dipole decay loss.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import ParameterError, StabilityError
-from .schedules import (FieldEnvelope, Schedule, TimeGrid, cumtrapz0,
-                        effective_time)
+from .schedules import (FieldEnvelope, Ledger, Schedule, TimeGrid,
+                        cumtrapz0, effective_time, ledger)
 
 # Explicit RK4 is stable for |rate * dt| up to ~2.8, but accuracy (and the
 # spirit of a fixed-step scheme) wants a hard guard well below that.
@@ -63,15 +64,9 @@ class CavityParams:
 
 
 @dataclass(eq=False)
-class SimResult:
-    """Trajectories plus the efficiency/energy ledger of one run.
-
-    eta_w is evaluated at the end of the first coupling window (the
-    write window); eta_r relates the read-window output to the stored
-    excitation at the start of the read window; eta_tot is read-window
-    output over input energy.  Entries that do not apply to a run
-    (e.g. eta_w for a pure read) are None.
-    """
+class SimResult(Ledger):
+    """Trajectories plus the photon-number ledger of one run (the
+    inherited `Ledger` entries, with N = |sigma|^2)."""
 
     grid: TimeGrid
     model: str
@@ -83,16 +78,6 @@ class SimResult:
     e_in: Optional[FieldEnvelope]
     e_out: FieldEnvelope
     tau: np.ndarray
-    eta_w: Optional[float]
-    eta_r: Optional[float]
-    eta_tot: Optional[float]
-    leakage: Optional[float]
-    decay_loss: float
-    input_energy: float
-    output_energy: float
-    read_energy: Optional[float]
-    write_end: Optional[float]
-    read_start: Optional[float]
 
     @property
     def tau_total(self) -> float:
@@ -190,8 +175,8 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
     e_out = FieldEnvelope(grid, s_in + drive * gv * sigma)
     e_cav = (1j * gv * sigma + np.sqrt(2.0 * p.kappa) * s_in) / p.kappa
     tau = cumtrapz0(gv * gv / p.kappa, h)
-    return _with_ledger(grid, "adiabatic", p, g, delta, sigma, e_cav,
-                        e_in, e_out, tau, sigma0)
+    return _with_ledger("adiabatic", p, g, delta, sigma, e_cav, e_in, e_out,
+                        tau, read_by_continuity=True)
 
 
 def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
@@ -267,8 +252,8 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
 
     e_out = FieldEnvelope(grid, -s_in + root2k * ecav)
     tau = cumtrapz0(gv * gv / p.kappa, h)
-    return _with_ledger(grid, "full", p, g, delta, sigma, ecav,
-                        e_in, e_out, tau, sigma0)
+    return _with_ledger("full", p, g, delta, sigma, ecav, e_in, e_out, tau,
+                        total=np.abs(sigma) ** 2 + np.abs(ecav) ** 2)
 
 
 def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,
@@ -291,22 +276,11 @@ def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,
     sigma = sigma0 * np.exp(-tau - p.gamma * (t - grid.t0))
     e_out = FieldEnvelope(grid, 1j * np.sqrt(2.0 / p.kappa) * gv * sigma)
     e_cav = 1j * gv * sigma / p.kappa
-    s0sq = abs(sigma0) ** 2
+    res = _with_ledger("analytic-read", p, g, Schedule.zero(), sigma, e_cav,
+                       None, e_out, tau, read_by_continuity=True)
     if p.gamma == 0.0:
-        eta_r = 1.0 - np.exp(-2.0 * tau[-1])
-    else:
-        abs2 = np.abs(sigma) ** 2
-        eta_r = (s0sq - abs2[-1]
-                 - 2.0 * p.gamma * np.trapezoid(abs2, dx=grid.dt)) / s0sq
-    decay = 2.0 * p.gamma * float(np.trapezoid(np.abs(sigma) ** 2,
-                                               dx=grid.dt)) / s0sq
-    out_energy = e_out.norm2()
-    return SimResult(
-        grid=grid, model="analytic-read", params=p, g=g, delta=Schedule.zero(),
-        sigma=sigma, e_cav=e_cav, e_in=None, e_out=e_out, tau=tau,
-        eta_w=None, eta_r=float(eta_r), eta_tot=None, leakage=None,
-        decay_loss=decay, input_energy=0.0, output_energy=out_energy,
-        read_energy=out_energy, write_end=None, read_start=float(grid.t0))
+        res.eta_r = float(1.0 - np.exp(-2.0 * tau[-1]))
+    return res
 
 
 def square_pulse_efficiency(g0: float, duration: float, p: CavityParams) -> float:
@@ -333,75 +307,18 @@ def square_pulse_efficiency(g0: float, duration: float, p: CavityParams) -> floa
 # ledger and diagnostics
 # ---------------------------------------------------------------------------
 
-def _clip_index(grid: TimeGrid, t: float) -> int:
-    return int(np.clip(round((t - grid.t0) / grid.dt), 0, grid.n - 1))
+def _with_ledger(model, p, g, delta, sigma, e_cav, e_in, e_out, tau,
+                 **kw) -> SimResult:
+    grid = e_out.grid
+    led = ledger(grid, g.windows(grid), np.abs(sigma) ** 2,
+                 np.abs(e_out.samples) ** 2,
+                 e_in.norm2() if e_in is not None else 0.0, p.gamma, **kw)
+    return SimResult(**vars(led), grid=grid, model=model, params=p, g=g,
+                     delta=delta, sigma=sigma, e_cav=e_cav, e_in=e_in,
+                     e_out=e_out, tau=tau)
 
 
-def _with_ledger(grid, model, p, g, delta, sigma, e_cav, e_in, e_out,
-                 tau, sigma0) -> SimResult:
-    h = grid.dt
-    abs_sig2 = np.abs(sigma) ** 2
-    out2 = np.abs(e_out.samples) ** 2
-    input_energy = e_in.norm2() if e_in is not None else 0.0
-    output_energy = float(np.trapezoid(out2, dx=h))
-    intervals = [iv for iv in g.support_intervals()
-                 if iv[1] > grid.t0 and iv[0] < grid.t_end]
-
-    eta_w = eta_r = eta_tot = leakage = read_energy = None
-    write_end = read_start = None
-    budget = input_energy if input_energy > 0.0 else abs(sigma0) ** 2
-    decay_loss = 0.0
-    if budget > 0.0:
-        decay_loss = 2.0 * p.gamma * float(np.trapezoid(abs_sig2, dx=h)) / budget
-
-    if input_energy > 0.0 and intervals:
-        write_end = min(intervals[0][1], grid.t_end)
-        i_w = _clip_index(grid, write_end)
-        eta_w = float(abs_sig2[i_w]) / input_energy
-        leakage = float(np.trapezoid(out2[: i_w + 1], dx=h)) / input_energy
-        later = [iv for iv in intervals[1:] if iv[0] >= write_end]
-        if later:
-            read_start = max(later[0][0], grid.t0)
-            i_r = _clip_index(grid, read_start)
-            stored = float(abs_sig2[i_r])
-            read_energy = float(np.trapezoid(out2[i_r:], dx=h))
-            if stored > 0.0:
-                if model == "adiabatic":
-                    # continuity route: smooth in t even across coupling edges
-                    tail = 2.0 * p.gamma * float(
-                        np.trapezoid(abs_sig2[i_r:], dx=h))
-                    eta_r = (stored - float(abs_sig2[-1]) - tail) / stored
-                else:
-                    eta_r = read_energy / stored
-            eta_tot = read_energy / input_energy
-    elif input_energy > 0.0:
-        # no coupling window anywhere: nothing can be stored, the input
-        # is simply reflected
-        eta_w = 0.0
-        eta_tot = 0.0
-        leakage = output_energy / input_energy
-    elif input_energy == 0.0 and abs(sigma0) > 0.0:
-        read_start = float(grid.t0)
-        read_energy = output_energy
-        s0sq = abs(sigma0) ** 2
-        if model == "adiabatic":
-            tail = 2.0 * p.gamma * float(np.trapezoid(abs_sig2, dx=h))
-            eta_r = (s0sq - float(abs_sig2[-1]) - tail) / s0sq
-        else:
-            eta_r = output_energy / s0sq
-        leakage = 0.0
-
-    return SimResult(
-        grid=grid, model=model, params=p, g=g, delta=delta, sigma=sigma,
-        e_cav=e_cav, e_in=e_in, e_out=e_out, tau=tau,
-        eta_w=eta_w, eta_r=eta_r, eta_tot=eta_tot, leakage=leakage,
-        decay_loss=decay_loss, input_energy=input_energy,
-        output_energy=output_energy, read_energy=read_energy,
-        write_end=write_end, read_start=read_start)
-
-
-def continuity_residual(result: SimResult, *,
-                        exclude_segment_edges: bool = True) -> float:
+def continuity_residual(result: SimResult) -> float:
     """Photon-number continuity diagnostic for gamma = Delta = 0 runs:
 
         max_t | dN/dt - |E_in|^2 + |E_out|^2 |  /  peak flux,
@@ -411,9 +328,9 @@ def continuity_residual(result: SimResult, *,
     N = |sigma|^2 + |E_cav|^2 for the full model.  The derivative is
     taken by centered differences of the stored trajectory and the
     residual scales as O(dt^2) under grid refinement.  Grid points
-    within one step of a coupling-segment boundary are excluded by
-    default (the finite difference straddles a kink there, which is an
-    artifact of differentiation, not of the solution).
+    within one step of a coupling-segment boundary are excluded (the
+    finite difference straddles a kink there, which is an artifact of
+    differentiation, not of the solution).
     """
     if result.params.gamma != 0.0:
         raise ParameterError("continuity residual is defined for gamma = 0")
@@ -429,10 +346,9 @@ def continuity_residual(result: SimResult, *,
     out2 = np.abs(result.e_out.samples) ** 2
     resid = np.abs(np.gradient(stored, grid.dt, edge_order=2) - in2 + out2)
     mask = np.ones(grid.n, dtype=bool)
-    if exclude_segment_edges:
-        for seg in result.g.segments:
-            for edge in (seg.start, seg.end):
-                mask &= np.abs(t - edge) > 1.5 * grid.dt
+    for seg in result.g.segments:
+        for edge in (seg.start, seg.end):
+            mask &= np.abs(t - edge) > 1.5 * grid.dt
     denom = max(in2.max(initial=0.0), out2.max(initial=0.0))
     if denom == 0.0:
         return 0.0

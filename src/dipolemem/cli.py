@@ -6,10 +6,10 @@
     dipolemem verify
 
 Success exits 0.  Configuration/parameter problems exit 2, numerical
-refusals (instability, resolution, singular transform, non-convergence)
-exit 3, anything unexpected exits 1; in every failure case a single
-machine-readable JSON object {"error": ..., "message": ...} goes to
-stderr.
+refusals (instability, resolution, singular transform, unsupported
+closed form) exit 3, anything unexpected exits 1; in every failure case
+a single machine-readable JSON object {"error": ..., "message": ...}
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import (ConfigError, ConvergenceError, DipolememError,
-                     ParameterError, ResolutionError, SingularTransformError,
-                     StabilityError, UnsupportedCaseError)
+from .errors import (ConfigError, DipolememError, ParameterError,
+                     ResolutionError, SingularTransformError, StabilityError,
+                     UnsupportedCaseError)
 from .scenarios import (TOOLKIT_VERSION, builtin_verify, design_couplings,
                         load_scenario, run_scenario, run_sweep,
                         write_artifacts)
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError) as exc:
         return _fail(exc, _USAGE_EXIT)
     except (StabilityError, ResolutionError, SingularTransformError,
-            ConvergenceError, UnsupportedCaseError) as exc:
+            UnsupportedCaseError) as exc:
         return _fail(exc, _NUMERIC_EXIT)
     except DipolememError as exc:
         return _fail(exc, 1)

@@ -11,10 +11,10 @@ E_in(tau) ~ e^{tau} (in real time: E_in(t) ~ g(t) e^{tau(t)}), with
 optimum eta_w = 1 - exp(-2 tau_w) — the exact mirror of the read law.
 
 This module provides the closed-form optimum, the general functional,
-an adjoint/power-iteration optimiser that needs no closed form (and
-handles detuning), and the inverse problem: given a target input and
-output shape, synthesize the write/read coupling schedules that realise
-E_out(t) = -sqrt(eta_w eta_r) E_in(t - T).
+its maximiser for any coupling, decay and detuning (the normalized
+adjoint of the write kernel), and the inverse problem: given a target
+input and output shape, synthesize the write/read coupling schedules
+that realise E_out(t) = -sqrt(eta_w eta_r) E_in(t - T).
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .cavity import CavityParams
-from .errors import (ConvergenceError, ParameterError, UnsupportedCaseError)
+from .errors import ParameterError, UnsupportedCaseError
 from .schedules import (FieldEnvelope, Schedule, SquareSegment, TimeGrid,
                         cumtrapz0, effective_time)
-
-
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
 
 
 def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
@@ -105,17 +99,10 @@ def optimal_write_input(g_w: Schedule, p: CavityParams, grid: TimeGrid,
         raw = gv * np.exp(rate * (t - min(seg.end, grid.t_end)))
     env = FieldEnvelope(grid, raw.astype(complex)).normalized()
     if delta is not None and delta.max_abs() > 0.0:
-        t_ref = _write_window_end(g_w, grid)
+        windows = g_w.windows(grid)
+        t_ref = windows[0][1] if windows else grid.t_end
         env = compensate_detuning(env, delta, t_ref=t_ref)
     return env
-
-
-def _write_window_end(g_w: Schedule, grid: TimeGrid) -> float:
-    ivals = [iv for iv in g_w.support_intervals()
-             if iv[1] > grid.t0 and iv[0] < grid.t_end]
-    if not ivals:
-        return grid.t_end
-    return min(ivals[0][1], grid.t_end)
 
 
 def compensate_detuning(e_in: FieldEnvelope, delta: Schedule,
@@ -136,43 +123,19 @@ def compensate_detuning(e_in: FieldEnvelope, delta: Schedule,
 
 
 def variational_optimize(g_w: Schedule, delta: Optional[Schedule],
-                         p: CavityParams, grid: TimeGrid, *,
-                         max_iter: int = 50, tol: float = 1e-12,
-                         seed: int = 0) -> FieldEnvelope:
-    """Maximise |sigma(t_end)|^2 over unit-norm inputs by power iteration.
+                         p: CavityParams, grid: TimeGrid) -> FieldEnvelope:
+    """Unit-norm input that maximises |sigma(t_end)|^2, for any coupling
+    shape, decay and detuning.
 
-    The map E_in -> sigma(t_end) is a linear functional, so the iteration
-    x <- normalize(adjoint(forward(x))) converges to the normalized
-    adjoint kernel; detuning and decay are handled with no closed form.
-    Raises ConvergenceError (with the residual) if the overlap between
-    successive iterates has not reached 1 - tol within max_iter.
+    The map E_in -> sigma(t_end) = <k, E_in> is a linear functional, so
+    by Cauchy-Schwarz its maximiser is exactly conj(k)/||k||: the
+    time-reversed write kernel (Gorshkov, Andre, Lukin & Sorensen,
+    PRL 98, 123601 (2007)).  The global phase is fixed by making the
+    largest sample real.
     """
-    k = _write_kernel(g_w, delta, p, grid)
-    w = _trapezoid_weights(grid.n, grid.dt)
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-    x /= np.sqrt(np.sum(w * np.abs(x) ** 2))
-    residual = np.inf
-    for _ in range(max_iter):
-        s = np.sum(w * k * x)            # forward: stored amplitude
-        y = np.conj(k) * s               # adjoint of the functional
-        nrm = np.sqrt(np.sum(w * np.abs(y) ** 2))
-        if nrm == 0.0:
-            # start vector happened to be orthogonal to the kernel
-            x = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
-            x /= np.sqrt(np.sum(w * np.abs(x) ** 2))
-            continue
-        y /= nrm
-        residual = 1.0 - abs(np.sum(w * np.conj(y) * x))
-        x = y
-        if residual < tol:
-            # strip the arbitrary global phase: make the largest sample real
-            i = int(np.argmax(np.abs(x)))
-            x = x * np.exp(-1j * np.angle(x[i]))
-            return FieldEnvelope(grid, x).normalized()
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_iter} iterations",
-        residual=residual)
+    x = np.conj(_write_kernel(g_w, delta, p, grid))
+    i = int(np.argmax(np.abs(x)))
+    return FieldEnvelope(grid, x * np.exp(-1j * np.angle(x[i]))).normalized()
 
 
 def synthesize_couplings(e_in: FieldEnvelope, T: float, eta_w: float,

@@ -30,13 +30,5 @@ class SingularTransformError(DipolememError, RuntimeError):
     but the field does not."""
 
 
-class ConvergenceError(DipolememError, RuntimeError):
-    """Iterative optimisation failed to converge; carries the residual."""
-
-    def __init__(self, message, residual=None):
-        super().__init__(message)
-        self.residual = residual
-
-
 class UnsupportedCaseError(DipolememError, NotImplementedError):
     """A closed form was requested outside its domain of validity."""

@@ -47,7 +47,7 @@ forward and backward retrieval.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -217,8 +217,7 @@ def _causal_conv(f: np.ndarray, krow: np.ndarray, h: float) -> np.ndarray:
     return h * full
 
 
-def analytic_evolution(bc, ic, tau, z, *, check_resolution: bool = True
-                       ) -> FreeSpaceFields:
+def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
     """Exact kernel-convolution solution of the reduced system.
 
     bc: field at z = 0 sampled on the tau axis; ic: spin wave at tau = 0
@@ -227,8 +226,7 @@ def analytic_evolution(bc, ic, tau, z, *, check_resolution: bool = True
     the kernels are exact (entire series / Bessel forms).
     """
     bc, ic, tau, z = _check_axes(bc, ic, tau, z)
-    if check_resolution:
-        _check_resolution(tau, z)
+    _check_resolution(tau, z)
     n_t, n_z = tau.size, z.size
     h_t = tau[1] - tau[0]
     h_z = z[1] - z[0]

@@ -55,8 +55,8 @@ from .freespace import (FreeSpaceScenario, FreeSpaceTransform, MediumParams,
                         analytic_evolution, entire_bessel_kernel,
                         numeric_evolution, reduced_continuity_residual,
                         storage_retrieval_sweep, thin_medium_cavity_coupling)
-from .schedules import (FieldEnvelope, GaussianSegment, Schedule,
-                        SquareSegment, TimeGrid, effective_time)
+from .schedules import (FieldEnvelope, GaussianSegment, Ledger, Schedule,
+                        SquareSegment, TimeGrid, effective_time, ledger)
 from .units import format_quantity, parse_quantity
 
 try:
@@ -569,16 +569,15 @@ def save_scenario(scn: Scenario, path) -> None:
 # ---------------------------------------------------------------------------
 
 def _first_window_schedule(coupling: Schedule, grid: TimeGrid) -> Schedule:
-    """Sub-schedule covering only the first coupling window (the write
-    stage); segment bounds match support_intervals exactly."""
-    ivals = [iv for iv in coupling.support_intervals()
-             if iv[1] > grid.t0 and iv[0] < grid.t_end]
-    if not ivals:
+    """Sub-schedule of the segments in the first coupling window (the
+    write stage)."""
+    windows = coupling.windows(grid)
+    if not windows:
         raise ConfigError("the coupling vanishes on the whole grid; "
                           "an optimal input needs a write window")
-    lo, hi = ivals[0]
+    lo, hi = windows[0]
     return Schedule([s for s in coupling.segments
-                     if s.start >= lo and s.end <= hi])
+                     if s.start < hi and s.end > lo])
 
 
 def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
@@ -724,49 +723,36 @@ def run_scenario(scn: Scenario) -> RunRecord:
                      config=scn.config)
 
 
-def _opt_float(v) -> Optional[float]:
-    return None if v is None else float(v)
+def _ledger_summary(led: Ledger) -> dict:
+    """The result.json entries of a run's photon-number ledger."""
+    return {
+        "input_photons": led.input_energy,
+        "output_photons": led.output_energy,
+        "stored_initial": led.stored_initial,
+        "stored_final": led.stored_final,
+        "decay_loss": led.decay,
+        "eta_write": led.eta_w,
+        "eta_read": led.eta_r,
+        "eta_total": led.eta_tot,
+        "leakage": led.leakage,
+        "write_end": led.write_end,
+        "read_start": led.read_start,
+    }
+
+
+def _simulate(scn: Scenario, e_in, coupling, sigma0=0.0) -> SimResult:
+    sim_fn = simulate_full if scn.model == "cavity-full" else simulate_adiabatic
+    return sim_fn(e_in, coupling, scn.detuning, scn.cavity, scn.grid,
+                  sigma0=sigma0)
 
 
 def _run_cavity(scn: Scenario):
-    e_in = build_input(scn)
-    sigma0 = _cavity_sigma0(scn)
-    sim_fn = simulate_full if scn.model == "cavity-full" else simulate_adiabatic
-    sim = sim_fn(e_in, scn.coupling, scn.detuning, scn.cavity, scn.grid,
-                 sigma0=sigma0)
-
-    p = scn.cavity
-    h = scn.grid.dt
-    stored = np.abs(sim.sigma) ** 2
-    if scn.model == "cavity-full":
-        stored = stored + np.abs(sim.e_cav) ** 2
-    decay_abs = 2.0 * p.gamma * float(np.trapezoid(np.abs(sim.sigma) ** 2,
-                                                   dx=h))
-    norm = max(sim.input_energy, float(stored[0]))
-    drift = 0.0
-    if norm > 0.0:
-        drift = abs(sim.input_energy + float(stored[0]) - sim.output_energy
-                    - float(stored[-1]) - decay_abs) / norm
-
-    diagnostics = {"normalization_drift": drift}
-    if p.gamma == 0.0 and scn.detuning.max_abs() == 0.0:
+    sim = _simulate(scn, build_input(scn), scn.coupling, _cavity_sigma0(scn))
+    diagnostics = {"normalization_drift": sim.normalization_drift}
+    if scn.cavity.gamma == 0.0 and scn.detuning.max_abs() == 0.0:
         diagnostics["continuity_residual"] = continuity_residual(sim)
-
-    summary = {
-        "model": scn.model,
-        "tau_total": float(sim.tau[-1]),
-        "input_photons": sim.input_energy,
-        "output_photons": sim.output_energy,
-        "stored_initial": float(stored[0]),
-        "stored_final": float(stored[-1]),
-        "decay_loss": decay_abs,
-        "eta_write": _opt_float(sim.eta_w),
-        "eta_read": _opt_float(sim.eta_r),
-        "eta_total": _opt_float(sim.eta_tot),
-        "leakage": _opt_float(sim.leakage),
-        "write_end": _opt_float(sim.write_end),
-        "read_start": _opt_float(sim.read_start),
-    }
+    summary = {"model": scn.model, "tau_total": float(sim.tau[-1]),
+               **_ledger_summary(sim)}
     t = scn.grid.times()
     tables = [
         ("e_out.csv", ("time_s", "re", "im"),
@@ -819,119 +805,61 @@ def _run_freespace(scn: Scenario):
     t = grid.times()
     in_samples = e_in.samples if e_in is not None else np.zeros(t.size,
                                                                 dtype=complex)
-    photons_in = e_in.norm2() if e_in is not None else 0.0
     x = np.linspace(0.0, 1.0, scn.space_points)
     ic = _initial_spinwave(scn, x)
-    stored_initial = float(np.trapezoid(np.abs(ic) ** 2, x=x))
     theta_total = tr.theta_total
+    fields = None
 
     if theta_total <= 0.0:
         # transparent medium: the input passes straight through and any
         # stored excitation just dephases/decays in place
-        e_out = in_samples.copy()
-        sigma_final = ic * np.exp(-1j * tr.chi[-1]) / np.sqrt(med.length)
-        n_end = stored_initial * float(tr.decay_weight()[-1])
-        photons_out = float(np.trapezoid(np.abs(e_out) ** 2, dx=grid.dt))
-        decay_abs = stored_initial - n_end
-        summary = {
-            "model": scn.model, "theta_total": 0.0,
-            "input_photons": photons_in, "output_photons": photons_out,
-            "stored_initial": stored_initial, "stored_final": n_end,
-            "decay_loss": decay_abs, "eta_write": None, "eta_read": None,
-            "eta_total": 0.0 if photons_in > 0.0 else None,
-            "leakage": None, "write_end": None, "read_start": None,
-        }
-        diagnostics = {"normalization_drift": 0.0,
-                       "continuity_residual": 0.0}
-        tables = [
-            ("e_out.csv", ("time_s", "re", "im"), _envelope_rows(t, e_out)),
-            ("spinwave.csv", ("z_m", "re", "im"),
-             _envelope_rows(x * med.length, sigma_final)),
-        ]
-        return summary, diagnostics, tables
-
-    act = tr.rho >= RHO_CUT * tr.rho.max()
-    if e_in is not None:
-        bc_t = tr.boundary_to_reduced(
-            FieldEnvelope(grid, np.where(act, in_samples, 0.0)))
+        out = in_samples
+        s_final = ic
+        n_t = float(np.trapezoid(np.abs(ic) ** 2, x=x)) * tr.decay_weight()
+        residual = 0.0
     else:
-        bc_t = np.zeros(t.size, dtype=complex)
-    n_theta = _theta_nodes(scn, theta_total)
-    if scn.model == "freespace-numeric":
-        theta, bc = _active_theta_axis(tr, bc_t, act,
-                                       theta_total / (n_theta - 1))
-        fields = numeric_evolution(bc, ic, theta, x)
-    else:
-        # the kernel solver needs a uniform axis
-        th_act = tr.theta[act]
-        theta = np.linspace(0.0, theta_total, n_theta)
-        bc = (np.interp(theta, th_act, bc_t[act].real)
-              + 1j * np.interp(theta, th_act, bc_t[act].imag))
-        fields = analytic_evolution(bc, ic, theta, x)
+        act = tr.rho >= RHO_CUT * tr.rho.max()
+        if e_in is not None:
+            bc_t = tr.boundary_to_reduced(
+                FieldEnvelope(grid, np.where(act, in_samples, 0.0)))
+        else:
+            bc_t = np.zeros(t.size, dtype=complex)
+        n_theta = _theta_nodes(scn, theta_total)
+        if scn.model == "freespace-numeric":
+            theta, bc = _active_theta_axis(tr, bc_t, act,
+                                           theta_total / (n_theta - 1))
+            fields = numeric_evolution(bc, ic, theta, x)
+        else:
+            # the kernel solver needs a uniform axis
+            th_act = tr.theta[act]
+            theta = np.linspace(0.0, theta_total, n_theta)
+            bc = (np.interp(theta, th_act, bc_t[act].real)
+                  + 1j * np.interp(theta, th_act, bc_t[act].imag))
+            fields = analytic_evolution(bc, ic, theta, x)
 
-    # map the far-end field back to the lab frame; below the coupling
-    # cut the medium is transparent and the input passes through
-    e_red_t = (np.interp(tr.theta, theta, fields.e_end.real)
-               + 1j * np.interp(tr.theta, theta, fields.e_end.imag))
-    out = tr.field_from_reduced(e_red_t).samples
-    out[~act] = in_samples[~act]
-    photons_out = float(np.trapezoid(np.abs(out) ** 2, dx=grid.dt))
+        # map the far-end field back to the lab frame; below the coupling
+        # cut the medium is transparent and the input passes through
+        e_red_t = (np.interp(tr.theta, theta, fields.e_end.real)
+                   + 1j * np.interp(tr.theta, theta, fields.e_end.imag))
+        out = tr.field_from_reduced(e_red_t).samples
+        out[~act] = in_samples[~act]
+        s_final = fields.s_final
+        n_t = np.interp(tr.theta, theta, fields.s_norm2) * tr.decay_weight()
+        residual = reduced_continuity_residual(fields, bc)
 
-    sigma_final = fields.s_final * np.exp(-1j * tr.chi[-1]) \
-        / np.sqrt(med.length)
-    n_t = np.interp(tr.theta, theta, fields.s_norm2) * tr.decay_weight()
-    stored_final = float(n_t[-1])
-    decay_abs = 2.0 * med.gamma * float(np.trapezoid(n_t, dx=grid.dt))
-
-    norm = max(photons_in, stored_initial)
-    drift = 0.0
-    if norm > 0.0:
-        drift = abs(photons_in + stored_initial - photons_out - stored_final
-                    - decay_abs) / norm
-    diagnostics = {
-        "normalization_drift": drift,
-        "continuity_residual": reduced_continuity_residual(fields, bc),
-    }
-
-    # write/read bookkeeping against the coupling windows
-    out2 = np.abs(out) ** 2
-    intervals = [iv for iv in scn.coupling.support_intervals()
-                 if iv[1] > grid.t0 and iv[0] < grid.t_end]
-    eta_w = eta_r = eta_tot = leakage = None
-    write_end = read_start = None
-    if photons_in > 0.0 and intervals:
-        write_end = min(intervals[0][1], grid.t_end)
-        i_w = grid.index_of(min(write_end, grid.t_end))
-        eta_w = float(n_t[i_w]) / photons_in
-        leakage = float(np.trapezoid(out2[: i_w + 1], dx=grid.dt)) / photons_in
-        later = [iv for iv in intervals[1:] if iv[0] >= write_end]
-        if later:
-            read_start = max(later[0][0], grid.t0)
-            i_r = grid.index_of(read_start)
-            read_energy = float(np.trapezoid(out2[i_r:], dx=grid.dt))
-            if n_t[i_r] > 0.0:
-                eta_r = read_energy / float(n_t[i_r])
-            eta_tot = read_energy / photons_in
-    elif photons_in == 0.0 and stored_initial > 0.0:
-        read_start = float(grid.t0)
-        eta_r = photons_out / stored_initial
-
-    summary = {
-        "model": scn.model, "theta_total": theta_total,
-        "input_photons": photons_in, "output_photons": photons_out,
-        "stored_initial": stored_initial, "stored_final": stored_final,
-        "decay_loss": decay_abs,
-        "eta_write": _opt_float(eta_w), "eta_read": _opt_float(eta_r),
-        "eta_total": _opt_float(eta_tot), "leakage": _opt_float(leakage),
-        "write_end": _opt_float(write_end),
-        "read_start": _opt_float(read_start),
-    }
+    led = ledger(grid, scn.coupling.windows(grid), n_t, np.abs(out) ** 2,
+                 e_in.norm2() if e_in is not None else 0.0, med.gamma)
+    summary = {"model": scn.model, "theta_total": theta_total,
+               **_ledger_summary(led)}
+    diagnostics = {"normalization_drift": led.normalization_drift,
+                   "continuity_residual": residual}
+    sigma_final = s_final * np.exp(-1j * tr.chi[-1]) / np.sqrt(med.length)
     tables = [
         ("e_out.csv", ("time_s", "re", "im"), _envelope_rows(t, out)),
         ("spinwave.csv", ("z_m", "re", "im"),
          _envelope_rows(x * med.length, sigma_final)),
     ]
-    if scn.dump_fields:
+    if scn.dump_fields and fields is not None:
         tables.append(("fields.csv", ("z_m", "time_s", "re", "im"),
                        _field_dump_rows(tr, fields, theta, x, med)))
     return summary, diagnostics, tables
@@ -1108,12 +1036,6 @@ def _coupling_tau_base(scn: Scenario) -> float:
         raise ConfigError("the coupling schedule has zero effective time "
                           "on the grid; nothing to rescale")
     return base
-
-
-def _simulate(scn: Scenario, e_in, coupling, sigma0=0.0) -> SimResult:
-    sim_fn = simulate_full if scn.model == "cavity-full" else simulate_adiabatic
-    return sim_fn(e_in, coupling, scn.detuning, scn.cavity, scn.grid,
-                  sigma0=sigma0)
 
 
 def _sweep_tau_read(scn: Scenario, vals):

@@ -16,12 +16,16 @@ and the correspondingly rescaled fields; `effective_time` and
 stalls wherever g vanishes, effective-field samples always travel with
 their own tau coordinates rather than being re-interpolated onto a
 uniform tau grid.
+
+`ledger` is the photon-number bookkeeping that both memory models (cavity
+and free space) share: efficiencies, leakage, decay and the
+normalization drift of a run, measured against its coupling windows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -160,6 +164,9 @@ class SquareSegment:
     end: float
     amplitude: float
 
+    def __post_init__(self):
+        _check_finite(self, "square")
+
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         tol = _edge_tol(self.start, self.end)
         return np.where((t >= self.start - tol) & (t <= self.end + tol),
@@ -183,6 +190,7 @@ class GaussianSegment:
     width: float
 
     def __post_init__(self):
+        _check_finite(self, "Gaussian")
         if not self.width > 0.0:
             raise ParameterError("Gaussian segment needs width > 0")
 
@@ -272,6 +280,13 @@ class TabulatedSegment:
         return TabulatedSegment(self.times, self.values * s)
 
 
+def _check_finite(seg, kind):
+    for name, v in vars(seg).items():
+        if not np.isfinite(v):
+            raise ParameterError(
+                f"{kind} segment {name} must be finite, got {v}")
+
+
 def _check_knots(times, values, kind):
     if times.ndim != 1 or times.shape != values.shape or times.size < 2:
         raise ParameterError(f"{kind} segment needs matching 1-d knot arrays (>=2)")
@@ -347,6 +362,13 @@ class Schedule:
             else:
                 merged.append((a, b))
         return merged
+
+    def windows(self, grid: TimeGrid) -> list[tuple[float, float]]:
+        """The support intervals that overlap the grid, clipped to it:
+        the coupling windows a run on this grid sees, in time order."""
+        return [(max(a, grid.t0), min(b, grid.t_end))
+                for a, b in self.support_intervals()
+                if b > grid.t0 and a < grid.t_end]
 
     def scaled(self, s: float) -> "Schedule":
         return Schedule([seg.scaled(s) for seg in self.segments])
@@ -515,3 +537,108 @@ def effective_fields(field, g: Schedule, kappa: float, *,
             samples = field.values * gv / np.sqrt(kappa)
         return FieldEnvelope(field.grid, samples)
     raise ParameterError(f"unknown direction {direction!r}")
+
+
+# ---------------------------------------------------------------------------
+# photon-number ledger
+# ---------------------------------------------------------------------------
+
+@dataclass(eq=False)
+class Ledger:
+    """Photon bookkeeping of one run against its coupling windows.
+
+    All energies are photon numbers: the integrals of |E_in|^2 and
+    |E_out|^2, the stored energy at the ends of the grid, and the decay
+    loss (also as a fraction of the budget: the input, or the initial
+    excitation of a pure read).  eta_w is evaluated at the end of the
+    first coupling window (the write window); eta_r relates the output
+    from the start of the second window (the read window) to the
+    excitation stored there; eta_tot is that read output over the input.
+    Entries that do not apply to a run (e.g. eta_w for a pure read) are
+    None.
+    """
+
+    input_energy: float
+    output_energy: float
+    stored_initial: float
+    stored_final: float
+    decay: float
+    decay_loss: float
+    normalization_drift: float
+    eta_w: Optional[float]
+    eta_r: Optional[float]
+    eta_tot: Optional[float]
+    leakage: Optional[float]
+    read_energy: Optional[float]
+    write_end: Optional[float]
+    read_start: Optional[float]
+
+
+def ledger(grid: TimeGrid, windows: list[tuple[float, float]],
+           n: np.ndarray, out2: np.ndarray, input_energy: float,
+           gamma: float, *,
+           total: Optional[np.ndarray] = None,
+           read_by_continuity: bool = False) -> Ledger:
+    """The photon-number ledger of one run, for every memory model.
+
+    n is the stored excitation N(t) that decays at rate 2 gamma
+    (|sigma|^2 in a cavity, the spin-wave norm in free space), out2 the
+    output flux |E_out|^2 on the grid and windows the coupling windows
+    of `Schedule.windows`.  total is the whole stored energy where it
+    exceeds N (|sigma|^2 + |E_cav|^2 in the full cavity model); the
+    normalization drift is the relative residual of
+    E_in + total(t0) = E_out + total(t_end) + decay.
+
+    With input, the first window writes and the second reads; with no
+    window on the grid nothing is stored (eta_w = eta_tot = 0) and the
+    whole output is leakage.  Without input, stored excitation makes a
+    pure read from the grid start with zero leakage.  eta_r is the read
+    output over the stored excitation, or with read_by_continuity the
+    drop of N over the read minus its decay, which stays smooth in t
+    across coupling edges.
+    """
+    h = grid.dt
+    total = n if total is None else total
+    output_energy = float(np.trapezoid(out2, dx=h))
+    decay = 2.0 * gamma * float(np.trapezoid(n, dx=h))
+    budget = input_energy if input_energy > 0.0 else float(n[0])
+    norm = max(input_energy, float(total[0]))
+    drift = 0.0
+    if norm > 0.0:
+        drift = abs(input_energy + float(total[0]) - output_energy
+                    - float(total[-1]) - decay) / norm
+
+    eta_w = eta_r = eta_tot = leakage = read_energy = None
+    write_end = read_start = i_r = None
+    if input_energy > 0.0 and windows:
+        write_end = windows[0][1]
+        i_w = grid.index_of(write_end)
+        eta_w = float(n[i_w]) / input_energy
+        leakage = float(np.trapezoid(out2[: i_w + 1], dx=h)) / input_energy
+        if len(windows) > 1:
+            read_start = windows[1][0]
+            i_r = grid.index_of(read_start)
+    elif input_energy > 0.0:
+        eta_w = eta_tot = 0.0
+        leakage = output_energy / input_energy
+    elif n[0] > 0.0:
+        read_start, i_r, leakage = grid.t0, 0, 0.0
+    if i_r is not None:
+        stored = float(n[i_r])
+        read_energy = float(np.trapezoid(out2[i_r:], dx=h))
+        if stored > 0.0:
+            if read_by_continuity:
+                tail = 2.0 * gamma * float(np.trapezoid(n[i_r:], dx=h))
+                eta_r = (stored - float(n[-1]) - tail) / stored
+            else:
+                eta_r = read_energy / stored
+        if input_energy > 0.0:
+            eta_tot = read_energy / input_energy
+
+    return Ledger(
+        input_energy=input_energy, output_energy=output_energy,
+        stored_initial=float(total[0]), stored_final=float(total[-1]),
+        decay=decay, decay_loss=decay / budget if budget > 0.0 else 0.0,
+        normalization_drift=drift, eta_w=eta_w, eta_r=eta_r,
+        eta_tot=eta_tot, leakage=leakage, read_energy=read_energy,
+        write_end=write_end, read_start=read_start)

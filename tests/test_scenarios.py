@@ -187,14 +187,33 @@ def test_csv_artifacts_are_crlf_and_full_precision(tmp_path):
 
 
 def test_uncoupled_cavity_reflects_everything():
-    scn = scenario_from_dict(cavity_cfg(
-        coupling=[],
-        input={"kind": "gaussian", "center": "-1 us", "sigma": "100 ns"}))
-    rec = run_scenario(scn)
-    assert rec.summary["eta_write"] == 0.0
-    assert rec.summary["eta_total"] == 0.0
-    assert rec.summary["leakage"] == 1.0
-    assert rec.summary["output_photons"] == rec.summary["input_photons"]
+    # with no coupling window nothing is stored and, in both model
+    # families, the untouched pulse counts as leakage
+    for cfg in (cavity_cfg(coupling=[], input={
+                    "kind": "gaussian", "center": "-1 us", "sigma": "100 ns"}),
+                freespace_cfg(coupling=[])):
+        rec = run_scenario(scenario_from_dict(cfg))
+        assert rec.summary["eta_write"] == 0.0
+        assert rec.summary["eta_total"] == 0.0
+        assert rec.summary["leakage"] == 1.0
+        assert rec.summary["output_photons"] == rec.summary["input_photons"]
+
+
+@pytest.mark.parametrize("cfg", [
+    cavity_cfg(input=None, initial_excitation={"sigma_re": 1.0}),
+    cavity_cfg(model="cavity-full", input=None,
+               initial_excitation={"sigma_re": 1.0}),
+    freespace_cfg(input=None, initial_excitation={
+        "kind": "gaussian", "center_frac": 0.5, "sigma_frac": 0.1,
+        "excitation": 1.0}),
+], ids=["cavity-adiabatic", "cavity-full", "freespace-numeric"])
+def test_pure_read_starts_at_grid_start_without_leakage(cfg):
+    scn = scenario_from_dict(cfg)
+    s = run_scenario(scn).summary
+    assert s["leakage"] == 0.0
+    assert s["read_start"] == scn.grid.t0
+    assert s["eta_write"] is None and s["eta_total"] is None
+    assert 0.0 < s["eta_read"] < 1.0
 
 
 def test_medium_is_transparent_outside_coupling_windows():

@@ -103,6 +103,31 @@ def test_empty_support_rejected():
         Schedule([SquareSegment(1e-6, 1e-6, 1.0)])
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Schedule.square(np.nan, 0.0, 1e-6),
+    lambda: Schedule.square(np.inf, 0.0, 1e-6),
+    lambda: Schedule.square(1.0, 0.0, np.inf),
+    lambda: SquareSegment(-np.inf, 0.0, 1.0),
+    lambda: GaussianSegment(-1e-6, 1e-6, 1.0, np.nan, 1e-7),
+    lambda: GaussianSegment(-1e-6, 1e-6, -np.inf, 0.0, 1e-7),
+    lambda: GaussianSegment(-1e-6, 1e-6, 1.0, 0.0, np.inf),
+    lambda: Schedule.gaussian(1.0, center=np.nan, width=1e-7),
+], ids=["square-nan-amp", "square-inf-amp", "square-inf-end",
+        "square-inf-start", "gaussian-nan-center", "gaussian-inf-amp",
+        "gaussian-inf-width", "gaussian-nan-support"])
+def test_non_finite_segment_rejected(build):
+    with pytest.raises(ParameterError, match="must be finite"):
+        build()
+
+
+def test_windows_are_support_clipped_to_grid():
+    g = Schedule([SquareSegment(-1.0, 1.0, 1.0), SquareSegment(2.0, 3.0, 0.0),
+                  SquareSegment(4.0, 5.0, 1.0), SquareSegment(9.0, 12.0, 1.0)])
+    grid = TimeGrid.from_span(0.0, 10.0, 11)
+    assert g.windows(grid) == [(0.0, 1.0), (4.0, 5.0), (9.0, 10.0)]
+    assert g.windows(TimeGrid.from_span(6.0, 8.0, 3)) == []
+
+
 @given(st.floats(0.1, 10.0), st.floats(-5.0, 5.0), st.floats(0.05, 0.5))
 def test_eval_vanishes_outside_support(amp, c0, w):
     g = Schedule.gaussian(amp, center=c0, width=w)
