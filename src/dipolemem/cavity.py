@@ -14,10 +14,13 @@ Two models of one atom/ensemble dipole coupled to a one-sided cavity:
                    + i sqrt(2/kappa) g E_in
       E_out      =  E_in + i sqrt(2/kappa) g sigma.
 
-Both use a classical fixed-step 4th-order Runge-Kutta scheme on the
-TimeGrid (reproducible; no adaptivity).  Schedules are evaluated at the
-exact stage times; input-field samples are linearly interpolated at the
-half step, which is the best available with sampled data.
+Both are linear, x' = J(t) x + f(t) with x = sigma or (sigma, E), and
+use one classical fixed-step RK4 scheme on the TimeGrid (reproducible;
+no adaptivity).  `_rk4_maps` writes each step as an affine map
+x_{k+1} = x_k + D_k x_k + v_k from the stage values (schedules at the
+exact stage times, input samples linearly interpolated at the half
+step), and `_affine_scan` composes the maps with a blocked prefix scan,
+so Python loops run O(sqrt(n)) times instead of once per step.
 
 Efficiencies are defined through the photon-number ledger
 (`schedules.ledger`): for gamma = Delta = 0 the dynamics obey
@@ -28,6 +31,7 @@ gamma > 0, dipole decay loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,44 +92,93 @@ class SimResult(Ledger):
 # integrator cores
 # ---------------------------------------------------------------------------
 
-def _stage_tables(grid: TimeGrid, sched: Schedule):
-    """Schedule values at stage times: (t_k, t_k + dt/2) for every step,
-    plus the grid samples themselves."""
-    t = grid.times()
-    v = sched.eval(t)
-    vm = sched.eval(t[:-1] + 0.5 * grid.dt)
-    return v, vm
+def _mul(a, b):
+    """Matrix product over the two leading axes, batched over the trailing
+    (step) axes; an (n, d, d) `@` is an order of magnitude slower."""
+    return np.einsum("ij...,jk...->ik...", a, b)
 
 
-def _rk4_affine_scan(a1, am, a4, b1, bm, b4, h, y0, out):
-    """Scan y_{k+1} = A_k y_k + B_k for the scalar linear ODE
-    y' = a(t) y + b(t), with A_k, B_k the exact RK4 one-step affine map
-    built from stage values (a2 = a3 = am at the half step).
+def _rk4_maps(j, jm, f, fm, h):
+    """One classical RK4 step of x' = J(t) x + f(t) as the affine map
+    x_{k+1} = x_k + D_k x_k + v_k, for every step at once.
 
-    Algebraically identical to evaluating the four stages; precomputing
-    A and B keeps the Python loop down to one multiply-add per step.
+    j (d, d, n+1) and f (d, 1, n+1) are J and f at the grid points; jm
+    and fm, with n on the last axis, at the half steps (used by both
+    middle stages).  Returns D (d, d, n) and v (d, 1, n).  The map is
+    kept as its increment D = M - I: rounding M, which is within h*rate
+    of I, would bias a run of equal steps the same way every step.
     """
-    h2 = h * h
-    A = 1.0 + (h / 6.0) * ((a1 + 4.0 * am + a4)
-                           + h * (am * a1 + am * am + a4 * am)
-                           + (h2 / 2.0) * (am * am * (a1 + a4))
-                           + (h2 * h / 4.0) * (a4 * am * am * a1))
-    B = (h / 6.0) * ((b1 + 4.0 * bm + b4)
-                     + h * (am * b1 + am * bm + a4 * bm)
-                     + (h2 / 2.0) * (am * am * b1 + a4 * am * bm)
-                     + (h2 * h / 4.0) * (a4 * am * am * b1))
-    Al = A.tolist()
-    Bl = B.tolist()
-    y = complex(y0)
-    out[0] = y
-    for k in range(len(Al)):
-        y = Al[k] * y + Bl[k]
-        out[k + 1] = y
-    return out
+    j1, j4, f1, f4 = j[..., :-1], j[..., 1:], f[..., :-1], f[..., 1:]
+
+    def increment(x, f1, fm, f4):
+        # h/6 (k1 + 2 k2 + 2 k3 + k4), summed stage by stage to save memory
+        k = _mul(j1, x) + f1
+        total = k.copy()
+        k = _mul(jm, x + (0.5 * h) * k) + fm
+        total += 2.0 * k
+        k = _mul(jm, x + (0.5 * h) * k) + fm
+        total += 2.0 * k
+        k = _mul(j4, x + h * k) + f4
+        total += k
+        return (h / 6.0) * total
+
+    d = j.shape[0]
+    return (increment(np.eye(d)[:, :, None], 0.0, 0.0, 0.0),
+            increment(np.zeros((d, 1, 1)), f1, fm, f4))
 
 
-def _midpoint_samples(s: np.ndarray) -> np.ndarray:
-    return 0.5 * (s[:-1] + s[1:])
+def _affine_scan(D, v, x0) -> np.ndarray:
+    """States x_0 = x0, x_{k+1} = x_k + D_k x_k + v_k of the maps D
+    (d, d, n), v (d, 1, n); returns (d, n+1).
+
+    Blocked prefix scan (Blelloch, CMU-CS-90-190, 1990) over blocks of
+    about sqrt(n) steps: running products (as increments Q = P - I) and
+    zero-start recurrences of all blocks at once, a loop carrying the
+    state across blocks, one fix-up product.  Nothing divides by a
+    running product, so strong decay cannot overflow.
+    """
+    def apply(Q, x, w):                 # (I + Q) x + w
+        return x + _mul(Q, x) + w
+
+    d, n = v.shape[0], v.shape[-1]
+    x0 = np.asarray(x0, dtype=complex).reshape(d, 1)
+    block = math.isqrt(n - 1) + 1          # ceil(sqrt(n)) for n >= 1
+    nb = -(-n // block)
+    pad = nb * block - n
+    # pad with identity maps (zero increments); the copies are overwritten
+    Q = np.concatenate([D, np.zeros((d, d, pad))],
+                       axis=-1).reshape(d, d, nb, block)
+    w = np.concatenate([v, np.zeros((d, 1, pad))],
+                       axis=-1).reshape(d, 1, nb, block)
+    for i in range(1, block):
+        w[..., i] = apply(Q[..., i], w[..., i - 1], w[..., i])
+        Q[..., i] = apply(Q[..., i], Q[..., i - 1], Q[..., i])
+    c = np.empty((d, 1, nb), dtype=complex)
+    c[..., 0] = x0
+    for b in range(1, nb):
+        c[..., b] = apply(Q[..., b - 1, -1], c[..., b - 1], w[..., b - 1, -1])
+    x = apply(Q, c[..., None], w)
+    return np.concatenate([x0, x.reshape(d, nb * block)[:, :n]], axis=1)
+
+
+def _stage_values(e_in: Optional[FieldEnvelope], g: Schedule,
+                  delta: Schedule, grid: Optional[TimeGrid]):
+    """Checks shared by both models, then g and Delta at the grid points
+    and half steps and the input samples (the half-step input is the
+    midpoint of its neighbours, the best available with sampled data)."""
+    if e_in is None and grid is None:
+        raise ParameterError("need a grid when no input envelope is given")
+    grid = grid if grid is not None else e_in.grid
+    if e_in is not None and e_in.grid != grid:
+        raise ParameterError("input envelope grid differs from the run grid")
+    if not g.is_nonnegative(grid):
+        raise ParameterError("coupling schedule must be non-negative")
+    t = grid.times()
+    tm = t[:-1] + 0.5 * grid.dt
+    s_in = (e_in.samples if e_in is not None
+            else np.zeros(grid.n, dtype=complex))
+    return (grid, g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm),
+            s_in, 0.5 * (s_in[:-1] + s_in[1:]))
 
 
 def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
@@ -138,39 +191,22 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
     sigma0).  The step guard is dt * max(g^2/kappa + gamma + |Delta|)
     <= 0.1, the stiffest retained rate.
     """
-    if e_in is None and grid is None:
-        raise ParameterError("need a grid when no input envelope is given")
-    grid = grid if grid is not None else e_in.grid
-    if e_in is not None and e_in.grid != grid:
-        raise ParameterError("input envelope grid differs from the run grid")
-    if not g.is_nonnegative(grid):
-        raise ParameterError("coupling schedule must be non-negative")
-    t = grid.times()
+    grid, gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
     h = grid.dt
-    gv, gm = _stage_tables(grid, g)
-    dv, dm = _stage_tables(grid, delta)
     rate = gv * gv / p.kappa + p.gamma + np.abs(dv)
     rate_m = gm * gm / p.kappa + p.gamma + np.abs(dm)
-    rmax = max(rate.max(), rate_m.max() if rate_m.size else 0.0)
+    rmax = max(rate.max(), rate_m.max())
     if h * rmax > MAX_RATE_STEP:
         raise StabilityError(
             f"dt*max(g^2/kappa+gamma+|Delta|) = {h * rmax:.3g} exceeds "
             f"{MAX_RATE_STEP}; refine the grid")
 
+    drive = 1j * np.sqrt(2.0 / p.kappa)
     a = -(1j * dv + p.gamma + gv * gv / p.kappa)
     a_m = -(1j * dm + p.gamma + gm * gm / p.kappa)
-    drive = 1j * np.sqrt(2.0 / p.kappa)
-    if e_in is not None:
-        s_in = e_in.samples
-        b = drive * gv * s_in
-        b_m = drive * gm * _midpoint_samples(s_in)
-    else:
-        s_in = np.zeros(grid.n, dtype=complex)
-        b = np.zeros(grid.n, dtype=complex)
-        b_m = np.zeros(grid.n - 1, dtype=complex)
-
-    sigma = np.empty(grid.n, dtype=complex)
-    _rk4_affine_scan(a[:-1], a_m, a[1:], b[:-1], b_m, b[1:], h, sigma0, sigma)
+    D, v = _rk4_maps(*(x[None, None] for x in
+                       (a, a_m, drive * gv * s_in, drive * gm * s_m)), h)
+    sigma = _affine_scan(D, v, sigma0)[0]
 
     e_out = FieldEnvelope(grid, s_in + drive * gv * sigma)
     e_cav = (1j * gv * sigma + np.sqrt(2.0 * p.kappa) * s_in) / p.kappa
@@ -181,21 +217,13 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
 
 def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
                   p: CavityParams, grid: Optional[TimeGrid] = None,
-                  sigma0: complex = 0.0, e_cav0: complex = 0.0) -> SimResult:
+                  sigma0: complex = 0.0) -> SimResult:
     """Integrate the full two-mode model (dipole + intracavity field).
 
     The step must resolve the cavity pole: dt * kappa <= 0.1 enforced.
     """
-    if e_in is None and grid is None:
-        raise ParameterError("need a grid when no input envelope is given")
-    grid = grid if grid is not None else e_in.grid
-    if e_in is not None and e_in.grid != grid:
-        raise ParameterError("input envelope grid differs from the run grid")
-    if not g.is_nonnegative(grid):
-        raise ParameterError("coupling schedule must be non-negative")
+    grid, gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
     h = grid.dt
-    gv, gm = _stage_tables(grid, g)
-    dv, dm = _stage_tables(grid, delta)
     stiff = max(p.kappa, p.gamma + float(np.abs(dv).max(initial=0.0)),
                 float(gv.max(initial=0.0)))
     if h * stiff > MAX_RATE_STEP:
@@ -203,52 +231,15 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
             f"dt*kappa (or dt*max rate) = {h * stiff:.3g} exceeds "
             f"{MAX_RATE_STEP}; the full model must resolve 1/kappa")
 
-    if e_in is not None:
-        s_in = e_in.samples
-    else:
-        s_in = np.zeros(grid.n, dtype=complex)
     root2k = np.sqrt(2.0 * p.kappa)
 
-    # per-stage coefficient tables, converted to Python scalars for the loop
-    as1 = (-(1j * dv + p.gamma))[:-1].tolist()
-    asm = (-(1j * dm + p.gamma)).tolist()
-    as4 = (-(1j * dv + p.gamma))[1:].tolist()
-    ig1 = (1j * gv)[:-1].tolist()
-    igm = (1j * gm).tolist()
-    ig4 = (1j * gv)[1:].tolist()
-    f1 = (root2k * s_in)[:-1].tolist()
-    fm = (root2k * _midpoint_samples(s_in)).tolist()
-    f4 = (root2k * s_in)[1:].tolist()
+    def tables(g, d, s):                # J and f of x = (sigma, E)
+        return (np.array([[-(1j * d + p.gamma), 1j * g],
+                          [1j * g, np.full(g.shape, -p.kappa)]]),
+                np.array([np.zeros_like(s), root2k * s])[:, None])
 
-    n = grid.n
-    sigma = np.empty(n, dtype=complex)
-    ecav = np.empty(n, dtype=complex)
-    s = complex(sigma0)
-    e = complex(e_cav0)
-    sigma[0] = s
-    ecav[0] = e
-    kap = p.kappa
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    for k in range(n - 1):
-        ks1 = as1[k] * s + ig1[k] * e
-        ke1 = ig1[k] * s - kap * e + f1[k]
-        s2 = s + h2 * ks1
-        e2 = e + h2 * ke1
-        ks2 = asm[k] * s2 + igm[k] * e2
-        ke2 = igm[k] * s2 - kap * e2 + fm[k]
-        s3 = s + h2 * ks2
-        e3 = e + h2 * ke2
-        ks3 = asm[k] * s3 + igm[k] * e3
-        ke3 = igm[k] * s3 - kap * e3 + fm[k]
-        s4 = s + h * ks3
-        e4 = e + h * ke3
-        ks4 = as4[k] * s4 + ig4[k] * e4
-        ke4 = ig4[k] * s4 - kap * e4 + f4[k]
-        s = s + h6 * (ks1 + 2.0 * (ks2 + ks3) + ks4)
-        e = e + h6 * (ke1 + 2.0 * (ke2 + ke3) + ke4)
-        sigma[k + 1] = s
-        ecav[k + 1] = e
+    (j, f), (jm, fm) = tables(gv, dv, s_in), tables(gm, dm, s_m)
+    sigma, ecav = _affine_scan(*_rk4_maps(j, jm, f, fm, h), [sigma0, 0.0])
 
     e_out = FieldEnvelope(grid, -s_in + root2k * ecav)
     tau = cumtrapz0(gv * gv / p.kappa, h)

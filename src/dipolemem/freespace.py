@@ -231,22 +231,21 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
     h_t = tau[1] - tau[0]
     h_z = z[1] - z[0]
 
-    # kernel tables; all causal arguments are <= 0
-    arg_zrows = -np.outer(tau, h_z * np.arange(n_z))   # (n_t, n_z)
-    k0_zrows = entire_bessel_kernel(arg_zrows, 0)
-    k1_zrows = entire_bessel_kernel(arg_zrows, 1)
-    arg_trows = -np.outer(z, h_t * np.arange(n_t))     # (n_z, n_t)
-    k0_trows = entire_bessel_kernel(arg_trows, 0)
-    k1_trows = entire_bessel_kernel(arg_trows, 1)
+    # kernel tables; all causal arguments are <= 0.  On uniform axes from
+    # 0, tau_m z_j = (m h_t)(j h_z): row m is the kernel along z at tau_m,
+    # column j the kernel along tau at z_j
+    arg = -np.outer(tau, h_z * np.arange(n_z))   # (n_t, n_z)
+    k0 = entire_bessel_kernel(arg, 0)
+    k1 = entire_bessel_kernel(arg, 1)
 
     e = np.empty((n_t, n_z), dtype=complex)
     s = np.empty((n_t, n_z), dtype=complex)
     for m in range(n_t):                 # spin-wave sources, along z
-        e[m] = bc[m] + _causal_conv(ic, k0_zrows[m], h_z)
-        s[m] = ic - tau[m] * _causal_conv(ic, k1_zrows[m], h_z)
+        e[m] = bc[m] + _causal_conv(ic, k0[m], h_z)
+        s[m] = ic - tau[m] * _causal_conv(ic, k1[m], h_z)
     for j in range(n_z):                 # boundary sources, along tau
-        e[:, j] -= z[j] * _causal_conv(bc, k1_trows[j], h_t)
-        s[:, j] -= _causal_conv(bc, k0_trows[j], h_t)
+        e[:, j] -= z[j] * _causal_conv(bc, k1[:, j], h_t)
+        s[:, j] -= _causal_conv(bc, k0[:, j], h_t)
 
     s_norm2 = np.trapezoid(np.abs(s) ** 2, x=z, axis=1)
     return FreeSpaceFields(tau=tau, z=z, e=e, s=s, e_end=e[:, -1].copy(),

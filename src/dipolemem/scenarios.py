@@ -104,9 +104,7 @@ def _check_keys(node: dict, allowed, required, where: str) -> None:
 
 
 def _number(node, where: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise ConfigError(f"expected a bare number at {where}, got {node!r}")
-    return float(node)
+    return parse_quantity(node, "dimensionless", where=where)
 
 
 def _float_list(node, where: str) -> list[float]:

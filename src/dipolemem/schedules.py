@@ -555,7 +555,9 @@ class Ledger:
     from the start of the second window (the read window) to the
     excitation stored there; eta_tot is that read output over the input.
     Entries that do not apply to a run (e.g. eta_w for a pure read) are
-    None.
+    None.  Note the units of the two decay entries: `decay` is in
+    photons, `decay_loss` is that over the budget (a fraction), while
+    the `decay_loss` a run writes to result.json is `decay`, in photons.
     """
 
     input_energy: float

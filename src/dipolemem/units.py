@@ -47,7 +47,7 @@ def parse_quantity(value, dimension: str, *, where: str = "") -> float:
     ctx = f" at {where}" if where else ""
     if dimension in (None, "dimensionless"):
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
+            return _finite(float(value), value, ctx)
         raise ConfigError(f"expected a bare number{ctx}, got {value!r}")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         raise ConfigError(
@@ -72,7 +72,14 @@ def parse_quantity(value, dimension: str, *, where: str = "") -> float:
             f"unit {unit!r}{ctx} is not a {dimension} unit; "
             f"examples: {_example_units(dimension)}"
         )
-    return x * table[unit]
+    return _finite(x * table[unit], value, ctx)
+
+
+def _finite(x: float, value, ctx: str) -> float:
+    # also catches overflow: "1e400 s", or "1e300 THz" through the factor
+    if not math.isfinite(x):
+        raise ConfigError(f"quantity{ctx} must be finite, got {value!r}")
+    return x
 
 
 def _example_units(dimension: str) -> str:

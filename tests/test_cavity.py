@@ -10,6 +10,7 @@ from dipolemem import (CavityParams, FieldEnvelope, ParameterError, Schedule,
                        effective_fields, effective_time, optimal_write_input,
                        read_analytic, simulate_adiabatic, simulate_full,
                        square_pulse_efficiency)
+from dipolemem.cavity import _affine_scan
 
 KAPPA = 1e6
 ZERO = Schedule.zero()
@@ -111,6 +112,38 @@ def test_energy_bound_with_decay():
     res = simulate_adiabatic(e_in, g, ZERO, p, grid)
     balance = res.eta_w + res.leakage + res.decay_loss
     assert abs(balance - 1.0) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# integrator core
+# ---------------------------------------------------------------------------
+
+def _sequential_scan(D, v, x0):
+    x = [np.asarray(x0, dtype=complex).reshape(-1, 1)]
+    for k in range(v.shape[-1]):
+        x.append(x[-1] + D[:, :, k] @ x[-1] + v[:, :, k])
+    return np.concatenate(x, axis=1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 31 * 31 - 1, 31 * 31, 31 * 31 + 1,
+                               100_003])
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1.0 + 1e-4])
+def test_affine_scan_matches_sequential_loop(d, n, scale):
+    """Blocked scan against the step-by-step recurrence; blocks are
+    about sqrt(n) long, so the sizes straddle block boundaries.  The
+    maps are scale times a random unitary: 1e-3 decays the running
+    products past underflow, 1 + 1e-4 grows the state by up to e^10."""
+    rng = np.random.default_rng(n + d)
+    z = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    M = np.moveaxis(scale * np.linalg.qr(z)[0], 0, -1)
+    D = M - np.eye(d)[:, :, None]
+    v = rng.normal(size=(d, 1, n)) + 1j * rng.normal(size=(d, 1, n))
+    x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    x = _affine_scan(D, v, x0)
+    ref = _sequential_scan(D, v, x0)
+    assert x.shape == (d, n + 1)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # ---------------------------------------------------------------------------

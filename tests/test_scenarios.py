@@ -74,6 +74,13 @@ def test_quantity_rejections():
         parse_quantity("fast", "rate")
     with pytest.raises(ConfigError):
         parse_quantity(True, "dimensionless")
+    # literals that overflow, alone or through the unit factor
+    for text in ("1e400 Hz_angular", "1e300 THz"):
+        with pytest.raises(ConfigError, match="cavity.kappa.*finite"):
+            parse_quantity(text, "rate", where="cavity.kappa")
+    for x in (float("inf"), float("nan")):      # YAML .inf / .nan
+        with pytest.raises(ConfigError, match="input.photons.*finite"):
+            parse_quantity(x, "dimensionless", where="input.photons")
 
 
 def test_quantity_format_round_trips(rng):
@@ -123,6 +130,9 @@ def test_config_rejections():
         cavity_cfg(grid={"start": "-2 us", "stop": "0 us", "points": True}),
         cavity_cfg(grid={"start": "0 us", "stop": "0 us", "points": 100}),
         cavity_cfg(cavity={"kappa": 1e6}),               # unitless rate
+        cavity_cfg(cavity={"kappa": "1e300 THz"}),       # overflows to inf
+        cavity_cfg(input={"kind": "optimal", "photons": float("inf")}),
+        cavity_cfg(input={"kind": "optimal", "photons": float("nan")}),
         cavity_cfg(medium={"length": "1 cm"}),           # wrong block
         cavity_cfg(coupling=[{"kind": "square", "start": "-2 us",
                               "end": "0 us",
