@@ -1,19 +1,24 @@
 #!/usr/bin/env python3
 """Free-space storage/retrieval efficiency versus optical depth.
 
-Runs the pulsed write stage followed by forward and backward read-out
-for a geometric ladder of depths and writes one CSV row per depth.
+Runs `dipolemem sweep --axis d` on the free-space preset for a geometric
+ladder of depths: a pulsed write stage followed by forward and backward
+read-out, one row per depth, written as `sweep.csv` and `result.json`.
 Forward read-out peaks at moderate depth; backward read-out saturates.
 """
 
 import argparse
-import csv
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
+import yaml
 
-from dipolemem import FreeSpaceScenario, MediumParams, storage_retrieval_sweep
+from dipolemem import run_sweep, scenario_from_dict, write_artifacts
+
+PRESET = (Path(__file__).resolve().parents[1] / "presets"
+          / "freespace_gaussian_sweep.yaml")
 
 
 def main():
@@ -24,35 +29,31 @@ def main():
     ap.add_argument("--gamma-khz", type=float, default=50.0,
                     help="spin-wave decay rate [kHz, ordinary frequency]")
     ap.add_argument("--length-cm", type=float, default=1.0)
-    ap.add_argument("--workers", type=int, default=1)
-    ap.add_argument("--out", default="depth_sweep.csv")
+    ap.add_argument("--outdir", default="depth_sweep_out")
     args = ap.parse_args()
 
-    medium = MediumParams(args.length_cm * 1e-2,
-                          gamma=2 * np.pi * args.gamma_khz * 1e3)
-    scn = FreeSpaceScenario(medium)
+    raw = yaml.safe_load(PRESET.read_text())
+    raw["medium"] = {"length": f"{args.length_cm!r} cm",
+                     "gamma": f"{args.gamma_khz!r} kHz"}
+    scn = scenario_from_dict(raw, base_dir=PRESET.parent)
     d_values = np.round(np.geomspace(args.d_min, args.d_max, args.num), 3)
 
     tic = time.time()
-    res = storage_retrieval_sweep(scn, d_values, workers=args.workers)
+    rec = run_sweep(scn, "d", d_values)
     print(f"{args.num} depths in {time.time() - tic:.1f} s", file=sys.stderr)
 
-    print(f"{'d':>9} {'eta_write':>10} {'eta_fwd':>10} {'eta_bwd':>10}")
-    for d, ew, ef, eb in res.rows():
-        print(f"{d:9.3f} {ew:10.5f} {ef:10.5f} {eb:10.5f}")
+    [(_name, _header, rows)] = rec.tables
+    print(f"{'d':>9} {'eta_fwd':>10} {'eta_bwd':>10}")
+    for d, ef, eb in rows:
+        print(f"{d:9.3f} {ef:10.5f} {eb:10.5f}")
 
-    k = int(np.argmax(res.eta_forward))
-    print(f"forward optimum: d = {res.d[k]:.3f}, "
-          f"eta = {res.eta_forward[k]:.5f}")
-    print(f"backward at d = {res.d[-1]:.3f}: {res.eta_backward[-1]:.5f}")
+    d, eta_fwd, eta_bwd = np.array(rows).T
+    k = int(np.argmax(eta_fwd))
+    print(f"forward optimum: d = {d[k]:.3f}, eta = {eta_fwd[k]:.5f}")
+    print(f"backward at d = {d[-1]:.3f}: {eta_bwd[-1]:.5f}")
 
-    with open(args.out, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["d", "eta_write", "eta_forward", "eta_backward",
-                    "theta_total"])
-        for k, row in enumerate(res.rows()):
-            w.writerow([f"{v:.10g}" for v in (*row, res.theta_total[k])])
-    print(f"table -> {args.out}", file=sys.stderr)
+    write_artifacts(rec, args.outdir)
+    print(f"table -> {args.outdir}/sweep.csv", file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -18,11 +18,9 @@ from .control import (compensate_detuning, cooperativity_from_depth,
                       optimal_write_input, synthesize_couplings,
                       total_efficiency, variational_optimize,
                       write_efficiency_of)
-from .freespace import (FreeSpaceFields, FreeSpaceScenario,
-                        FreeSpaceTransform, MediumParams, SpinWave,
-                        SweepResult, analytic_evolution,
-                        entire_bessel_kernel, numeric_evolution,
-                        reduced_continuity_residual,
+from .freespace import (FreeSpaceFields, FreeSpaceTransform, MediumParams,
+                        analytic_evolution, entire_bessel_kernel,
+                        numeric_evolution, reduced_continuity_residual,
                         storage_retrieval_sweep, thin_medium_cavity_coupling)
 from .scenarios import (RunRecord, Scenario, builtin_verify,
                         design_couplings, load_scenario, run_scenario,
@@ -47,9 +45,8 @@ __all__ = [
     "compensate_detuning", "synthesize_couplings", "total_efficiency",
     "cooperativity_from_depth",
     # freespace
-    "MediumParams", "SpinWave", "FreeSpaceFields", "FreeSpaceTransform",
-    "FreeSpaceScenario", "SweepResult", "entire_bessel_kernel",
-    "analytic_evolution", "numeric_evolution",
+    "MediumParams", "FreeSpaceFields", "FreeSpaceTransform",
+    "entire_bessel_kernel", "analytic_evolution", "numeric_evolution",
     "reduced_continuity_residual", "storage_retrieval_sweep",
     "thin_medium_cavity_coupling",
     # scenarios

@@ -2,7 +2,7 @@
 
     dipolemem run <config> [--outdir DIR]
     dipolemem design <config> [--outdir DIR]
-    dipolemem sweep <config> --axis NAME --values V1,V2,... [--workers N]
+    dipolemem sweep <config> --axis NAME --values V1,V2,... [--outdir DIR]
     dipolemem verify
 
 Success exits 0.  Configuration/parameter problems exit 2, numerical
@@ -54,7 +54,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="d, tau_r, tau_w, cooperativity or duration")
     p_sweep.add_argument("--values", required=True,
                          help="comma-separated axis values")
-    p_sweep.add_argument("--workers", type=int, default=None)
     p_sweep.add_argument("--outdir", default=None)
 
     sub.add_parser("verify", help="run the built-in invariant checks")
@@ -93,8 +92,7 @@ def main(argv=None) -> int:
         elif args.op == "design":
             rec = design_couplings(scn)
         else:
-            rec = run_sweep(scn, args.axis, _parse_values(args.values),
-                            workers=args.workers)
+            rec = run_sweep(scn, args.axis, _parse_values(args.values))
         write_artifacts(rec, outdir)
         print(f"{args.op}: wrote {outdir}/result.json "
               f"(scenario {rec.scenario_hash[:12]})")

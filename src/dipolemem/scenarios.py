@@ -51,10 +51,10 @@ from .cavity import (CavityParams, SimResult, continuity_residual,
 from .control import optimal_write_input, synthesize_couplings, \
     variational_optimize
 from .errors import ConfigError, ParameterError
-from .freespace import (FreeSpaceScenario, FreeSpaceTransform, MediumParams,
-                        analytic_evolution, entire_bessel_kernel,
-                        numeric_evolution, reduced_continuity_residual,
-                        storage_retrieval_sweep, thin_medium_cavity_coupling)
+from .freespace import (FreeSpaceTransform, MediumParams, analytic_evolution,
+                        entire_bessel_kernel, numeric_evolution,
+                        reduced_continuity_residual, storage_retrieval_sweep,
+                        theta_nodes, thin_medium_cavity_coupling)
 from .schedules import (FieldEnvelope, GaussianSegment, Ledger, Schedule,
                         SquareSegment, TimeGrid, effective_time, ledger)
 from .units import format_quantity, parse_quantity
@@ -76,10 +76,6 @@ SWEEP_AXES = ("d", "tau_r", "tau_w", "cooperativity", "duration")
 # effective time is about RHO_CUT * theta_total, far below the solver
 # error, while the reduced boundary field E/g stays bounded.
 RHO_CUT = 1e-6
-
-# theta step used when the reduced grid size is chosen automatically
-_AUTO_THETA_STEP = 0.01
-_MIN_AUTO_THETA_POINTS = 801
 
 
 # ---------------------------------------------------------------------------
@@ -760,13 +756,6 @@ def _run_cavity(scn: Scenario):
     return summary, diagnostics, tables
 
 
-def _theta_nodes(scn: Scenario, theta_total: float) -> int:
-    if scn.theta_points is not None:
-        return scn.theta_points
-    return max(_MIN_AUTO_THETA_POINTS,
-               int(np.ceil(theta_total / _AUTO_THETA_STEP)) + 1)
-
-
 def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act, h_target):
     """Marching axis for the reduced solve.
 
@@ -822,11 +811,12 @@ def _run_freespace(scn: Scenario):
                 FieldEnvelope(grid, np.where(act, in_samples, 0.0)))
         else:
             bc_t = np.zeros(t.size, dtype=complex)
-        n_theta = _theta_nodes(scn, theta_total)
+        n_theta = theta_nodes(theta_total, scn.theta_points)
         if scn.model == "freespace-numeric":
             theta, bc = _active_theta_axis(tr, bc_t, act,
                                            theta_total / (n_theta - 1))
-            fields = numeric_evolution(bc, ic, theta, x)
+            fields = numeric_evolution(bc, ic, theta, x,
+                                       store_fields=scn.dump_fields)
         else:
             # the kernel solver needs a uniform axis
             th_act = tr.theta[act]
@@ -979,8 +969,7 @@ def _design_verification(env: FieldEnvelope, g_write: Schedule,
 # the sweep operation
 # ---------------------------------------------------------------------------
 
-def run_sweep(scn: Scenario, axis: str, values, *,
-              workers: Optional[int] = None) -> RunRecord:
+def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
     """Scan one scenario parameter and tabulate efficiencies.
 
     Axes: ``tau_r`` / ``tau_w`` (rescale the coupling to hit a target
@@ -1000,9 +989,12 @@ def run_sweep(scn: Scenario, axis: str, values, *,
     vals = [float(v) for v in values]
     if not vals:
         raise ConfigError("the sweep needs at least one axis value")
+    for v in vals:
+        if not np.isfinite(v):
+            raise ConfigError(f"sweep axis {axis!r} value {v!r} is not finite")
 
     if axis == "d":
-        header, rows = _sweep_depth(scn, vals, workers)
+        header, rows = _sweep_depth(scn, vals)
     elif axis == "tau_r":
         header, rows = _sweep_tau_read(scn, vals)
     elif axis == "tau_w":
@@ -1112,7 +1104,7 @@ def _sweep_duration(scn: Scenario, vals):
     return ("duration_s", "eta_w"), rows
 
 
-def _sweep_depth(scn: Scenario, vals, workers):
+def _sweep_depth(scn: Scenario, vals):
     if scn.model not in FREESPACE_MODELS:
         raise ConfigError(f"sweep axis 'd' needs a propagation model, "
                           f"not {scn.model}")
@@ -1122,21 +1114,13 @@ def _sweep_depth(scn: Scenario, vals, workers):
                           "segment (its amplitude is set by each d value)")
     if scn.input_spec["kind"] != "gaussian":
         raise ConfigError("a depth sweep needs a gaussian input envelope")
-    seg = segs[0]
-    sigma_in = parse_quantity(scn.input_spec["sigma"], "time")
-    fss = FreeSpaceScenario(
-        medium=scn.medium,
-        input_center=parse_quantity(scn.input_spec["center"], "time"),
-        input_fwtm=sigma_in * 2.0 * np.sqrt(2.0 * np.log(10.0)),
-        coupling_sigma=seg.width,
-        write_center=seg.center,
-        read_gap=scn.storage_time or 0.0,
-        n_x=scn.space_points,
-        detuning=scn.detuning if scn.detuning.max_abs() > 0.0 else None,
-    )
-    res = storage_retrieval_sweep(fss, vals, workers=workers)
-    rows = [(float(d), float(f), float(b))
-            for d, _w, f, b in res.rows()]
+    table = storage_retrieval_sweep(
+        vals, scn.medium, segs[0],
+        parse_quantity(scn.input_spec["center"], "time"),
+        parse_quantity(scn.input_spec["sigma"], "time"),
+        scn.storage_time or 0.0, scn.space_points, scn.detuning,
+        scn.theta_points)
+    rows = [tuple(r) for r in table[:, [0, 2, 3]].tolist()]
     return ("d", "eta_forward", "eta_backward"), rows
 
 

@@ -5,18 +5,22 @@ tolerance, so `pytest -v` prints a one-line verdict per property.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from dipolemem import (CavityParams, FieldEnvelope, FreeSpaceScenario,
-                       MediumParams, Schedule, TimeGrid, analytic_evolution,
-                       continuity_residual, effective_fields, effective_time,
-                       numeric_evolution, optimal_write_input,
-                       simulate_adiabatic, simulate_full,
-                       square_pulse_efficiency, storage_retrieval_sweep,
-                       synthesize_couplings, write_efficiency_of)
-from dipolemem.scenarios import run_scenario, scenario_from_dict
+from dipolemem import (CavityParams, FieldEnvelope, Schedule, TimeGrid,
+                       analytic_evolution, continuity_residual,
+                       effective_fields, effective_time, numeric_evolution,
+                       optimal_write_input, simulate_adiabatic, simulate_full,
+                       square_pulse_efficiency, synthesize_couplings,
+                       write_efficiency_of)
+from dipolemem.scenarios import run_scenario, run_sweep, scenario_from_dict
+
+FREESPACE_PRESET = (Path(__file__).resolve().parents[1] / "presets"
+                    / "freespace_gaussian_sweep.yaml")
 
 KAPPA = 1e6
 ZERO = Schedule.zero()
@@ -261,27 +265,27 @@ def test_09_depth_sweep_shapes():
     backward retrieval is non-decreasing and saturates strictly below
     one, lower still when the decay rate doubles. 15 depths in < 5 min."""
     tic = time.perf_counter()
-    gamma = 2 * np.pi * 5e4
-    scn = FreeSpaceScenario(MediumParams(0.01, gamma=gamma))
+    raw = yaml.safe_load(FREESPACE_PRESET.read_text())   # gamma = 50 kHz
     d_vals = np.round(np.geomspace(1.0, 150.0, 15), 3)
-    res = storage_retrieval_sweep(scn, d_vals)
+    _d, eta_fwd, eta_bwd = np.array(
+        run_sweep(scenario_from_dict(raw), "d", d_vals).tables[0][2]).T
 
-    i = int(np.argmax(res.eta_forward))
+    i = int(np.argmax(eta_fwd))
     assert 0 < i < d_vals.size - 1
-    assert res.eta_forward[i] > res.eta_forward[0]
-    assert res.eta_forward[i] > res.eta_forward[-1]
+    assert eta_fwd[i] > eta_fwd[0]
+    assert eta_fwd[i] > eta_fwd[-1]
 
-    steps = np.diff(res.eta_backward)
+    steps = np.diff(eta_bwd)
     assert np.all(steps > -1e-9)
-    assert res.eta_backward[-1] < 1.0 - 1e-3
+    assert eta_bwd[-1] < 1.0 - 1e-3
     # saturation: growth per geometric step keeps decelerating
     assert steps[-1] < 0.1 * steps.max()
-    assert res.eta_backward[-1] - res.eta_backward[-3] \
-        < 0.05 * res.eta_backward[-1]
+    assert eta_bwd[-1] - eta_bwd[-3] < 0.05 * eta_bwd[-1]
 
-    doubled = FreeSpaceScenario(MediumParams(0.01, gamma=2.0 * gamma))
-    res2 = storage_retrieval_sweep(doubled, d_vals[-3:])
-    assert res2.eta_backward[-1] < res.eta_backward[-1]
+    raw["medium"]["gamma"] = "100 kHz"
+    _d, _fwd, bwd2 = np.array(
+        run_sweep(scenario_from_dict(raw), "d", d_vals[-3:]).tables[0][2]).T
+    assert bwd2[-1] < eta_bwd[-1]
     assert time.perf_counter() - tic < 300.0
 
 

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from dipolemem import (FieldEnvelope, FreeSpaceScenario, FreeSpaceTransform,
+from dipolemem import (FieldEnvelope, FreeSpaceTransform, GaussianSegment,
                        MediumParams, ParameterError, ResolutionError,
-                       Schedule, SingularTransformError, SpinWave, TimeGrid,
+                       Schedule, SingularTransformError, TimeGrid,
                        analytic_evolution, entire_bessel_kernel,
                        numeric_evolution, reduced_continuity_residual,
                        storage_retrieval_sweep, thin_medium_cavity_coupling)
+from dipolemem.freespace import _window_theta_map
 from dipolemem.schedules import cumtrapz0
 
 GAMMA = 2 * np.pi * 5e4
@@ -162,28 +163,6 @@ def test_coarse_grid_is_refused():
         numeric_evolution(bc, np.zeros(11, dtype=complex), tau, z)
 
 
-# ---------------------------------------------------------------------------
-# spin waves
-# ---------------------------------------------------------------------------
-
-def test_spinwave_excitation_and_flip():
-    z = np.linspace(0.0, 1.0, 501)
-    wave = SpinWave(z, np.sqrt(2.0) * np.sin(np.pi * z))
-    assert abs(wave.excitation() - 1.0) < 1e-5
-    asym = SpinWave(z, z.astype(complex))
-    np.testing.assert_array_equal(asym.flipped().values, z[::-1])
-    assert abs(asym.flipped().excitation() - asym.excitation()) < 1e-15
-
-
-def test_spinwave_guards():
-    with pytest.raises(ParameterError):
-        SpinWave(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ParameterError):
-        SpinWave(np.array([0.0, 0.5, 0.7]), np.zeros(3))
-    with pytest.raises(ParameterError):
-        SpinWave(np.linspace(0, 1, 5), np.zeros(4))
-
-
 def test_medium_guards():
     with pytest.raises(ParameterError):
         MediumParams(0.0)
@@ -251,69 +230,82 @@ def test_thin_medium_mapping():
 # depth sweep
 # ---------------------------------------------------------------------------
 
-def _scn(**kw):
-    return FreeSpaceScenario(MediumParams(0.01, gamma=GAMMA), **kw)
+# input amplitude Gaussian of 300 ns full width at a tenth of its peak
+SIGMA_IN = 300e-9 / (2.0 * np.sqrt(2.0 * np.log(10.0)))
+
+
+def _sweep(d_values, gamma=GAMMA, **kw):
+    """Columns d, eta_write, eta_forward, eta_backward, theta_total of a
+    sweep with a 100 ns coupling pulse peaking 50 ns before the input."""
+    args = dict(medium=MediumParams(0.01, gamma=gamma),
+                coupling=GaussianSegment(-1e-6, 1e-6, 1.0, -50e-9, 100e-9),
+                input_center=0.0, input_sigma=SIGMA_IN, read_gap=0.0,
+                space_points=201)
+    args.update(kw)
+    return storage_retrieval_sweep(d_values, **args).T
+
+
+def test_window_theta_map_inverts_the_depth_integral():
+    d, sig, tc = 60.0, 100e-9, -50e-9
+    theta, t_of, rho = _window_theta_map(d, GAMMA, sig, tc, 801)
+    # the window ends where the profile falls to its cut, 1e-3 of peak
+    np.testing.assert_allclose(rho[[0, -1]], d * GAMMA * 1e-3, rtol=1e-9)
+    np.testing.assert_allclose(rho, d * GAMMA
+                               * np.exp(-((t_of - tc) / sig) ** 2))
+    # reference: trapezoid quadrature of the profile on a dense uniform
+    # grid over the same window, read at the returned times
+    t_dense = np.linspace(t_of[0], t_of[-1], 8192)
+    th_dense = cumtrapz0(d * GAMMA * np.exp(-((t_dense - tc) / sig) ** 2),
+                         t_dense[1] - t_dense[0])
+    np.testing.assert_allclose(np.interp(t_of, t_dense, th_dense), theta,
+                               rtol=0.0, atol=1e-6 * theta[-1])
 
 
 def test_sweep_zero_depth_is_transparent():
-    res = storage_retrieval_sweep(_scn(), [0.0])
-    assert res.eta_write[0] == res.eta_forward[0] == res.eta_backward[0] == 0.0
-    assert res.theta_total[0] == 0.0
+    d, eta_w, eta_f, eta_b, theta = _sweep([0.0])
+    assert eta_w[0] == eta_f[0] == eta_b[0] == 0.0
+    assert theta[0] == 0.0
 
 
 def test_sweep_rejects_bad_depths():
-    with pytest.raises(ParameterError):
-        storage_retrieval_sweep(_scn(), [10.0, -1.0])
-    with pytest.raises(ParameterError):
-        storage_retrieval_sweep(_scn(), [])
+    for bad in ([10.0, -1.0], [], [float("nan")], [float("inf")]):
+        with pytest.raises(ParameterError):
+            _sweep(bad)
 
 
 def test_sweep_point_order_is_irrelevant():
-    a = storage_retrieval_sweep(_scn(), [20.0, 60.0])
-    b = storage_retrieval_sweep(_scn(), [60.0, 20.0])
-    np.testing.assert_array_equal(a.eta_backward, b.eta_backward[::-1])
-    np.testing.assert_array_equal(a.eta_write, b.eta_write[::-1])
-
-
-def test_sweep_workers_match_serial():
-    serial = storage_retrieval_sweep(_scn(), [20.0, 60.0])
-    fanned = storage_retrieval_sweep(_scn(), [20.0, 60.0], workers=2)
-    np.testing.assert_array_equal(serial.eta_forward, fanned.eta_forward)
-    np.testing.assert_array_equal(serial.eta_backward, fanned.eta_backward)
-    np.testing.assert_array_equal(serial.theta_total, fanned.theta_total)
+    a = _sweep([20.0, 60.0])
+    b = _sweep([60.0, 20.0])
+    np.testing.assert_array_equal(a[3], b[3][::-1])
+    np.testing.assert_array_equal(a[1], b[1][::-1])
 
 
 def test_sweep_efficiencies_grow_with_depth():
-    res = storage_retrieval_sweep(_scn(), [10.0, 60.0])
-    assert res.eta_write[1] > res.eta_write[0]
-    assert res.eta_backward[1] > res.eta_backward[0]
-    assert np.all(res.eta_write <= 1.0 + 1e-6)
+    _d, eta_w, _f, eta_b, theta = _sweep([10.0, 60.0])
+    assert eta_w[1] > eta_w[0]
+    assert eta_b[1] > eta_b[0]
+    assert np.all(eta_w <= 1.0 + 1e-6)
     # window-integrated depth: d gamma sigma sqrt(pi) up to the window cut
     sig = 100e-9
-    np.testing.assert_allclose(res.theta_total,
+    np.testing.assert_allclose(theta,
                                np.array([10.0, 60.0]) * GAMMA * sig
                                * np.sqrt(np.pi), rtol=1e-3)
 
 
 def test_sweep_detuning_paths():
-    base = storage_retrieval_sweep(_scn(), [60.0])
-    silent = storage_retrieval_sweep(_scn(detuning=Schedule.zero()), [60.0])
-    spun = storage_retrieval_sweep(
-        _scn(detuning=Schedule.square(1e7, -2e-6, 4e-6)), [60.0])
-    assert silent.eta_write[0] == base.eta_write[0]
-    assert silent.eta_backward[0] == base.eta_backward[0]
+    base = _sweep([60.0])
+    silent = _sweep([60.0], detuning=Schedule.zero())
+    spun = _sweep([60.0], detuning=Schedule.square(1e7, -2e-6, 4e-6))
+    assert silent[1][0] == base[1][0]
+    assert silent[3][0] == base[3][0]
     # an uncompensated chirp across the input spoils the mode matching
-    assert spun.eta_write[0] < base.eta_write[0] - 0.05
+    assert spun[1][0] < base[1][0] - 0.05
 
 
 def test_scenario_guards():
     with pytest.raises(ParameterError):
-        FreeSpaceScenario(MediumParams(0.01))          # needs gamma > 0
+        _sweep([10.0], gamma=0.0)        # d is measured in units of gamma
     with pytest.raises(ParameterError):
-        _scn(window_cut=1.0)
+        _sweep([10.0], read_gap=-1e-9)
     with pytest.raises(ParameterError):
-        _scn(read_gap=-1e-9)
-    with pytest.raises(ParameterError):
-        _scn(n_theta=8)
-    with pytest.raises(ParameterError):
-        _scn(input_fwtm=0.0)
+        _sweep([10.0], input_sigma=0.0)

@@ -12,12 +12,12 @@ import pytest
 import yaml
 
 import dipolemem
-from dipolemem import ConfigError, ParameterError
+from dipolemem import ConfigError, ParameterError, freespace, scenarios
 from dipolemem.cli import main as cli_main
-from dipolemem.scenarios import (MODELS, build_input, design_couplings,
-                                 load_scenario, run_scenario, run_sweep,
-                                 scenario_from_dict, scenario_hash,
-                                 write_artifacts)
+from dipolemem.scenarios import (MODELS, SWEEP_AXES, build_input,
+                                 design_couplings, load_scenario,
+                                 run_scenario, run_sweep, scenario_from_dict,
+                                 scenario_hash, write_artifacts)
 from dipolemem.units import format_quantity, parse_quantity
 
 PRESETS = sorted(Path(__file__).resolve().parents[1].glob("presets/*.yaml"))
@@ -145,6 +145,9 @@ def test_config_rejections():
         freespace_cfg(input={"kind": "optimal"}),
         freespace_cfg(space_points=4),
         freespace_cfg(theta_points=4),
+        freespace_cfg(storage_time="-1 ns"),
+        freespace_cfg(input={"kind": "gaussian", "center": "0 us",
+                             "sigma": "0 ns"}),
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -261,6 +264,29 @@ def test_freespace_run_closes_its_ledger():
     assert rec.diagnostics["normalization_drift"] < 1e-4
 
 
+@pytest.mark.parametrize("model", ["freespace-numeric",
+                                   "freespace-analytic"])
+def test_freespace_field_dump_is_opt_in(tmp_path, monkeypatch, model):
+    n_theta = []
+    for name in ("numeric_evolution", "analytic_evolution"):
+        solver = getattr(scenarios, name)
+
+        def spy(*args, _solver=solver, **kw):
+            fields = _solver(*args, **kw)
+            n_theta.append(fields.tau.size)
+            return fields
+        monkeypatch.setattr(scenarios, name, spy)
+    cfg = freespace_cfg(model=model, space_points=16, theta_points=40)
+    write_artifacts(run_scenario(scenario_from_dict(cfg)), tmp_path / "off")
+    assert not (tmp_path / "off" / "fields.csv").exists()
+    cfg["outputs"] = {"fields": True}
+    write_artifacts(run_scenario(scenario_from_dict(cfg)), tmp_path / "on")
+    with open(tmp_path / "on" / "fields.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["z_m", "time_s", "re", "im"]
+    assert len(rows) - 1 == n_theta[-1] * 16
+
+
 def test_storage_followed_by_read_replays(tmp_path):
     scn = scenario_from_dict(freespace_cfg(
         storage_time="1 us",
@@ -331,6 +357,34 @@ def test_sweep_rejections():
         run_sweep(scenario_from_dict(cavity_cfg(
             input=None, initial_excitation={"sigma_re": 1.0})),
             "tau_r", [-1.0])
+    with pytest.raises(ParameterError):        # d is in units of gamma
+        run_sweep(scenario_from_dict(freespace_cfg(
+            medium={"length": "1 cm", "gamma": "0 Hz"})), "d", [10.0])
+    for axis in SWEEP_AXES:
+        scn = fs if axis == "d" else cav
+        for v in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ConfigError, match=f"'{axis}'.*{v}"):
+                run_sweep(scn, axis, [1.0, v])
+
+
+def test_depth_sweep_obeys_theta_points(monkeypatch):
+    n_theta = []
+
+    def spy(bc, ic, tau, z, **kw):
+        n_theta.append(tau.size)
+        return solver(bc, ic, tau, z, **kw)
+    solver = freespace.numeric_evolution
+    monkeypatch.setattr(freespace, "numeric_evolution", spy)
+    cfg = freespace_cfg(
+        input={"kind": "gaussian", "center": "0 us", "fwtm": "300 ns"},
+        coupling=[{"kind": "gaussian", "amplitude": "1 MHz_angular",
+                   "center": "-50 ns", "sigma": "100 ns"}])
+    run_sweep(scenario_from_dict(cfg), "d", [150.0])
+    # automatic: a theta step of 0.01 over 150 gamma sigma sqrt(pi) = 8.35
+    assert n_theta == [837] * 3
+    n_theta.clear()
+    run_sweep(scenario_from_dict(dict(cfg, theta_points=500)), "d", [150.0])
+    assert n_theta == [500] * 3
 
 
 def test_depth_sweep_through_scenario():
@@ -450,6 +504,16 @@ def test_cli_sweep_and_value_parsing(tmp_path):
                cwd=tmp_path)
     assert bad.returncode == 2, bad.stderr
     assert json.loads(bad.stderr)["error"] == "ConfigError"
+    fs_cfg = _write_cfg(tmp_path, freespace_cfg(), "fs.yaml")
+    for path, axis, values in ((fs_cfg, "d", "10,nan"),
+                               (cfg, "tau_r", "0.5,inf")):
+        bad = _cli(["sweep", str(path), "--axis", axis, "--values", values],
+                   cwd=tmp_path)
+        assert bad.returncode == 2, bad.stderr
+        err = json.loads(bad.stderr)
+        assert err["error"] == "ConfigError"
+        assert f"'{axis}'" in err["message"]
+        assert values.split(",")[1] in err["message"]
 
 
 def test_cli_version(tmp_path):
