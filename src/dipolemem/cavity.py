@@ -83,10 +83,6 @@ class SimResult(Ledger):
     e_out: FieldEnvelope
     tau: np.ndarray
 
-    @property
-    def tau_total(self) -> float:
-        return float(self.tau[-1])
-
 
 # ---------------------------------------------------------------------------
 # integrator cores

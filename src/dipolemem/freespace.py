@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import (ParameterError, ResolutionError, SingularTransformError)
 from .schedules import (FieldEnvelope, GaussianSegment, Schedule, TimeGrid,
@@ -225,8 +225,8 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
                            s_final=s[-1].copy(), s_norm2=s_norm2)
 
 
-def numeric_evolution(bc, ic, tau, z, *, store_fields: bool = True,
-                      check_resolution: bool = True) -> FreeSpaceFields:
+def numeric_evolution(bc, ic, tau, z, *,
+                      store_fields: bool = True) -> FreeSpaceFields:
     """March the reduced system in tau (midpoint rule, second order),
     integrating dE/dz = S by running trapezoid at each stage.
 
@@ -237,8 +237,7 @@ def numeric_evolution(bc, ic, tau, z, *, store_fields: bool = True,
     cluster nodes where the boundary trace has structure.
     """
     bc, ic, tau, z = _check_axes(bc, ic, tau, z, uniform_tau=False)
-    if check_resolution:
-        _check_resolution(tau, z)
+    _check_resolution(tau, z)
     n_t = tau.size
     h_z = z[1] - z[0]
 
@@ -436,12 +435,10 @@ def _sweep_point(d, medium, coupling, input_center, input_sigma, read_gap,
         # t_w is non-uniform (uniform in theta), so integrate against it.
         # The read windows are source-free and only pick up an overall
         # phase.
-        phi = integrate.cumulative_trapezoid(detuning(t_w).real, t_w,
-                                             initial=0.0)
+        phi = cumtrapz0(detuning(t_w).real, np.diff(t_w))
         bc_w = bc_w * np.exp(1j * phi)
     wr = numeric_evolution(bc_w, np.zeros(x.size, dtype=complex),
-                           theta_w, x, store_fields=False,
-                           check_resolution=False)
+                           theta_w, x, store_fields=False)
     t_wend = t_w[-1]
     eta_write = float(np.exp(-2.0 * gam * t_wend)
                       * np.trapezoid(np.abs(wr.s_final) ** 2, x=x))
@@ -453,8 +450,7 @@ def _sweep_point(d, medium, coupling, input_center, input_sigma, read_gap,
     weight = np.exp(-2.0 * gam * t_r)
     etas = []
     for ic in (wr.s_final, wr.s_final[::-1].copy()):
-        rd = numeric_evolution(bc_zero, ic, theta_r, x, store_fields=False,
-                               check_resolution=False)
+        rd = numeric_evolution(bc_zero, ic, theta_r, x, store_fields=False)
         etas.append(float(np.trapezoid(np.abs(rd.e_end) ** 2 * weight,
                                        x=theta_r)))
     return eta_write, etas[0], etas[1], float(theta_w[-1])

@@ -111,30 +111,64 @@ def _float_list(node, where: str) -> list[float]:
 
 def _read_csv_columns(path: Path, ncols_min: int, ncols_max: int,
                       where: str) -> list[np.ndarray]:
-    """Numeric columns from a small CSV (optional header row)."""
+    """Numeric columns from a small CSV (optional header row).  Every
+    data row has the same width and only finite cells."""
     if not path.exists():
         raise ConfigError(f"CSV file {path} at {where} does not exist")
     rows = []
     with open(path, newline="") as f:
-        for lineno, rec in enumerate(csv.reader(f)):
+        for lineno, rec in enumerate(csv.reader(f), start=1):
             if not rec:
                 continue
             try:
                 vals = [float(c) for c in rec]
             except ValueError:
-                if lineno == 0:
+                if lineno == 1:
                     continue  # header
                 raise ConfigError(
-                    f"non-numeric row {lineno + 1} in {path} at {where}")
+                    f"non-numeric row {lineno} in {path} at {where}")
+            if not np.all(np.isfinite(vals)):
+                raise ConfigError(
+                    f"{path} at {where}: row {lineno} has a non-finite cell")
             if not ncols_min <= len(vals) <= ncols_max:
                 raise ConfigError(
-                    f"{path} at {where}: row {lineno + 1} has {len(vals)} "
+                    f"{path} at {where}: row {lineno} has {len(vals)} "
                     f"columns, expected {ncols_min}..{ncols_max}")
+            if rows and len(vals) != len(rows[0]):
+                raise ConfigError(
+                    f"{path} at {where}: row {lineno} has {len(vals)} "
+                    f"columns, the first data row {len(rows[0])}")
             rows.append(vals)
-    if len(rows) < 2:
-        raise ConfigError(f"{path} at {where} needs at least two data rows")
-    width = min(len(r) for r in rows)
-    return [np.array([r[j] for r in rows]) for j in range(width)]
+    return [np.array(col) for col in zip(*rows)]
+
+
+def _table(node: dict, base_dir: Path, where: str, names,
+           optional=()) -> list[np.ndarray]:
+    """The columns `names` of a tabulated form: inline arrays under those
+    keys or a `csv` path (columns in that order), not both.  Columns in
+    `optional` may be left out and read as zeros.  A table has at least
+    two rows, equal column lengths and an increasing first column."""
+    inline = [n for n in names if n in node]
+    if "csv" in node:
+        if inline:
+            raise ConfigError(
+                f"{where}: give either csv or inline arrays, not both")
+        cols = _read_csv_columns(base_dir / node["csv"],
+                                 len(names) - len(optional), len(names), where)
+    else:
+        missing = [n for n in names if n not in node and n not in optional]
+        if missing:
+            raise ConfigError(f"{where}: a table needs {'/'.join(names)} "
+                              f"arrays (or a csv path); missing {missing}")
+        cols = [np.array(_float_list(node[n], f"{where}.{n}"))
+                for n in inline]
+    if len({c.size for c in cols}) > 1:
+        raise ConfigError(f"{where}: {'/'.join(names)} lengths differ")
+    if not cols or cols[0].size < 2:
+        raise ConfigError(f"{where}: a table needs at least two rows")
+    if not np.all(np.diff(cols[0]) > 0):
+        raise ConfigError(f"{where}: {names[0]} must be increasing")
+    return cols + [np.zeros_like(cols[0])] * (len(names) - len(cols))
 
 
 # ---------------------------------------------------------------------------
@@ -172,18 +206,7 @@ def _segment_from_config(node, base_dir: Path, where: str):
             center, sigma)
     if kind in ("piecewise_linear", "tabulated"):
         _check_keys(node, ("kind", "time_s", "value", "csv"), (), where)
-        if "csv" in node:
-            if "time_s" in node or "value" in node:
-                raise ConfigError(
-                    f"{where}: give either csv or inline arrays, not both")
-            t, v = _read_csv_columns(base_dir / node["csv"], 2, 2, where)
-        else:
-            if "time_s" not in node or "value" not in node:
-                raise ConfigError(
-                    f"{where}: {kind} segment needs time_s and value arrays "
-                    "(or a csv path)")
-            t = np.array(_float_list(node["time_s"], f"{where}.time_s"))
-            v = np.array(_float_list(node["value"], f"{where}.value"))
+        t, v = _table(node, base_dir, where, ("time_s", "value"))
         try:
             seg_cls = Schedule.piecewise_linear if kind == "piecewise_linear" \
                 else Schedule.tabulated
@@ -282,25 +305,11 @@ def _input_from_config(node, base_dir: Path, model: str) -> dict:
                 f"not {model}")
         _check_keys(node, ("kind", "photons"), (), where)
         return {"kind": "optimal", "photons": _photons(node, where)}
-    if kind in ("csv", "tabulated"):
+    if kind == "tabulated":
         _check_keys(node, ("kind", "csv", "time_s", "re", "im", "photons"),
                     (), where)
-        if kind == "csv" or "csv" in node:
-            if "csv" not in node:
-                raise ConfigError(f"{where}: csv input needs a csv path")
-            cols = _read_csv_columns(base_dir / node["csv"], 2, 3, where)
-            t = cols[0]
-            re = cols[1]
-            im = cols[2] if len(cols) > 2 else np.zeros_like(re)
-        else:
-            t = np.array(_float_list(node.get("time_s"), f"{where}.time_s"))
-            re = np.array(_float_list(node.get("re"), f"{where}.re"))
-            im = (np.array(_float_list(node["im"], f"{where}.im"))
-                  if "im" in node else np.zeros_like(re))
-        if not (t.size == re.size == im.size):
-            raise ConfigError(f"{where}: time_s/re/im lengths differ")
-        if not np.all(np.diff(t) > 0):
-            raise ConfigError(f"{where}: sample times must be increasing")
+        t, re, im = _table(node, base_dir, where, ("time_s", "re", "im"),
+                           optional=("im",))
         out = {"kind": "tabulated",
                "time_s": [float(x) for x in t],
                "re": [float(x) for x in re],
@@ -311,7 +320,7 @@ def _input_from_config(node, base_dir: Path, model: str) -> dict:
         return out
     raise ConfigError(
         f"unknown input kind {kind!r}; expected none, gaussian, square, "
-        "optimal, tabulated or csv")
+        "optimal or tabulated")
 
 
 def _photons(node: dict, where: str) -> float:
@@ -347,23 +356,10 @@ def _initial_from_config(node, base_dir: Path, model: str) -> Optional[dict]:
             raise ConfigError(f"{where}: sigma_frac and excitation must be > 0")
         return {"kind": "gaussian", "center_frac": c, "sigma_frac": s,
                 "excitation": n}
-    if kind in ("csv", "tabulated"):
+    if kind == "tabulated":
         _check_keys(node, ("kind", "csv", "x", "re", "im"), (), where)
-        if kind == "csv" or "csv" in node:
-            if "csv" not in node:
-                raise ConfigError(f"{where}: csv form needs a csv path")
-            cols = _read_csv_columns(base_dir / node["csv"], 2, 3, where)
-            x, re = cols[0], cols[1]
-            im = cols[2] if len(cols) > 2 else np.zeros_like(re)
-        else:
-            x = np.array(_float_list(node.get("x"), f"{where}.x"))
-            re = np.array(_float_list(node.get("re"), f"{where}.re"))
-            im = (np.array(_float_list(node["im"], f"{where}.im"))
-                  if "im" in node else np.zeros_like(re))
-        if not (x.size == re.size == im.size):
-            raise ConfigError(f"{where}: x/re/im lengths differ")
-        if not np.all(np.diff(x) > 0):
-            raise ConfigError(f"{where}: positions must be increasing")
+        x, re, im = _table(node, base_dir, where, ("x", "re", "im"),
+                           optional=("im",))
         if x[0] < 0.0 or x[-1] > 1.0:
             raise ConfigError(f"{where}: positions are fractions of the "
                               "medium length, within [0, 1]")
@@ -373,7 +369,7 @@ def _initial_from_config(node, base_dir: Path, model: str) -> Optional[dict]:
                 "im": [float(v) for v in im]}
     raise ConfigError(
         f"unknown initial_excitation kind {kind!r} for {model}; "
-        "expected gaussian, tabulated or csv")
+        "expected gaussian or tabulated")
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +400,6 @@ class Scenario:
     dump_fields: bool
     design: Optional[dict]
     config: dict
-
-    def hash(self) -> str:
-        return scenario_hash(self)
 
 
 def scenario_hash(scn: Scenario) -> str:
@@ -562,16 +555,19 @@ def save_scenario(scn: Scenario, path) -> None:
 # building runtime objects from the resolved config
 # ---------------------------------------------------------------------------
 
-def _first_window_schedule(coupling: Schedule, grid: TimeGrid) -> Schedule:
-    """Sub-schedule of the segments in the first coupling window (the
-    write stage)."""
-    windows = coupling.windows(grid)
+def _optimal_input(scn: Scenario, coupling: Schedule) -> FieldEnvelope:
+    """Unit-norm input that the first window of `coupling` (the write
+    window) stores best, carrying the phase that compensates the
+    scenario's detuning."""
+    windows = coupling.windows(scn.grid)
     if not windows:
         raise ConfigError("the coupling vanishes on the whole grid; "
                           "an optimal input needs a write window")
     lo, hi = windows[0]
-    return Schedule([s for s in coupling.segments
-                     if s.start < hi and s.end > lo])
+    g_write = Schedule([s for s in coupling.segments
+                        if s.start < hi and s.end > lo])
+    delta = scn.detuning if scn.detuning.max_abs() > 0.0 else None
+    return optimal_write_input(g_write, scn.cavity, scn.grid, delta=delta)
 
 
 def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
@@ -596,10 +592,8 @@ def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
             raise ConfigError("square input window misses the grid")
         return _normalized_to(FieldEnvelope(grid, samples), spec["photons"])
     if kind == "optimal":
-        g_write = _first_window_schedule(scn.coupling, grid)
-        delta = scn.detuning if scn.detuning.max_abs() > 0.0 else None
-        env = optimal_write_input(g_write, scn.cavity, grid, delta=delta)
-        return _normalized_to(env, spec["photons"])
+        return _normalized_to(_optimal_input(scn, scn.coupling),
+                              spec["photons"])
     if kind == "tabulated":
         t = grid.times()
         tt = np.asarray(spec["time_s"], dtype=float)
@@ -973,16 +967,16 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
     """Scan one scenario parameter and tabulate efficiencies.
 
     Axes: ``tau_r`` / ``tau_w`` (rescale the coupling to hit a target
-    effective time; pure read resp. optimal-input write), ``cooperativity``
-    (rescale the coupling amplitude to sqrt(C kappa gamma)), ``duration``
-    (stretch a square write window), and ``d`` (peak optical depth of a
-    Gaussian-pulse storage/retrieval experiment in the propagation
-    models).  Rows are emitted in the order the values were given.
+    effective time), ``cooperativity`` (rescale the coupling amplitude to
+    sqrt(C kappa gamma)), ``duration`` (stretch a single square coupling
+    segment), and ``d`` (peak optical depth of a Gaussian-pulse
+    storage/retrieval experiment in the propagation models).  A
+    ``tau_r`` row is a pure read; the other cavity axes write the input
+    ``run`` uses for ``input: optimal`` (detuning-compensated) into the
+    swept coupling.  Rows are emitted in the order the values were given.
     """
     start = time.perf_counter()
     axis = axis.replace("-", "_").strip()
-    if axis == "optical_depth":
-        axis = "d"
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; "
                           f"expected one of {SWEEP_AXES}")
@@ -995,14 +989,8 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
 
     if axis == "d":
         header, rows = _sweep_depth(scn, vals)
-    elif axis == "tau_r":
-        header, rows = _sweep_tau_read(scn, vals)
-    elif axis == "tau_w":
-        header, rows = _sweep_tau_write(scn, vals)
-    elif axis == "cooperativity":
-        header, rows = _sweep_cooperativity(scn, vals)
     else:
-        header, rows = _sweep_duration(scn, vals)
+        header, rows = _sweep_cavity(scn, axis, vals)
 
     wall = time.perf_counter() - start
     summary = {"axis": axis, "values": vals, "rows": len(rows)}
@@ -1013,95 +1001,68 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
                      config=scn.config)
 
 
-def _require_cavity_axis(scn: Scenario, axis: str) -> None:
+_CAVITY_HEADERS = {"tau_r": ("tau_r", "eta_r"), "tau_w": ("tau_w", "eta_w"),
+                   "cooperativity": ("cooperativity", "eta_w"),
+                   "duration": ("duration_s", "eta_w")}
+
+
+def _sweep_cavity(scn: Scenario, axis: str, vals):
+    """One row per value: the axis sets the coupling, and the row is a
+    pure read (tau_r, from the initial excitation or sigma = 1) or the
+    write of the run's optimal input for that coupling."""
     if scn.model not in CAVITY_MODELS:
         raise ConfigError(f"sweep axis {axis!r} needs a cavity model, "
                           f"not {scn.model}")
+    g, p, grid = scn.coupling, scn.cavity, scn.grid
+    if axis in ("tau_r", "tau_w"):
+        base = float(effective_time(g, p.kappa, grid)[-1])
+        if base <= 0.0:
+            raise ConfigError("the coupling schedule has zero effective time "
+                              "on the grid; nothing to rescale")
 
+        def coupling_at(v):
+            return g.scaled(np.sqrt(v / base))
+    elif axis == "cooperativity":
+        if p.gamma <= 0.0:
+            raise ConfigError("a cooperativity sweep needs gamma > 0")
+        peak = g.max_abs()
+        if peak <= 0.0:
+            raise ConfigError("the coupling schedule vanishes; "
+                              "nothing to rescale")
 
-def _coupling_tau_base(scn: Scenario) -> float:
-    tau = effective_time(scn.coupling, scn.cavity.kappa, scn.grid)
-    base = float(tau[-1])
-    if base <= 0.0:
-        raise ConfigError("the coupling schedule has zero effective time "
-                          "on the grid; nothing to rescale")
-    return base
+        def coupling_at(c):
+            return g.scaled(np.sqrt(c * p.gamma * p.kappa) / peak)
+    else:
+        segs = [s for s in g.segments if s.peak_abs() > 0.0]
+        if len(segs) != 1 or not isinstance(segs[0], SquareSegment):
+            raise ConfigError("a duration sweep needs a single square "
+                              "coupling segment to stretch")
+        seg = segs[0]
 
+        def coupling_at(v):
+            if seg.start + v > grid.t_end + 1e-12 * grid.span:
+                raise ConfigError(
+                    f"duration {v:g} s pushes the window past the grid end; "
+                    "enlarge the grid")
+            return Schedule.square(seg.amplitude, seg.start, seg.start + v)
 
-def _sweep_tau_read(scn: Scenario, vals):
-    _require_cavity_axis(scn, "tau_r")
-    base = _coupling_tau_base(scn)
-    sigma0 = _cavity_sigma0(scn)
-    if sigma0 == 0.0:
-        sigma0 = 1.0
+    for v in vals:
+        if v < 0.0 or (v == 0.0 and axis != "tau_r"):
+            bound = ">= 0" if axis == "tau_r" else "> 0"
+            raise ParameterError(f"{axis} must be {bound}, got {v}")
+    sigma0 = _cavity_sigma0(scn) or 1.0
     rows = []
     for v in vals:
-        if v < 0.0:
-            raise ParameterError(f"tau_r must be >= 0, got {v}")
-        g_v = scn.coupling.scaled(np.sqrt(v / base))
         if v == 0.0:
             rows.append((v, 0.0))
-            continue
-        sim = _simulate(scn, None, g_v, sigma0=sigma0)
-        rows.append((v, float(sim.eta_r)))
-    return ("tau_r", "eta_r"), rows
-
-
-def _sweep_tau_write(scn: Scenario, vals):
-    _require_cavity_axis(scn, "tau_w")
-    base = _coupling_tau_base(scn)
-    rows = []
-    for v in vals:
-        if v <= 0.0:
-            raise ParameterError(f"tau_w must be > 0, got {v}")
-        g_v = scn.coupling.scaled(np.sqrt(v / base))
-        e_in = optimal_write_input(_first_window_schedule(g_v, scn.grid),
-                                   scn.cavity, scn.grid)
-        sim = _simulate(scn, e_in, g_v)
-        rows.append((v, float(sim.eta_w)))
-    return ("tau_w", "eta_w"), rows
-
-
-def _sweep_cooperativity(scn: Scenario, vals):
-    _require_cavity_axis(scn, "cooperativity")
-    p = scn.cavity
-    if p.gamma <= 0.0:
-        raise ConfigError("a cooperativity sweep needs gamma > 0")
-    peak = scn.coupling.max_abs()
-    if peak <= 0.0:
-        raise ConfigError("the coupling schedule vanishes; nothing to rescale")
-    rows = []
-    for c in vals:
-        if c <= 0.0:
-            raise ParameterError(f"cooperativity must be > 0, got {c}")
-        g_v = scn.coupling.scaled(np.sqrt(c * p.gamma * p.kappa) / peak)
-        e_in = optimal_write_input(_first_window_schedule(g_v, scn.grid),
-                                   p, scn.grid)
-        sim = _simulate(scn, e_in, g_v)
-        rows.append((c, float(sim.eta_w)))
-    return ("cooperativity", "eta_w"), rows
-
-
-def _sweep_duration(scn: Scenario, vals):
-    _require_cavity_axis(scn, "duration")
-    segs = [s for s in scn.coupling.segments if s.peak_abs() > 0.0]
-    if len(segs) != 1 or not isinstance(segs[0], SquareSegment):
-        raise ConfigError("a duration sweep needs a single square coupling "
-                          "segment to stretch")
-    seg = segs[0]
-    rows = []
-    for v in vals:
-        if v <= 0.0:
-            raise ParameterError(f"duration must be > 0, got {v}")
-        if seg.start + v > scn.grid.t_end + 1e-12 * scn.grid.span:
-            raise ConfigError(
-                f"duration {v:g} s pushes the window past the grid end; "
-                "enlarge the grid")
-        g_v = Schedule.square(seg.amplitude, seg.start, seg.start + v)
-        e_in = optimal_write_input(g_v, scn.cavity, scn.grid)
-        sim = _simulate(scn, e_in, g_v)
-        rows.append((v, float(sim.eta_w)))
-    return ("duration_s", "eta_w"), rows
+        elif axis == "tau_r":
+            sim = _simulate(scn, None, coupling_at(v), sigma0=sigma0)
+            rows.append((v, float(sim.eta_r)))
+        else:
+            g_v = coupling_at(v)
+            sim = _simulate(scn, _optimal_input(scn, g_v), g_v)
+            rows.append((v, float(sim.eta_w)))
+    return _CAVITY_HEADERS[axis], rows
 
 
 def _sweep_depth(scn: Scenario, vals):

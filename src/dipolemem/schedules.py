@@ -131,7 +131,6 @@ class EffectiveField:
     t: np.ndarray
     values: np.ndarray
     grid: TimeGrid
-    role: str = "input"
 
     def norm2_tau(self) -> float:
         """Trapezoidal integral of |value|^2 dtau."""
@@ -466,8 +465,11 @@ def coupling_from_dipole(phys: DipolePhysical) -> Schedule:
 # effective time and effective fields
 # ---------------------------------------------------------------------------
 
-def cumtrapz0(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative trapezoid with a leading zero (same length as y)."""
+def cumtrapz0(y: np.ndarray, dx) -> np.ndarray:
+    """Cumulative trapezoid with a leading zero (same length as y).
+
+    dx is the uniform step, or the y.shape[0] - 1 cell widths of a
+    non-uniform axis."""
     out = np.empty(y.shape[0], dtype=np.result_type(y.dtype, float))
     out[0] = 0.0
     np.cumsum(0.5 * dx * (y[1:] + y[:-1]), out=out[1:])
@@ -488,55 +490,32 @@ def effective_time(g: Schedule, kappa: float, grid: TimeGrid) -> np.ndarray:
     return cumtrapz0(gv * gv / kappa, grid.dt)
 
 
-def effective_fields(field, g: Schedule, kappa: float, *,
-                     direction: str = "forward", role: str = "input"):
-    """Map between real-time envelopes and effective-time envelopes.
+def effective_fields(field: FieldEnvelope, g: Schedule,
+                     kappa: float) -> EffectiveField:
+    """Re-index a real-time input/output envelope to effective time.
 
-    forward: FieldEnvelope -> EffectiveField with
-        input/output fields scaled by sqrt(kappa)/g(t),
-        cavity field scaled by kappa/g(t),
-    carrying non-uniform tau coordinates.  Samples where g = 0 must
-    have zero field (tau carries no measure there); otherwise the map
-    is singular and SingularTransformError is raised.
-
-    inverse: EffectiveField -> FieldEnvelope (multiplies the factor
-    back; always regular).
+    The samples are scaled by sqrt(kappa)/g(t), which preserves the
+    photon number, and carry their non-uniform tau coordinates.
+    Samples where g = 0 must have zero field (tau carries no measure
+    there); otherwise the map is singular and SingularTransformError is
+    raised.
     """
-    if role not in ("input", "output", "cavity"):
-        raise ParameterError(f"unknown role {role!r}")
-    if direction == "forward":
-        if not isinstance(field, FieldEnvelope):
-            raise ParameterError("forward direction expects a FieldEnvelope")
-        t = field.grid.times()
-        gv = g.eval(t)
-        tau = effective_time(g, kappa, field.grid)
-        absval = np.abs(field.samples)
-        fmax = absval.max() if absval.size else 0.0
-        on = gv > 0.0
-        bad = (~on) & (absval > ZERO_LEVEL * fmax)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SingularTransformError(
-                f"field is nonzero at t={t[k]:g} where the coupling vanishes; "
-                "the effective-field map is singular there")
-        factor = np.zeros_like(gv)
-        if role == "cavity":
-            factor[on] = kappa / gv[on]
-        else:
-            factor[on] = np.sqrt(kappa) / gv[on]
-        values = np.where(on, field.samples * factor, 0.0 + 0.0j)
-        return EffectiveField(tau=tau, t=t, values=values, grid=field.grid,
-                              role=role)
-    if direction == "inverse":
-        if not isinstance(field, EffectiveField):
-            raise ParameterError("inverse direction expects an EffectiveField")
-        gv = g.eval(field.t)
-        if role == "cavity":
-            samples = field.values * gv / kappa
-        else:
-            samples = field.values * gv / np.sqrt(kappa)
-        return FieldEnvelope(field.grid, samples)
-    raise ParameterError(f"unknown direction {direction!r}")
+    t = field.grid.times()
+    gv = g.eval(t)
+    tau = effective_time(g, kappa, field.grid)
+    absval = np.abs(field.samples)
+    fmax = absval.max() if absval.size else 0.0
+    on = gv > 0.0
+    bad = (~on) & (absval > ZERO_LEVEL * fmax)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SingularTransformError(
+            f"field is nonzero at t={t[k]:g} where the coupling vanishes; "
+            "the effective-field map is singular there")
+    factor = np.zeros_like(gv)
+    factor[on] = np.sqrt(kappa) / gv[on]
+    values = np.where(on, field.samples * factor, 0.0 + 0.0j)
+    return EffectiveField(tau=tau, t=t, values=values, grid=field.grid)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,13 @@ def test_04_write_optimum_is_time_reversed_read():
                                support=(0.0, 1e-6))
     grid_r = TimeGrid.from_span(0.0, 1e-6, 20001)
     res = simulate_adiabatic(None, g_read, ZERO, p, grid_r, sigma0=1.0)
-    eff_out = effective_fields(res.e_out, g_read, KAPPA, role="output")
+    eff_out = effective_fields(res.e_out, g_read, KAPPA)
 
     g_write = Schedule.gaussian(8e5, center=-0.45e-6, width=0.15e-6,
                                 support=(-1e-6, 0.0))
     grid_w = TimeGrid.from_span(-1e-6, 0.0, 20001)
     eff_in = effective_fields(optimal_write_input(g_write, p, grid_w),
-                              g_write, KAPPA, role="input")
+                              g_write, KAPPA)
 
     tau_w = eff_in.tau
     tau_r_tot = eff_out.tau[-1]

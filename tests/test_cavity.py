@@ -188,7 +188,7 @@ def test_effective_time_dynamics():
                           support=(-1.9e-6, -0.1e-6))
     e_in = optimal_write_input(g, p, grid)
     res = simulate_adiabatic(e_in, g, ZERO, p, grid)
-    eff = effective_fields(e_in, g, KAPPA, role="input")
+    eff = effective_fields(e_in, g, KAPPA)
     core = g.eval(grid.times()) > 0.05 * g.max_abs()
     tau, sig, ein = res.tau[core], res.sigma[core], eff.values[core]
     dsig = np.gradient(sig, tau, edge_order=2)

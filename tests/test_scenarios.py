@@ -12,15 +12,18 @@ import pytest
 import yaml
 
 import dipolemem
-from dipolemem import ConfigError, ParameterError, freespace, scenarios
+from dipolemem import (ConfigError, ParameterError, ResolutionError,
+                       freespace, scenarios)
 from dipolemem.cli import main as cli_main
 from dipolemem.scenarios import (MODELS, SWEEP_AXES, build_input,
                                  design_couplings, load_scenario,
                                  run_scenario, run_sweep, scenario_from_dict,
                                  scenario_hash, write_artifacts)
+from dipolemem.schedules import effective_time
 from dipolemem.units import format_quantity, parse_quantity
 
-PRESETS = sorted(Path(__file__).resolve().parents[1].glob("presets/*.yaml"))
+REPO = Path(__file__).resolve().parents[1]
+PRESETS = sorted(REPO.glob("presets/*.yaml"))
 
 
 def cavity_cfg(**over):
@@ -157,6 +160,107 @@ def test_config_rejections():
 def test_load_missing_file():
     with pytest.raises(ConfigError):
         load_scenario("/nonexistent/config.yaml")
+
+
+def _write_table(path, header, cols):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(zip(*cols))
+    return path.name
+
+
+# (config builder, config key, table keys) of each tabulated form; the
+# first column is increasing, the last one optional where it is "im"
+_T = [0.0, 0.5e-6, 1.0e-6, 1.5e-6, 2.0e-6]
+_TABLE_FORMS = {
+    "segment": (lambda node: cavity_cfg(
+        grid={"start": "0 us", "stop": "2 us", "points": 201},
+        coupling=[dict(node, kind="piecewise_linear")]),
+        ("time_s", "value"), [_T, [0.0, 3e5, 7e5, 4e5, 0.0]]),
+    "input": (lambda node: cavity_cfg(
+        grid={"start": "0 us", "stop": "2 us", "points": 201},
+        input=dict(node, kind="tabulated")),
+        ("time_s", "re", "im"), [_T, [0.0, 0.3, 1.0, 0.4, 0.1],
+                                 [0.0, -0.2, 0.5, 0.0, 0.1]]),
+    "initial_excitation": (lambda node: freespace_cfg(
+        input=None, initial_excitation=dict(node, kind="tabulated")),
+        ("x", "re", "im"), [[0.0, 0.25, 0.5, 0.75, 1.0],
+                            [0.1, 0.6, 1.0, 0.6, 0.1],
+                            [0.0, 0.1, 0.0, -0.1, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("form", sorted(_TABLE_FORMS))
+def test_tables_load_inline_and_from_csv_alike(tmp_path, form):
+    make, names, cols = _TABLE_FORMS[form]
+    inline = scenario_from_dict(make(dict(zip(names, cols))))
+    name = _write_table(tmp_path / "table.csv", names, cols)
+    from_csv = scenario_from_dict(make({"csv": name}), base_dir=tmp_path)
+    # CSV data is inlined on load, so the scenario hash ignores the file
+    assert from_csv.config == inline.config
+    assert scenario_hash(from_csv) == scenario_hash(inline)
+    if names[-1] == "im":      # the imaginary column is optional
+        name = _write_table(tmp_path / "real.csv", names[:-1], cols[:-1])
+        real = scenario_from_dict(make({"csv": name}), base_dir=tmp_path)
+        key = "input" if form == "input" else form
+        assert real.config[key]["im"] == [0.0] * 5
+        assert real.config[key]["re"] == cols[1]
+
+
+@pytest.mark.parametrize("form", sorted(_TABLE_FORMS))
+def test_table_rejections(tmp_path, form):
+    make, names, cols = _TABLE_FORMS[form]
+    bad_inline = [
+        dict(zip(names, [c[:4] if i == 1 else c
+                         for i, c in enumerate(cols)])),      # lengths differ
+        dict(zip(names, [c[:1] for c in cols])),              # one row
+        dict(zip(names, [c[::-1] for c in cols])),            # decreasing
+        dict(zip(names[1:], cols[1:])),                       # no first column
+        dict(zip(names, cols), csv="table.csv"),              # both forms
+    ]
+    _write_table(tmp_path / "table.csv", names, cols)
+    for node in bad_inline:
+        with pytest.raises(ConfigError, match=form.replace("segment",
+                                                           "coupling")):
+            scenario_from_dict(make(node), base_dir=tmp_path)
+    # a bad cell or a short row fails at load, naming the file and row
+    for bad, value in (("nan.csv", "nan"), ("inf.csv", "inf"),
+                       ("ragged.csv", None)):
+        rows = [list(r) for r in zip(*cols)]
+        if value is None:
+            rows[0] = rows[0][:-1]
+        else:
+            rows[2][1] = value
+        with open(tmp_path / bad, "w", newline="") as f:
+            csv.writer(f).writerows([names, *rows])
+        if value is None and len(names) == 2:
+            match = f"{bad}.*row 2 has 1 columns"
+        else:
+            match = f"{bad}.*row {2 if value is None else 4}"
+        with pytest.raises(ConfigError, match=match):
+            scenario_from_dict(make({"csv": bad}), base_dir=tmp_path)
+
+
+def test_csv_kind_alias_is_gone(tmp_path):
+    name = _write_table(tmp_path / "in.csv", ("time_s", "re"),
+                        [[0.0, 1e-6], [1.0, 0.5]])
+    for cfg, kinds in ((cavity_cfg(input={"kind": "csv", "csv": name}),
+                        "none, gaussian, square, optimal or tabulated"),
+                       (freespace_cfg(initial_excitation={
+                           "kind": "csv", "csv": name}),
+                        "gaussian or tabulated")):
+        with pytest.raises(ConfigError, match=f"'csv'.*{kinds}"):
+            scenario_from_dict(cfg, base_dir=tmp_path)
+
+
+def test_readme_scenario_examples_load():
+    text = (REPO / "README.md").read_text()
+    blocks = text.split("```yaml\n")[1:]
+    assert len(blocks) >= 2
+    for block in blocks:
+        scn = scenario_from_dict(yaml.safe_load(block.split("```")[0]))
+        assert scn.model in MODELS
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +425,28 @@ def test_tau_read_sweep_matches_decay_law():
         assert abs(eta - (1.0 - np.exp(-2.0 * tau))) < 1e-6
 
 
+@pytest.mark.parametrize("gamma", ["0 Hz", "2 kHz"])
+def test_cavity_sweeps_store_what_run_stores(gamma):
+    # a detuned write: run and every write axis at the scenario's own
+    # coupling store the same optimal input, detuning-compensated
+    scn = scenario_from_dict(cavity_cfg(
+        detuning=[{"kind": "piecewise_linear",
+                   "time_s": [-2e-6, -1e-6, 0.0], "value": [2e5, -1e5, 3e5]}],
+        cavity={"kappa": "1 MHz_angular", "gamma": gamma}))
+    eta = run_scenario(scn).summary["eta_write"]
+    assert abs(eta - (1.0 - np.exp(-2.0))) < 0.02
+    p = scn.cavity
+    own = {"tau_w": float(effective_time(scn.coupling, p.kappa,
+                                         scn.grid)[-1]),
+           "duration": 2e-6}
+    if p.gamma > 0.0:
+        own["cooperativity"] = scn.coupling.max_abs() ** 2 / (p.kappa
+                                                              * p.gamma)
+    for axis, value in own.items():
+        [(_v, eta_w)] = run_sweep(scn, axis, [value]).tables[0][2]
+        assert abs(eta_w - eta) <= 1e-12 * eta, axis
+
+
 def test_sweep_axis_spelling_is_forgiving():
     scn = scenario_from_dict(cavity_cfg(
         input=None, initial_excitation={"sigma_re": 1.0}))
@@ -385,6 +511,16 @@ def test_depth_sweep_obeys_theta_points(monkeypatch):
     n_theta.clear()
     run_sweep(scenario_from_dict(dict(cfg, theta_points=500)), "d", [150.0])
     assert n_theta == [500] * 3
+
+
+def test_depth_sweep_obeys_the_kernel_argument_guard(tmp_path):
+    preset = REPO / "presets" / "freespace_gaussian_sweep.yaml"
+    with pytest.raises(ResolutionError, match="kernel argument"):
+        run_sweep(load_scenario(preset), "d", [3000.0])
+    proc = _cli(["sweep", str(preset), "--axis", "d", "--values", "3000",
+                 "--outdir", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "ResolutionError"
 
 
 def test_depth_sweep_through_scenario():
