@@ -28,9 +28,10 @@ non-positive in the causal region):
                     - t int_0^z S(z',0) K1(t (z'-z)) dz'
 
 (with E for curly-E and t for tau).  `analytic_evolution` evaluates
-these on uniform grids; `numeric_evolution` marches the reduced system
-directly and is the cross-check (and the workhorse for sweeps, where
-only boundary traces are kept).
+these on uniform grids.  `numeric_evolution` is the cross-check and the
+workhorse for runs and sweeps: the system treats z and tau alike, so it
+marches along z, n_z - 1 midpoint steps each on the whole tau axis
+(any increasing one), keeping only the boundary traces when asked.
 
 Scaled variables: for a medium of length L, x = z/L, theta = tau*L,
 A = curly-E/sqrt(L) and S_hat = sqrt(L)*S satisfy the same system on
@@ -41,9 +42,9 @@ x in [0,1], with photon-exact bookkeeping:
 
 `storage_retrieval_sweep` uses these to scan storage + retrieval
 efficiency against the peak optical depth of a scenario's Gaussian
-coupling pulse, for forward and backward retrieval; it marches each
-coupling window on its own uniform theta grid, where theta(t) is an
-erf.
+coupling pulse, for forward and backward retrieval; it solves each
+coupling window with `numeric_evolution` on the window's own uniform
+theta grid, where theta(t) is an erf.
 """
 
 from __future__ import annotations
@@ -227,42 +228,46 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
 
 def numeric_evolution(bc, ic, tau, z, *,
                       store_fields: bool = True) -> FreeSpaceFields:
-    """March the reduced system in tau (midpoint rule, second order),
-    integrating dE/dz = S by running trapezoid at each stage.
+    """March the reduced system along z (midpoint rule, second order),
+    integrating dS/dtau = -E by running trapezoid over the whole tau
+    axis at each stage.
 
-    Independent of the kernel solution; with store_fields=False only
-    the boundary traces and the final spin wave are kept, which is what
-    the efficiency sweeps need.  Unlike the kernel route, the tau axis
-    may be non-uniform (the step is taken per cell), which lets callers
-    cluster nodes where the boundary trace has structure.
+    Takes n_z - 1 steps, each on whole tau arrays, so the cost in
+    Python steps does not grow with the tau node count.  Independent of
+    the kernel solution; with store_fields=False only the boundary
+    traces and the final spin wave are kept, which is what the
+    efficiency sweeps need.  Unlike the kernel route, the tau axis may
+    be any increasing axis (the trapezoid takes the cell widths), which
+    lets callers cluster nodes where the boundary trace has structure.
     """
     bc, ic, tau, z = _check_axes(bc, ic, tau, z, uniform_tau=False)
     _check_resolution(tau, z)
-    n_t = tau.size
+    n_z = z.size
     h_z = z[1] - z[0]
+    d_tau = np.diff(tau)
 
-    s_now = ic.copy()
-    e_mat = np.empty((n_t, z.size), dtype=complex) if store_fields else None
-    s_mat = np.empty((n_t, z.size), dtype=complex) if store_fields else None
-    e_end = np.empty(n_t, dtype=complex)
-    s_norm2 = np.empty(n_t)
+    e_mat = np.empty((tau.size, n_z), dtype=complex) if store_fields else None
+    s_mat = np.empty((tau.size, n_z), dtype=complex) if store_fields else None
+    s_final = np.empty(n_z, dtype=complex)
+    s_norm2 = np.zeros(tau.size)
 
-    for m in range(n_t):
-        e_now = bc[m] + cumtrapz0(s_now, h_z)
-        e_end[m] = e_now[-1]
-        s_norm2[m] = np.trapezoid(np.abs(s_now) ** 2, dx=h_z)
+    e_now = bc.copy()
+    for j in range(n_z):
+        s_now = ic[j] - cumtrapz0(e_now, d_tau)
+        s_final[j] = s_now[-1]
+        weight = 0.5 * h_z if j in (0, n_z - 1) else h_z
+        s_norm2 += weight * np.abs(s_now) ** 2
         if store_fields:
-            e_mat[m] = e_now
-            s_mat[m] = s_now
-        if m == n_t - 1:
+            e_mat[:, j] = e_now
+            s_mat[:, j] = s_now
+        if j == n_z - 1:
             break
-        h_t = tau[m + 1] - tau[m]
-        s_half = s_now - (0.5 * h_t) * e_now
-        e_half = 0.5 * (bc[m] + bc[m + 1]) + cumtrapz0(s_half, h_z)
-        s_now = s_now - h_t * e_half
+        e_half = e_now + (0.5 * h_z) * s_now
+        s_half = 0.5 * (ic[j] + ic[j + 1]) - cumtrapz0(e_half, d_tau)
+        e_now = e_now + h_z * s_half
 
-    return FreeSpaceFields(tau=tau, z=z, e=e_mat, s=s_mat, e_end=e_end,
-                           s_final=s_now, s_norm2=s_norm2)
+    return FreeSpaceFields(tau=tau, z=z, e=e_mat, s=s_mat, e_end=e_now,
+                           s_final=s_final, s_norm2=s_norm2)
 
 
 def reduced_continuity_residual(fields: FreeSpaceFields, bc) -> float:
@@ -414,6 +419,8 @@ def _window_theta_map(d: float, gamma: float, sigma: float, center: float,
 
 def _sweep_point(d, medium, coupling, input_center, input_sigma, read_gap,
                  x, detuning, theta_points):
+    """(eta_write, eta_forward, eta_backward, theta_total) at depth d: the
+    write and both reads each z-marched over its window's theta grid."""
     if d == 0.0:
         # no coupling: the medium is transparent, nothing is stored
         return 0.0, 0.0, 0.0, 0.0
@@ -472,9 +479,10 @@ def storage_retrieval_sweep(d_values, medium: MediumParams,
     pulse, whose active window starts `read_gap` after the write window
     ends, retrieves the spin wave: forward at the far end, and backward
     at the input end with the spin wave spatially mirrored (Gorshkov,
-    Andre, Lukin & Sorensen, PRA 76, 033805 (2007)).  Each window runs
-    on its own uniform theta grid (`theta_nodes`) and `space_points`
-    positions.  A detuning schedule chirps the write boundary trace.
+    Andre, Lukin & Sorensen, PRA 76, 033805 (2007)).  Each window is
+    solved by the z-march `numeric_evolution` in `space_points` - 1
+    steps, each over the window's own uniform theta grid (`theta_nodes`
+    nodes).  A detuning schedule chirps the write boundary trace.
 
     Returns one row (d, eta_write, eta_forward, eta_backward,
     theta_total) per depth; efficiencies are photon-number fractions.

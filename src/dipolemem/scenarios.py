@@ -555,19 +555,24 @@ def save_scenario(scn: Scenario, path) -> None:
 # building runtime objects from the resolved config
 # ---------------------------------------------------------------------------
 
-def _optimal_input(scn: Scenario, coupling: Schedule) -> FieldEnvelope:
-    """Unit-norm input that the first window of `coupling` (the write
-    window) stores best, carrying the phase that compensates the
-    scenario's detuning."""
+def _write_window(scn: Scenario, coupling: Schedule) -> Schedule:
+    """The segments of the first window of `coupling` on the scenario
+    grid: the write window."""
     windows = coupling.windows(scn.grid)
     if not windows:
         raise ConfigError("the coupling vanishes on the whole grid; "
-                          "an optimal input needs a write window")
+                          "there is no write window")
     lo, hi = windows[0]
-    g_write = Schedule([s for s in coupling.segments
-                        if s.start < hi and s.end > lo])
+    return Schedule([s for s in coupling.segments
+                     if s.start < hi and s.end > lo])
+
+
+def _optimal_input(scn: Scenario, coupling: Schedule) -> FieldEnvelope:
+    """Unit-norm input that the write window of `coupling` stores best,
+    carrying the phase that compensates the scenario's detuning."""
     delta = scn.detuning if scn.detuning.max_abs() > 0.0 else None
-    return optimal_write_input(g_write, scn.cavity, scn.grid, delta=delta)
+    return optimal_write_input(_write_window(scn, coupling), scn.cavity,
+                               scn.grid, delta=delta)
 
 
 def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
@@ -751,7 +756,7 @@ def _run_cavity(scn: Scenario):
 
 
 def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act, h_target):
-    """Marching axis for the reduced solve.
+    """Theta axis of the reduced z-march.
 
     Every active time sample keeps its own theta node: the map t -> theta
     compresses the coupling-window tails, and resampling the boundary
@@ -766,11 +771,15 @@ def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act, h_target):
     keep[1:] = np.diff(th_raw) > 0.0      # theta stalls where g ~ 0
     th_nodes = th_raw[keep]
     bc_nodes = bc_t[act][keep]
-    segs = [th_nodes[:1]]
-    for a, b in zip(th_nodes[:-1], th_nodes[1:]):
-        n_sub = max(int(np.ceil((b - a) / h_target)), 1)
-        segs.append(np.linspace(a, b, n_sub + 1)[1:])
-    theta = np.concatenate(segs)
+    # each cell [a, b] gets n sub-nodes a + k (b - a)/n, k = 1..n, the
+    # last set to b exactly, as np.linspace(a, b, n + 1)[1:] gives them
+    a, b = th_nodes[:-1], th_nodes[1:]
+    n_sub = np.maximum(np.ceil((b - a) / h_target).astype(np.int64), 1)
+    ends = np.cumsum(n_sub)
+    k = np.arange(1, int(n_sub.sum()) + 1) - np.repeat(ends - n_sub, n_sub)
+    sub = k * np.repeat((b - a) / n_sub, n_sub) + np.repeat(a, n_sub)
+    sub[ends - 1] = b
+    theta = np.concatenate([th_nodes[:1], sub])
     if theta[0] > 0.0:
         theta = np.concatenate([[0.0], theta])
     bc = (np.interp(theta, th_nodes, bc_nodes.real)
@@ -966,8 +975,9 @@ def _design_verification(env: FieldEnvelope, g_write: Schedule,
 def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
     """Scan one scenario parameter and tabulate efficiencies.
 
-    Axes: ``tau_r`` / ``tau_w`` (rescale the coupling to hit a target
-    effective time), ``cooperativity`` (rescale the coupling amplitude to
+    Axes: ``tau_r`` / ``tau_w`` (rescale the coupling so that the whole
+    coupling / its write window hits a target effective time),
+    ``cooperativity`` (rescale the coupling amplitude to
     sqrt(C kappa gamma)), ``duration`` (stretch a single square coupling
     segment), and ``d`` (peak optical depth of a Gaussian-pulse
     storage/retrieval experiment in the propagation models).  A
@@ -1015,7 +1025,11 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
                           f"not {scn.model}")
     g, p, grid = scn.coupling, scn.cavity, scn.grid
     if axis in ("tau_r", "tau_w"):
-        base = float(effective_time(g, p.kappa, grid)[-1])
+        # tau_w is the effective time of the write window, which the
+        # optimal input fills and the row measures; tau_r of the whole
+        # coupling
+        g_tau = _write_window(scn, g) if axis == "tau_w" else g
+        base = float(effective_time(g_tau, p.kappa, grid)[-1])
         if base <= 0.0:
             raise ConfigError("the coupling schedule has zero effective time "
                               "on the grid; nothing to rescale")

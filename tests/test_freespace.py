@@ -14,7 +14,7 @@ from dipolemem import (FieldEnvelope, FreeSpaceTransform, GaussianSegment,
                        analytic_evolution, entire_bessel_kernel,
                        numeric_evolution, reduced_continuity_residual,
                        storage_retrieval_sweep, thin_medium_cavity_coupling)
-from dipolemem.freespace import _window_theta_map
+from dipolemem.freespace import _window_theta_map, theta_nodes
 from dipolemem.schedules import cumtrapz0
 
 GAMMA = 2 * np.pi * 5e4
@@ -104,18 +104,43 @@ def test_march_is_linear():
     np.testing.assert_allclose(two.s_norm2, 4.0 * one.s_norm2, rtol=1e-14)
 
 
-def test_march_accepts_clustered_tau():
-    bc, ic, tau, z = _fixed_case()
-    # squeeze the same span through a smooth non-uniform map
+def _clustered_case():
+    """_fixed_case with the same tau span squeezed through a smooth
+    non-uniform map."""
+    _bc, ic, tau, z = _fixed_case()
     u = np.linspace(0.0, 1.0, tau.size)
     tau_nu = 3.0 * (u + 0.25 * u * (1.0 - u))
     bc_nu = np.exp(-((tau_nu - 1.0) / 0.3) ** 2) * (1.0 + 0.3j)
+    return bc_nu, ic, tau_nu, z
+
+
+def test_march_accepts_clustered_tau():
+    bc, ic, tau, z = _fixed_case()
+    bc_nu, _ic, tau_nu, _z = _clustered_case()
     ref = analytic_evolution(bc, ic, tau, z)
     got = numeric_evolution(bc_nu, ic, tau_nu, z)
     end = np.interp(tau, tau_nu, got.e_end.real) \
         + 1j * np.interp(tau, tau_nu, got.e_end.imag)
     assert np.abs(end - ref.e_end).max() < 2e-4 * np.abs(ref.e_end).max()
     assert np.abs(got.s_final - ref.s_final).max() < 2e-4
+
+
+@pytest.mark.parametrize("case", [_fixed_case, _clustered_case])
+def test_stored_fields_agree_with_traces(case):
+    bc, ic, tau, z = case()
+    full = numeric_evolution(bc, ic, tau, z)
+    lean = numeric_evolution(bc, ic, tau, z, store_fields=False)
+    assert lean.e is None and lean.s is None
+    for name in ("e_end", "s_final", "s_norm2"):
+        np.testing.assert_array_equal(getattr(lean, name),
+                                      getattr(full, name), err_msg=name)
+    # the matrices hold the boundary data and the traces exactly
+    np.testing.assert_array_equal(full.e[:, 0], bc)
+    np.testing.assert_array_equal(full.s[0], ic)
+    np.testing.assert_array_equal(full.e[:, -1], full.e_end)
+    np.testing.assert_array_equal(full.s[-1], full.s_final)
+    np.testing.assert_allclose(np.trapezoid(np.abs(full.s) ** 2, z, axis=1),
+                               full.s_norm2, rtol=1e-13, atol=0.0)
 
 
 @settings(max_examples=15)
@@ -259,6 +284,33 @@ def test_window_theta_map_inverts_the_depth_integral():
                          t_dense[1] - t_dense[0])
     np.testing.assert_allclose(np.interp(t_of, t_dense, th_dense), theta,
                                rtol=0.0, atol=1e-6 * theta[-1])
+
+
+def test_depth_sweep_matches_kernel_solver():
+    """Marching rows against the exact kernel solver on the same erf
+    theta grids, at the largest preset depth.  Both are second order in
+    the kernel-argument change per cell a = theta_total h_x."""
+    d, sig, tc = 150.0, 100e-9, -50e-9
+    _d, _w, [eta_f], [eta_b], [theta_total] = _sweep([d])
+    n_theta = theta_nodes(d * GAMMA * sig * np.sqrt(np.pi))
+    x = np.linspace(0.0, 1.0, 201)
+    # write: the unit-photon Gaussian input enters at x = 0
+    theta, t_w, rho = _window_theta_map(d, GAMMA, sig, tc, n_theta)
+    e_in = np.exp(-t_w ** 2 / (2.0 * SIGMA_IN ** 2)) \
+        / np.sqrt(SIGMA_IN * np.sqrt(np.pi))
+    bc = e_in * np.exp(GAMMA * t_w) / (1j * np.sqrt(rho))
+    stored = analytic_evolution(bc, np.zeros(x.size, complex), theta,
+                                x).s_final
+    # read: the same pulse, starting where the write window ends
+    _theta, t_r, _rho = _window_theta_map(d, GAMMA, sig, 2.0 * t_w[-1] - tc,
+                                          n_theta)
+    weight = np.exp(-2.0 * GAMMA * t_r)
+    a2 = (theta_total / (x.size - 1)) ** 2
+    for got, ic in ((eta_f, stored), (eta_b, stored[::-1].copy())):
+        e_end = analytic_evolution(np.zeros(theta.size, complex), ic, theta,
+                                   x).e_end
+        want = np.trapezoid(np.abs(e_end) ** 2 * weight, x=theta)
+        assert abs(got / want - 1.0) <= a2, (got, want, a2)
 
 
 def test_sweep_zero_depth_is_transparent():

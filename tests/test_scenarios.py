@@ -352,6 +352,32 @@ def test_medium_is_transparent_outside_coupling_windows():
     np.testing.assert_array_equal(e_out[late], e_in[late])
 
 
+def test_active_theta_axis_matches_loop_reference():
+    scn = scenario_from_dict(freespace_cfg())
+    tr = freespace.FreeSpaceTransform(scn.coupling, scn.detuning,
+                                      scn.medium, scn.grid)
+    act = tr.rho >= scenarios.RHO_CUT * tr.rho.max()
+    th_raw = tr.theta[act]
+    # the raw nodes cluster in the window tails; a target a quarter of
+    # the widest raw cell subdivides the centre and leaves the tails
+    h_target = 0.25 * np.diff(th_raw).max()
+    bc_t = np.exp(1j * tr.theta) * tr.rho / tr.rho.max()
+    theta, bc = scenarios._active_theta_axis(tr, bc_t, act, h_target)
+
+    nodes = [th_raw[0]] + [b for a, b in zip(th_raw[:-1], th_raw[1:])
+                           if b > a]
+    ref = [0.0] if nodes[0] > 0.0 else []
+    ref.append(nodes[0])
+    for a, b in zip(nodes[:-1], nodes[1:]):
+        n_sub = max(int(np.ceil((b - a) / h_target)), 1)
+        ref.extend(np.linspace(a, b, n_sub + 1)[1:])
+    np.testing.assert_array_equal(theta, ref)
+    assert np.isin(nodes, theta).all()
+    assert 0.0 < np.diff(theta).min()
+    assert np.diff(theta).max() <= h_target * (1.0 + 1e-12)
+    assert theta.size > len(nodes) and bc.shape == theta.shape
+
+
 def test_freespace_run_closes_its_ledger():
     scn = scenario_from_dict(freespace_cfg())
     rec = run_scenario(scn)
@@ -445,6 +471,21 @@ def test_cavity_sweeps_store_what_run_stores(gamma):
     for axis, value in own.items():
         [(_v, eta_w)] = run_sweep(scn, axis, [value]).tables[0][2]
         assert abs(eta_w - eta) <= 1e-12 * eta, axis
+
+
+def test_tau_write_sweep_rescales_the_write_window():
+    # write and read windows of unit effective time each: the tau_w axis
+    # sets the write window, the one the optimal input fills and the row
+    # measures, whatever the read window holds
+    scn = load_scenario(REPO / "presets" / "cavity_square_optimal.yaml")
+    scn = scenario_from_dict(dict(scn.config, grid=dict(scn.config["grid"],
+                                                         points=20001)))
+    rows = run_sweep(scn, "tau_w", [0.5, 1.0, 2.0]).tables[0][2]
+    for tau_w, eta in rows:
+        # the input's jump at the write-window end biases the trapezoid
+        # by -h r_w, with the write rate r_w = tau_w / 2 us
+        bound = 2.0 * scn.grid.dt * tau_w / 2e-6
+        assert abs(eta - (1.0 - np.exp(-2.0 * tau_w))) <= bound, tau_w
 
 
 def test_sweep_axis_spelling_is_forgiving():
