@@ -4,8 +4,7 @@ time-controllable light-matter coupling."""
 __version__ = "0.1.0"
 
 from .errors import (ConfigError, DipolememError, ParameterError,
-                     ResolutionError, SingularTransformError, StabilityError,
-                     UnsupportedCaseError)
+                     ResolutionError, SingularTransformError, StabilityError)
 from .schedules import (DipolePhysical, EffectiveField, FieldEnvelope,
                         GaussianSegment, PiecewiseLinearSegment, Schedule,
                         SquareSegment, TabulatedSegment, TimeGrid,
@@ -14,10 +13,9 @@ from .schedules import (DipolePhysical, EffectiveField, FieldEnvelope,
 from .cavity import (CavityParams, SimResult, continuity_residual,
                      read_analytic, simulate_adiabatic, simulate_full,
                      square_pulse_efficiency)
-from .control import (compensate_detuning, cooperativity_from_depth,
-                      optimal_write_input, synthesize_couplings,
-                      total_efficiency, variational_optimize,
-                      write_efficiency_of)
+from .control import (cooperativity_from_depth, optimal_write_input,
+                      synthesize_couplings, total_efficiency,
+                      variational_optimize, write_efficiency_of)
 from .freespace import (FreeSpaceFields, FreeSpaceTransform, MediumParams,
                         analytic_evolution, entire_bessel_kernel,
                         numeric_evolution, reduced_continuity_residual,
@@ -31,7 +29,7 @@ __all__ = [
     "__version__",
     # errors
     "DipolememError", "ParameterError", "ConfigError", "StabilityError",
-    "ResolutionError", "SingularTransformError", "UnsupportedCaseError",
+    "ResolutionError", "SingularTransformError",
     # schedules
     "TimeGrid", "FieldEnvelope", "EffectiveField", "Schedule",
     "SquareSegment", "GaussianSegment", "PiecewiseLinearSegment",
@@ -42,8 +40,7 @@ __all__ = [
     "read_analytic", "square_pulse_efficiency", "continuity_residual",
     # control
     "optimal_write_input", "write_efficiency_of", "variational_optimize",
-    "compensate_detuning", "synthesize_couplings", "total_efficiency",
-    "cooperativity_from_depth",
+    "synthesize_couplings", "total_efficiency", "cooperativity_from_depth",
     # freespace
     "MediumParams", "FreeSpaceFields", "FreeSpaceTransform",
     "entire_bessel_kernel", "analytic_evolution", "numeric_evolution",

@@ -6,10 +6,9 @@
     dipolemem verify
 
 Success exits 0.  Configuration/parameter problems exit 2, numerical
-refusals (instability, resolution, singular transform, unsupported
-closed form) exit 3, anything unexpected exits 1; in every failure case
-a single machine-readable JSON object {"error": ..., "message": ...}
-goes to stderr.
+refusals (instability, resolution, singular transform) exit 3, anything
+unexpected exits 1; in every failure case a single machine-readable
+JSON object {"error": ..., "message": ...} goes to stderr.
 """
 
 from __future__ import annotations
@@ -20,8 +19,7 @@ import sys
 from pathlib import Path
 
 from .errors import (ConfigError, DipolememError, ParameterError,
-                     ResolutionError, SingularTransformError, StabilityError,
-                     UnsupportedCaseError)
+                     ResolutionError, SingularTransformError, StabilityError)
 from .scenarios import (TOOLKIT_VERSION, builtin_verify, design_couplings,
                         load_scenario, run_scenario, run_sweep,
                         write_artifacts)
@@ -99,8 +97,7 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ParameterError) as exc:
         return _fail(exc, _USAGE_EXIT)
-    except (StabilityError, ResolutionError, SingularTransformError,
-            UnsupportedCaseError) as exc:
+    except (StabilityError, ResolutionError, SingularTransformError) as exc:
         return _fail(exc, _NUMERIC_EXIT)
     except DipolememError as exc:
         return _fail(exc, 1)

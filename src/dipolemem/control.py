@@ -1,20 +1,26 @@
 """Pulse and coupling design for the cavity memory.
 
-The write stage is a linear functional: in effective time the stored
-amplitude is sigma(0) = i sqrt(2) * integral e^{tau'} E_in(tau') dtau'
-over the write window, so the write efficiency
+In the adiabatic model the write is a linear functional: the stored
+amplitude is sigma(t_end) = integral k(t) E_in(t) dt, with the write
+kernel
 
-    eta_w = |sigma(0)|^2 / integral |E_in|^2 dtau
+    k(t) = i sqrt(2/kappa) g(t) exp(R(t) - R(t_end)),
+    R(t) = integral (g^2/kappa + gamma + i Delta) dt'.
 
-is a Rayleigh quotient.  Its maximiser is the exponential envelope
-E_in(tau) ~ e^{tau} (in real time: E_in(t) ~ g(t) e^{tau(t)}), with
-optimum eta_w = 1 - exp(-2 tau_w) — the exact mirror of the read law.
+By Cauchy-Schwarz the input that maximises the write efficiency
+|sigma(t_end)|^2 / integral |E_in|^2 dt is the conjugated kernel
+conj(k)/||k||, the time-reversed read (Gorshkov, Andre, Lukin &
+Sorensen, PRL 98, 123601 (2007)), for any coupling, decay and detuning.
+That is the one optimal-input rule here.  Its closed-form cases are
+gamma = Delta = 0, E_in(t) ~ g(t) e^{tau(t) - tau_end} with optimum
+eta_w = 1 - exp(-2 tau_w), the mirror of the read law, and a square
+coupling g0 with decay, E_in(t) ~ exp((g0^2/kappa + gamma) t) on the
+window.  A detuning only adds the phase exp(-i integral Delta dt'), so
+the optimal efficiency does not change.
 
-This module provides the closed-form optimum, the general functional,
-its maximiser for any coupling, decay and detuning (the normalized
-adjoint of the write kernel), and the inverse problem: given a target
-input and output shape, synthesize the write/read coupling schedules
-that realise E_out(t) = -sqrt(eta_w eta_r) E_in(t - T).
+The module also solves the inverse problem: given a target input and
+output shape, synthesize the write/read coupling schedules that realise
+E_out(t) = -sqrt(eta_w eta_r) E_in(t - T).
 """
 
 from __future__ import annotations
@@ -24,16 +30,16 @@ from typing import Optional
 import numpy as np
 
 from .cavity import CavityParams
-from .errors import ParameterError, UnsupportedCaseError
-from .schedules import (FieldEnvelope, Schedule, SquareSegment, TimeGrid,
-                        cumtrapz0, effective_time)
+from .errors import ParameterError
+from .schedules import FieldEnvelope, Schedule, TimeGrid, cumtrapz0
 
 
-def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
-                  grid: TimeGrid) -> np.ndarray:
-    """k(t) such that sigma(t_end) = integral k(t) E_in(t) dt for the
-    adiabatic model.  k(t) = i sqrt(2/kappa) g(t) exp(-(R(t_end)-R(t)))
-    with R = integral (i Delta + gamma + g^2/kappa) dt'."""
+def _write_exponent(g_w: Schedule, delta: Optional[Schedule],
+                    p: CavityParams, grid: TimeGrid
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling samples g(t) and the exponent
+    R(t) = integral (g^2/kappa + gamma + i Delta) dt' of the write kernel;
+    R is real unless a non-zero detuning is given."""
     t = grid.times()
     gv = g_w.eval(t)
     if np.any(gv < 0.0):
@@ -44,7 +50,14 @@ def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
     rate = gv * gv / p.kappa + p.gamma
     if delta is not None and delta.max_abs() > 0.0:
         rate = rate + 1j * delta.eval(t)
-    R = cumtrapz0(rate, grid.dt)
+    return gv, cumtrapz0(rate, grid.dt)
+
+
+def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
+                  grid: TimeGrid) -> np.ndarray:
+    """k(t) such that sigma(t_end) = integral k(t) E_in(t) dt for the
+    adiabatic model.  k(t) = i sqrt(2/kappa) g(t) exp(-(R(t_end)-R(t)))."""
+    gv, R = _write_exponent(g_w, delta, p, grid)
     return 1j * np.sqrt(2.0 / p.kappa) * gv * np.exp(R - R[-1])
 
 
@@ -67,75 +80,29 @@ def write_efficiency_of(e_in: FieldEnvelope, g_w: Schedule,
 
 def optimal_write_input(g_w: Schedule, p: CavityParams, grid: TimeGrid,
                         delta: Optional[Schedule] = None) -> FieldEnvelope:
-    """Normalized input envelope that maximises the write efficiency.
+    """Unit-norm input envelope that maximises |sigma(t_end)|^2 in the
+    adiabatic model, for any coupling shape, decay and detuning.
 
-    gamma = 0: E_in(t) ~ g(t) exp(tau(t)) for any coupling shape.
-    gamma > 0: closed form known for a single square coupling segment,
-    E_in(t) ~ g0 exp((g0^2/kappa + gamma) t) on the segment; any other
-    shape raises UnsupportedCaseError (use variational_optimize).
-
-    A detuning schedule, if given, multiplies on the compensating phase
-    exp(-i integral_{t_ref}^t Delta) with t_ref the end of the write
-    window, which restores the Delta = 0 efficiency exactly.
+    It is the conjugated write kernel, E_in(t) ~ g(t) exp(conj(R(t) -
+    R(t_w))), with t_w the last grid sample where g > 0 (the end of the
+    write window).  The global phase makes E_in real and positive at
+    t_w; without detuning the envelope is real everywhere.  With
+    gamma = Delta = 0 this is g(t) e^{tau(t) - tau_end}.
     """
-    t = grid.times()
-    gv = g_w.eval(t)
-    if np.any(gv < 0.0):
-        raise ParameterError("write coupling must be non-negative")
-    if gv.max(initial=0.0) == 0.0:
-        raise ParameterError("write coupling vanishes on the whole grid; "
-                             "no write window")
-    if p.gamma == 0.0:
-        tau = effective_time(g_w, p.kappa, grid)
-        raw = gv * np.exp(tau - tau[-1])
-    else:
-        segs = [s for s in g_w.segments if s.peak_abs() > 0.0]
-        if len(segs) != 1 or not isinstance(segs[0], SquareSegment):
-            raise UnsupportedCaseError(
-                "with gamma > 0 the closed-form optimum exists for a single "
-                "square coupling segment only; use variational_optimize")
-        seg = segs[0]
-        rate = seg.amplitude ** 2 / p.kappa + p.gamma
-        raw = gv * np.exp(rate * (t - min(seg.end, grid.t_end)))
-    env = FieldEnvelope(grid, raw.astype(complex)).normalized()
-    if delta is not None and delta.max_abs() > 0.0:
-        windows = g_w.windows(grid)
-        t_ref = windows[0][1] if windows else grid.t_end
-        env = compensate_detuning(env, delta, t_ref=t_ref)
-    return env
-
-
-def compensate_detuning(e_in: FieldEnvelope, delta: Schedule,
-                        t_ref: Optional[float] = None) -> FieldEnvelope:
-    """Multiply an envelope by exp(-i integral_{t_ref}^t Delta dt').
-
-    In a frame rotating with the detuning this turns a Delta(t) run into
-    the Delta = 0 one, so an optimal envelope stays optimal.  t_ref
-    defaults to the end of the grid (the natural write-window end).
-    """
-    grid = e_in.grid
-    t = grid.times()
-    phi = cumtrapz0(delta.eval(t), grid.dt)
-    if t_ref is None:
-        t_ref = grid.t_end
-    phi_ref = float(np.interp(t_ref, t, phi))
-    return FieldEnvelope(grid, e_in.samples * np.exp(-1j * (phi - phi_ref)))
+    gv, R = _write_exponent(g_w, delta, p, grid)
+    i = int(np.flatnonzero(gv)[-1])
+    # past t_w the coupling is zero but the gamma term keeps growing, so
+    # the exponential is only evaluated up to the window end
+    raw = np.zeros(grid.n, dtype=complex)
+    raw[:i + 1] = gv[:i + 1] * np.exp(np.conj(R[:i + 1] - R[i]))
+    return FieldEnvelope(grid, raw).normalized()
 
 
 def variational_optimize(g_w: Schedule, delta: Optional[Schedule],
                          p: CavityParams, grid: TimeGrid) -> FieldEnvelope:
-    """Unit-norm input that maximises |sigma(t_end)|^2, for any coupling
-    shape, decay and detuning.
-
-    The map E_in -> sigma(t_end) = <k, E_in> is a linear functional, so
-    by Cauchy-Schwarz its maximiser is exactly conj(k)/||k||: the
-    time-reversed write kernel (Gorshkov, Andre, Lukin & Sorensen,
-    PRL 98, 123601 (2007)).  The global phase is fixed by making the
-    largest sample real.
-    """
-    x = np.conj(_write_kernel(g_w, delta, p, grid))
-    i = int(np.argmax(np.abs(x)))
-    return FieldEnvelope(grid, x * np.exp(-1j * np.angle(x[i]))).normalized()
+    """Same as optimal_write_input(g_w, p, grid, delta); kept because
+    the benchmark's tracer (perfbench/tracing.py) looks this name up."""
+    return optimal_write_input(g_w, p, grid, delta)
 
 
 def synthesize_couplings(e_in: FieldEnvelope, T: float, eta_w: float,

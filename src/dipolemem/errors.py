@@ -28,7 +28,3 @@ class ResolutionError(DipolememError, RuntimeError):
 class SingularTransformError(DipolememError, RuntimeError):
     """Effective-field transform requested where the coupling vanishes
     but the field does not."""
-
-
-class UnsupportedCaseError(DipolememError, NotImplementedError):
-    """A closed form was requested outside its domain of validity."""

@@ -569,10 +569,9 @@ def _write_window(scn: Scenario, coupling: Schedule) -> Schedule:
 
 def _optimal_input(scn: Scenario, coupling: Schedule) -> FieldEnvelope:
     """Unit-norm input that the write window of `coupling` stores best,
-    carrying the phase that compensates the scenario's detuning."""
-    delta = scn.detuning if scn.detuning.max_abs() > 0.0 else None
+    under the scenario's decay and detuning."""
     return optimal_write_input(_write_window(scn, coupling), scn.cavity,
-                               scn.grid, delta=delta)
+                               scn.grid, delta=scn.detuning)
 
 
 def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
@@ -982,8 +981,8 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
     segment), and ``d`` (peak optical depth of a Gaussian-pulse
     storage/retrieval experiment in the propagation models).  A
     ``tau_r`` row is a pure read; the other cavity axes write the input
-    ``run`` uses for ``input: optimal`` (detuning-compensated) into the
-    swept coupling.  Rows are emitted in the order the values were given.
+    ``run`` uses for ``input: optimal`` into the swept coupling.  Rows
+    are emitted in the order the values were given.
     """
     start = time.perf_counter()
     axis = axis.replace("-", "_").strip()
@@ -1052,12 +1051,13 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
             raise ConfigError("a duration sweep needs a single square "
                               "coupling segment to stretch")
         seg = segs[0]
-
-        def coupling_at(v):
+        for v in vals:
             if seg.start + v > grid.t_end + 1e-12 * grid.span:
                 raise ConfigError(
                     f"duration {v:g} s pushes the window past the grid end; "
                     "enlarge the grid")
+
+        def coupling_at(v):
             return Schedule.square(seg.amplitude, seg.start, seg.start + v)
 
     for v in vals:
@@ -1174,7 +1174,8 @@ def _check_variational():
     p = CavityParams(kappa=1e6, gamma=0.0)
     grid = _verify_grid()
     g = Schedule.gaussian(8e5, -1e-6, 3e-7, support=(-2e-6, 0.0))
-    a = optimal_write_input(g, p, grid).samples
+    tau = effective_time(g, p.kappa, grid)
+    a = g.eval(grid.times()) * np.exp(tau - tau[-1])     # the paper's form
     b = variational_optimize(g, None, p, grid).samples
     num = abs(np.trapezoid(np.conj(a) * b, dx=grid.dt)) ** 2
     den = (np.trapezoid(np.abs(a) ** 2, dx=grid.dt)

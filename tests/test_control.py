@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dipolemem import (CavityParams, FieldEnvelope, ParameterError,
-                       Schedule, TimeGrid, UnsupportedCaseError,
-                       compensate_detuning, cooperativity_from_depth,
+                       Schedule, TimeGrid, cooperativity_from_depth,
                        effective_time, optimal_write_input,
                        simulate_adiabatic, square_pulse_efficiency,
                        synthesize_couplings, total_efficiency,
@@ -92,13 +91,43 @@ def test_decay_square_optimum_matches_closed_form():
     assert abs(res.eta_w - square_pulse_efficiency(g0, span, p)) < 1e-7
 
 
-def test_decay_with_shaped_coupling_is_refused():
-    p = CavityParams(KAPPA, gamma=1e4)
-    g = Schedule.gaussian(8e5, center=-1e-6, width=0.2e-6,
-                          support=(-2e-6, 0.0))
-    grid = TimeGrid.from_span(-2e-6, 0.0, 2001)
-    with pytest.raises(UnsupportedCaseError):
-        optimal_write_input(g, p, grid)
+def _decay_gaussian(window_end=200e-6):
+    """A Gaussian write window with decay, cooperativity 10 at its peak,
+    on a 200 us grid of 20,001 points."""
+    p = CavityParams(KAPPA, gamma=1e3)
+    g = Schedule.gaussian(np.sqrt(10.0 * KAPPA * p.gamma), center=100e-6,
+                          width=30e-6, support=(0.0, window_end))
+    return g, p, TimeGrid.from_span(0.0, 200e-6, 20001)
+
+
+def test_decay_with_shaped_coupling_meets_cauchy_schwarz():
+    # the optimum stores the kernel norm ∫|k|^2 dt,
+    # k = sqrt(2/kappa) g exp(R - R_end), R = tau + gamma (t - t0)
+    g, p, grid = _decay_gaussian()
+    t = grid.times()
+    R = effective_time(g, p.kappa, grid) + p.gamma * (t - t[0])
+    k2 = 2.0 / p.kappa * g.eval(t) ** 2 * np.exp(2.0 * (R - R[-1]))
+    bound = np.trapezoid(k2, dx=grid.dt)
+    env = optimal_write_input(g, p, grid)
+    assert abs(write_efficiency_of(env, g, p) - bound) < 1e-12
+    eta = simulate_adiabatic(env, g, ZERO, p, grid).eta_w
+    assert abs(eta - bound) < 1e-8
+    assert eta < 10.0 / 11.0                       # below C/(C+1)
+
+
+def test_decay_with_shaped_coupling_beats_every_perturbation(rng):
+    g, p, grid = _decay_gaussian()
+    opt = optimal_write_input(g, p, grid)
+    eta_opt = simulate_adiabatic(opt, g, ZERO, p, grid).eta_w
+    w = np.full(grid.n, grid.dt)
+    w[0] = w[-1] = grid.dt / 2
+    eps = 1e-2
+    for _ in range(20):
+        pert = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        pert -= opt.samples * np.sum(w * np.conj(opt.samples) * pert)
+        pert /= np.sqrt(np.sum(w * np.abs(pert) ** 2))
+        bumped = FieldEnvelope(grid, opt.samples + eps * pert).normalized()
+        assert simulate_adiabatic(bumped, g, ZERO, p, grid).eta_w < eta_opt
 
 
 def test_no_write_window_is_an_error():
@@ -114,7 +143,10 @@ def test_no_write_window_is_an_error():
 def test_variational_recovers_closed_form():
     g, grid = _unit_tau_square()
     num = variational_optimize(g, None, P0, grid)
-    ana = optimal_write_input(g, P0, grid)
+    tau = effective_time(g, KAPPA, grid)
+    ana = FieldEnvelope(grid, (g.eval(grid.times())
+                               * np.exp(tau - tau[-1])).astype(complex))
+    ana = ana.normalized()
     w = np.full(grid.n, grid.dt)
     w[0] = w[-1] = grid.dt / 2
     overlap = abs(np.sum(w * np.conj(num.samples) * ana.samples))
@@ -218,14 +250,18 @@ def test_tabulated_detuning_compensation(rng):
 
 
 def test_compensation_is_a_pure_phase():
-    grid = TimeGrid.from_span(-1e-6, 0.0, 2001)
-    env = FieldEnvelope.gaussian(grid, center=-0.5e-6,
-                                 width=0.1e-6).normalized()
-    delta = Schedule.square(2e5, -1e-6, 0.0)
-    out = compensate_detuning(env, delta)
-    np.testing.assert_allclose(np.abs(out.samples), np.abs(env.samples),
-                               rtol=1e-12)
-    assert abs(out.norm2() - env.norm2()) < 1e-12
+    # the detuned optimum is the undetuned one times a phase that is zero
+    # at the end of the write window
+    g, p, grid = _decay_gaussian(window_end=180e-6)
+    delta = Schedule.piecewise_linear([0.0, 100e-6, 200e-6], [2e4, -1e4, 3e4])
+    base = optimal_write_input(g, p, grid)
+    out = optimal_write_input(g, p, grid, delta=delta)
+    np.testing.assert_allclose(np.abs(out.samples), np.abs(base.samples),
+                               rtol=1e-12, atol=0.0)
+    assert not np.all(out.samples.imag == 0.0)
+    assert np.all(base.samples.imag == 0.0)
+    i_end = int(np.flatnonzero(g.eval(grid.times()))[-1])
+    assert np.angle(out.samples[i_end]) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Config parsing, canonical hashing, run/design/sweep records, CLI."""
 
 import csv
+import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -13,7 +15,8 @@ import yaml
 
 import dipolemem
 from dipolemem import (ConfigError, ParameterError, ResolutionError,
-                       freespace, scenarios)
+                       freespace, optimal_write_input, scenarios,
+                       write_efficiency_of)
 from dipolemem.cli import main as cli_main
 from dipolemem.scenarios import (MODELS, SWEEP_AXES, build_input,
                                  design_couplings, load_scenario,
@@ -473,6 +476,33 @@ def test_cavity_sweeps_store_what_run_stores(gamma):
         assert abs(eta_w - eta) <= 1e-12 * eta, axis
 
 
+def test_gaussian_window_with_decay_runs_and_sweeps(tmp_path):
+    # a shaped coupling with decay (cooperativity 10 at its peak): run and
+    # the write axes at the scenario's own coupling store the same
+    # optimum, which meets the Cauchy-Schwarz bound of the write kernel
+    cfg = cavity_cfg(
+        grid={"start": "0 us", "stop": "200 us", "points": 20001},
+        coupling=[{"kind": "gaussian", "amplitude": "0.1 MHz_angular",
+                   "center": "100 us", "sigma": "30 us",
+                   "support": ["0 us", "200 us"]}],
+        cavity={"kappa": "1 MHz_angular", "gamma": "1 kHz_angular"})
+    proc = _cli(["run", str(_write_cfg(tmp_path, cfg)),
+                 "--outdir", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    eta = result["summary"]["eta_write"]
+    scn = scenario_from_dict(cfg)
+    g, p, grid = scn.coupling, scn.cavity, scn.grid
+    assert run_scenario(scn).summary["eta_write"] == eta
+    own = {"cooperativity": g.max_abs() ** 2 / (p.kappa * p.gamma),
+           "tau_w": float(effective_time(g, p.kappa, grid)[-1])}
+    for axis, value in own.items():
+        [(_v, eta_w)] = run_sweep(scn, axis, [value]).tables[0][2]
+        assert abs(eta_w - eta) <= 1e-12 * eta, axis
+    bound = write_efficiency_of(optimal_write_input(g, p, grid), g, p)
+    assert abs(eta - bound) < 1e-8
+
+
 def test_tau_write_sweep_rescales_the_write_window():
     # write and read windows of unit effective time each: the tau_w axis
     # sets the write window, the one the optimal input fills and the row
@@ -505,6 +535,23 @@ def test_duration_sweep_grows_with_window():
     rec = run_sweep(scn, "duration", [0.5e-6, 1.0e-6, 2.0e-6])
     etas = [eta for _, eta in rec.tables[0][2]]
     assert etas[0] < etas[1] < etas[2] < 1.0
+
+
+def test_duration_sweep_checks_every_value_first(monkeypatch):
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return simulate(*args, **kw)
+    simulate = scenarios._simulate
+    monkeypatch.setattr(scenarios, "_simulate", spy)
+    scn = scenario_from_dict(cavity_cfg(
+        grid={"start": "-3 us", "stop": "0 us", "points": 3001},
+        coupling=[{"kind": "square", "start": "-3 us", "end": "-2 us",
+                   "amplitude": "0.5 MHz_angular"}]))
+    with pytest.raises(ConfigError, match="past the grid end"):
+        run_sweep(scn, "duration", [0.5e-6, 1.0e-6, 5.0e-6])
+    assert calls == []
 
 
 def test_sweep_rejections():
@@ -703,3 +750,23 @@ def test_cli_verify_passes(capsys):
     assert cli_main(["verify"]) == 0
     out = capsys.readouterr().out
     assert "ok" in out.lower() or "pass" in out.lower()
+
+
+def test_verify_text_passes_the_benchmark_checks(monkeypatch):
+    # the benchmark parses every verify line and holds each printed error
+    # to its printed bound; a reworded or failing line fails it
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", REPO / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    buf = io.StringIO()
+    assert scenarios.builtin_verify(buf)
+    text = buf.getvalue()
+    ck = workloads.Checker()
+    workloads.check_verify_text(ck, text)
+    assert ck.ok, [r for r in ck.results if not r[2]]
+    assert sum(ln.startswith("PASS") for ln in text.splitlines()) == 12
+    assert all(ratio <= 1.0 for _n, ratio, _ok in ck.results
+               if ratio is not None)
