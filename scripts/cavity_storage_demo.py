@@ -45,11 +45,12 @@ def main():
     combined = Schedule(list(g_write.segments) + list(g_read.segments))
     p = CavityParams(KAPPA)
 
-    e_in = optimal_write_input(g_write, p, grid)
+    e_in = optimal_write_input(combined, p, grid)   # the first window writes
     sim = simulate_adiabatic(e_in, combined, Schedule.zero(), p, grid)
 
+    # tau_w runs to the write end, the last sample of the first window
     tau = effective_time(combined, KAPPA, grid)
-    tau_w = effective_time(g_write, KAPPA, grid)[-1]
+    tau_w = tau[combined.windows(grid)[0][1]]
     tau_r = tau[-1] - tau_w
 
     print(f"tau_w = {tau_w:.4f}    tau_r = {tau_r:.4f}")

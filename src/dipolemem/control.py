@@ -1,18 +1,18 @@
 """Pulse and coupling design for the cavity memory.
 
-In the adiabatic model the write is a linear functional: the stored
-amplitude is sigma(t_end) = integral k(t) E_in(t) dt, with the write
-kernel
+In the adiabatic model the write is a linear functional: the amplitude
+stored at the write end t_w (the last grid sample of the coupling's
+first window) is sigma(t_w) = integral k(t) E_in(t) dt, with the kernel
 
-    k(t) = i sqrt(2/kappa) g(t) exp(R(t) - R(t_end)),
+    k(t) = i sqrt(2/kappa) g(t) exp(R(t) - R(t_w))  for t <= t_w, else 0,
     R(t) = integral (g^2/kappa + gamma + i Delta) dt'.
 
 By Cauchy-Schwarz the input that maximises the write efficiency
-|sigma(t_end)|^2 / integral |E_in|^2 dt is the conjugated kernel
+|sigma(t_w)|^2 / integral |E_in|^2 dt is the conjugated kernel
 conj(k)/||k||, the time-reversed read (Gorshkov, Andre, Lukin &
 Sorensen, PRL 98, 123601 (2007)), for any coupling, decay and detuning.
 That is the one optimal-input rule here.  Its closed-form cases are
-gamma = Delta = 0, E_in(t) ~ g(t) e^{tau(t) - tau_end} with optimum
+gamma = Delta = 0, E_in(t) ~ g(t) e^{tau(t) - tau_w} with optimum
 eta_w = 1 - exp(-2 tau_w), the mirror of the read law, and a square
 coupling g0 with decay, E_in(t) ~ exp((g0^2/kappa + gamma) t) on the
 window.  A detuning only adds the phase exp(-i integral Delta dt'), so
@@ -36,10 +36,11 @@ from .schedules import FieldEnvelope, Schedule, TimeGrid, cumtrapz0
 
 def _write_exponent(g_w: Schedule, delta: Optional[Schedule],
                     p: CavityParams, grid: TimeGrid
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The coupling samples g(t) and the exponent
-    R(t) = integral (g^2/kappa + gamma + i Delta) dt' of the write kernel;
-    R is real unless a non-zero detuning is given."""
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The coupling samples g(t), the exponent R(t) = integral
+    (g^2/kappa + gamma + i Delta) dt' of the write kernel (real unless a
+    non-zero detuning is given) and the write end i, the last sample of
+    the first window of `Schedule.windows`."""
     t = grid.times()
     gv = g_w.eval(t)
     if np.any(gv < 0.0):
@@ -50,21 +51,24 @@ def _write_exponent(g_w: Schedule, delta: Optional[Schedule],
     rate = gv * gv / p.kappa + p.gamma
     if delta is not None and delta.max_abs() > 0.0:
         rate = rate + 1j * delta.eval(t)
-    return gv, cumtrapz0(rate, grid.dt)
+    return gv, cumtrapz0(rate, grid.dt), g_w.windows(grid)[0][1]
 
 
 def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
                   grid: TimeGrid) -> np.ndarray:
-    """k(t) such that sigma(t_end) = integral k(t) E_in(t) dt for the
-    adiabatic model.  k(t) = i sqrt(2/kappa) g(t) exp(-(R(t_end)-R(t)))."""
-    gv, R = _write_exponent(g_w, delta, p, grid)
-    return 1j * np.sqrt(2.0 / p.kappa) * gv * np.exp(R - R[-1])
+    """k(t) such that sigma(t_w) = integral k(t) E_in(t) dt for the
+    adiabatic model; zero past the write end t_w."""
+    gv, R, i = _write_exponent(g_w, delta, p, grid)
+    k = np.zeros(grid.n, dtype=complex)
+    k[:i + 1] = (1j * np.sqrt(2.0 / p.kappa) * gv[:i + 1]
+                 * np.exp(R[:i + 1] - R[i]))
+    return k
 
 
 def write_efficiency_of(e_in: FieldEnvelope, g_w: Schedule,
                         p: CavityParams) -> float:
-    """Write efficiency of an arbitrary input envelope against a given
-    write coupling (adiabatic model, Delta = 0).
+    """Write efficiency of an arbitrary input envelope against the first
+    window of a coupling (adiabatic model, Delta = 0).
 
     Evaluated through the effective-time functional; no time stepping.
     The integrand g(t) E(t) e^{tau - tau_w} stays finite even where the
@@ -80,19 +84,19 @@ def write_efficiency_of(e_in: FieldEnvelope, g_w: Schedule,
 
 def optimal_write_input(g_w: Schedule, p: CavityParams, grid: TimeGrid,
                         delta: Optional[Schedule] = None) -> FieldEnvelope:
-    """Unit-norm input envelope that maximises |sigma(t_end)|^2 in the
-    adiabatic model, for any coupling shape, decay and detuning.
+    """Unit-norm input envelope that maximises the excitation stored by
+    the first window of the coupling (the write window) in the adiabatic
+    model, for any coupling shape, decay and detuning.
 
     It is the conjugated write kernel, E_in(t) ~ g(t) exp(conj(R(t) -
-    R(t_w))), with t_w the last grid sample where g > 0 (the end of the
-    write window).  The global phase makes E_in real and positive at
-    t_w; without detuning the envelope is real everywhere.  With
-    gamma = Delta = 0 this is g(t) e^{tau(t) - tau_end}.
+    R(t_w))), with t_w the last grid sample of the write window, and 0
+    after it.  The global phase makes E_in real and positive at t_w;
+    without detuning the envelope is real everywhere.  With
+    gamma = Delta = 0 this is g(t) e^{tau(t) - tau_w}.
     """
-    gv, R = _write_exponent(g_w, delta, p, grid)
-    i = int(np.flatnonzero(gv)[-1])
-    # past t_w the coupling is zero but the gamma term keeps growing, so
-    # the exponential is only evaluated up to the window end
+    gv, R, i = _write_exponent(g_w, delta, p, grid)
+    # past t_w the gamma term keeps growing, so the exponential is only
+    # evaluated up to the window end
     raw = np.zeros(grid.n, dtype=complex)
     raw[:i + 1] = gv[:i + 1] * np.exp(np.conj(R[:i + 1] - R[i]))
     return FieldEnvelope(grid, raw).normalized()

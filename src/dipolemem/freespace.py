@@ -484,6 +484,11 @@ def storage_retrieval_sweep(d_values, medium: MediumParams,
     steps, each over the window's own uniform theta grid (`theta_nodes`
     nodes).  A detuning schedule chirps the write boundary trace.
 
+    The sweep's windows are its own: each ends where the depth profile
+    falls to `_WINDOW_CUT` of its peak, and eta_write is read there, not
+    at the last sample of the coupling support as in `run`; between the
+    two ends the spin wave only decays, by exp(-2 gamma dt).
+
     Returns one row (d, eta_write, eta_forward, eta_backward,
     theta_total) per depth; efficiencies are photon-number fractions.
     """

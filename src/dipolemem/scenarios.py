@@ -555,23 +555,11 @@ def save_scenario(scn: Scenario, path) -> None:
 # building runtime objects from the resolved config
 # ---------------------------------------------------------------------------
 
-def _write_window(scn: Scenario, coupling: Schedule) -> Schedule:
-    """The segments of the first window of `coupling` on the scenario
-    grid: the write window."""
-    windows = coupling.windows(scn.grid)
-    if not windows:
-        raise ConfigError("the coupling vanishes on the whole grid; "
-                          "there is no write window")
-    lo, hi = windows[0]
-    return Schedule([s for s in coupling.segments
-                     if s.start < hi and s.end > lo])
-
-
 def _optimal_input(scn: Scenario, coupling: Schedule) -> FieldEnvelope:
-    """Unit-norm input that the write window of `coupling` stores best,
-    under the scenario's decay and detuning."""
-    return optimal_write_input(_write_window(scn, coupling), scn.cavity,
-                               scn.grid, delta=scn.detuning)
+    """Unit-norm input that the write window of `coupling` (its first
+    window) stores best, under the scenario's decay and detuning."""
+    return optimal_write_input(coupling, scn.cavity, scn.grid,
+                               delta=scn.detuning)
 
 
 def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
@@ -1024,11 +1012,14 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
                           f"not {scn.model}")
     g, p, grid = scn.coupling, scn.cavity, scn.grid
     if axis in ("tau_r", "tau_w"):
-        # tau_w is the effective time of the write window, which the
-        # optimal input fills and the row measures; tau_r of the whole
-        # coupling
-        g_tau = _write_window(scn, g) if axis == "tau_w" else g
-        base = float(effective_time(g_tau, p.kappa, grid)[-1])
+        # tau_w is the effective time up to the write end, where the
+        # optimal input fills the write window and the row measures it;
+        # tau_r that of the whole coupling
+        tau = effective_time(g, p.kappa, grid)
+        windows = g.windows(grid)
+        if axis == "tau_w" and windows:
+            tau = tau[:windows[0][1] + 1]
+        base = float(tau[-1])
         if base <= 0.0:
             raise ConfigError("the coupling schedule has zero effective time "
                               "on the grid; nothing to rescale")
@@ -1247,8 +1238,7 @@ def _check_cavity_continuity():
     grid = TimeGrid.from_span(-2e-6, 2e-6, 20001)
     g = Schedule([SquareSegment(-2e-6, 0.0, np.sqrt(p.kappa / 2e-6)),
                   SquareSegment(5e-7, 2e-6, np.sqrt(p.kappa / 1.5e-6))])
-    gw = Schedule([g.segments[0]])
-    e_in = optimal_write_input(gw, p, grid)
+    e_in = optimal_write_input(g, p, grid)
     worst = 0.0
     for fn in (simulate_adiabatic, simulate_full):
         sim = fn(e_in, g, Schedule.zero(), p, grid)

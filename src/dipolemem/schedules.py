@@ -50,10 +50,9 @@ class TimeGrid:
     n: int
 
     def __post_init__(self):
+        _check_point_count(self.n)
         if not (self.dt > 0.0) or not np.isfinite(self.dt):
             raise ParameterError(f"TimeGrid.dt must be positive, got {self.dt}")
-        if self.n < 2:
-            raise ParameterError(f"TimeGrid.n must be >= 2, got {self.n}")
         if not np.isfinite(self.t0):
             raise ParameterError(f"TimeGrid.t0 must be finite, got {self.t0}")
 
@@ -70,14 +69,15 @@ class TimeGrid:
 
     @classmethod
     def from_span(cls, t0: float, t1: float, n: int) -> "TimeGrid":
+        _check_point_count(n)
         if not t1 > t0:
             raise ParameterError(f"need t1 > t0, got [{t0}, {t1}]")
         return cls(t0, (t1 - t0) / (n - 1), n)
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid point nearest to t (t must be on the grid
-        to within 1e-9*dt for exact bookkeeping; no check here)."""
-        return int(round((t - self.t0) / self.dt))
+
+def _check_point_count(n) -> None:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ParameterError(f"TimeGrid.n must be an integer >= 2, got {n!r}")
 
 
 @dataclass(eq=False)
@@ -351,23 +351,27 @@ class Schedule:
 
     # -- structure ----------------------------------------------------------
 
-    def support_intervals(self) -> list[tuple[float, float]]:
-        """Merged closed intervals on which the schedule can be nonzero."""
-        ivals = [(s.start, s.end) for s in self.segments if s.peak_abs() > 0.0]
-        merged: list[tuple[float, float]] = []
-        for a, b in ivals:
+    def windows(self, grid: TimeGrid) -> list[tuple[int, int]]:
+        """The coupling windows a run on this grid sees, in time order:
+        each merged support interval as the indices (first, last) of
+        its grid samples, which are exactly the samples where a segment
+        can evaluate nonzero (edges widened by `_edge_tol`, as in the
+        segments' own `evaluate`).  An interval with no sample on the
+        grid is dropped."""
+        merged: list[list[float]] = []
+        for seg in self.segments:
+            if seg.peak_abs() == 0.0:
+                continue
+            tol = _edge_tol(seg.start, seg.end)
+            a, b = seg.start - tol, seg.end + tol
             if merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(b, merged[-1][1]))
+                merged[-1][1] = max(b, merged[-1][1])
             else:
-                merged.append((a, b))
-        return merged
-
-    def windows(self, grid: TimeGrid) -> list[tuple[float, float]]:
-        """The support intervals that overlap the grid, clipped to it:
-        the coupling windows a run on this grid sees, in time order."""
-        return [(max(a, grid.t0), min(b, grid.t_end))
-                for a, b in self.support_intervals()
-                if b > grid.t0 and a < grid.t_end]
+                merged.append([a, b])
+        t = grid.times()
+        spans = [(int(np.searchsorted(t, a, "left")),
+                  int(np.searchsorted(t, b, "right")) - 1) for a, b in merged]
+        return [(i, j) for i, j in spans if i <= j]
 
     def scaled(self, s: float) -> "Schedule":
         return Schedule([seg.scaled(s) for seg in self.segments])
@@ -528,15 +532,13 @@ class Ledger:
 
     All energies are photon numbers: the integrals of |E_in|^2 and
     |E_out|^2, the stored energy at the ends of the grid, and the decay
-    loss (also as a fraction of the budget: the input, or the initial
-    excitation of a pure read).  eta_w is evaluated at the end of the
-    first coupling window (the write window); eta_r relates the output
-    from the start of the second window (the read window) to the
-    excitation stored there; eta_tot is that read output over the input.
-    Entries that do not apply to a run (e.g. eta_w for a pure read) are
-    None.  Note the units of the two decay entries: `decay` is in
-    photons, `decay_loss` is that over the budget (a fraction), while
-    the `decay_loss` a run writes to result.json is `decay`, in photons.
+    loss.  eta_w is the excitation at the last grid sample of the first
+    coupling window (the write window) over the input; eta_r relates
+    the output from the first sample of the second window (the read
+    window) to the excitation stored there; eta_tot is that read output
+    over the input.  write_end and read_start are the times of those
+    two samples.  Entries that do not apply to a run (e.g. eta_w for a
+    pure read) are None.
     """
 
     input_energy: float
@@ -544,7 +546,6 @@ class Ledger:
     stored_initial: float
     stored_final: float
     decay: float
-    decay_loss: float
     normalization_drift: float
     eta_w: Optional[float]
     eta_r: Optional[float]
@@ -555,7 +556,7 @@ class Ledger:
     read_start: Optional[float]
 
 
-def ledger(grid: TimeGrid, windows: list[tuple[float, float]],
+def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
            n: np.ndarray, out2: np.ndarray, input_energy: float,
            gamma: float, *,
            total: Optional[np.ndarray] = None,
@@ -565,24 +566,23 @@ def ledger(grid: TimeGrid, windows: list[tuple[float, float]],
     n is the stored excitation N(t) that decays at rate 2 gamma
     (|sigma|^2 in a cavity, the spin-wave norm in free space), out2 the
     output flux |E_out|^2 on the grid and windows the coupling windows
-    of `Schedule.windows`.  total is the whole stored energy where it
-    exceeds N (|sigma|^2 + |E_cav|^2 in the full cavity model); the
-    normalization drift is the relative residual of
+    of `Schedule.windows`, as grid-sample spans.  total is the whole
+    stored energy where it exceeds N (|sigma|^2 + |E_cav|^2 in the full
+    cavity model); the normalization drift is the relative residual of
     E_in + total(t0) = E_out + total(t_end) + decay.
 
-    With input, the first window writes and the second reads; with no
-    window on the grid nothing is stored (eta_w = eta_tot = 0) and the
-    whole output is leakage.  Without input, stored excitation makes a
-    pure read from the grid start with zero leakage.  eta_r is the read
-    output over the stored excitation, or with read_by_continuity the
-    drop of N over the read minus its decay, which stays smooth in t
-    across coupling edges.
+    With input, the first window writes up to its last sample and the
+    second reads from its first; with no window on the grid nothing is
+    stored (eta_w = eta_tot = 0) and the whole output is leakage.
+    Without input, stored excitation makes a pure read from the grid
+    start with zero leakage.  eta_r is the read output over the stored
+    excitation, or with read_by_continuity the drop of N over the read
+    minus its decay, which stays smooth in t across coupling edges.
     """
     h = grid.dt
     total = n if total is None else total
     output_energy = float(np.trapezoid(out2, dx=h))
     decay = 2.0 * gamma * float(np.trapezoid(n, dx=h))
-    budget = input_energy if input_energy > 0.0 else float(n[0])
     norm = max(input_energy, float(total[0]))
     drift = 0.0
     if norm > 0.0:
@@ -592,13 +592,13 @@ def ledger(grid: TimeGrid, windows: list[tuple[float, float]],
     eta_w = eta_r = eta_tot = leakage = read_energy = None
     write_end = read_start = i_r = None
     if input_energy > 0.0 and windows:
-        write_end = windows[0][1]
-        i_w = grid.index_of(write_end)
+        i_w = windows[0][1]
+        write_end = grid.t0 + grid.dt * i_w
         eta_w = float(n[i_w]) / input_energy
         leakage = float(np.trapezoid(out2[: i_w + 1], dx=h)) / input_energy
         if len(windows) > 1:
-            read_start = windows[1][0]
-            i_r = grid.index_of(read_start)
+            i_r = windows[1][0]
+            read_start = grid.t0 + grid.dt * i_r
     elif input_energy > 0.0:
         eta_w = eta_tot = 0.0
         leakage = output_energy / input_energy
@@ -619,7 +619,6 @@ def ledger(grid: TimeGrid, windows: list[tuple[float, float]],
     return Ledger(
         input_energy=input_energy, output_energy=output_energy,
         stored_initial=float(total[0]), stored_final=float(total[-1]),
-        decay=decay, decay_loss=decay / budget if budget > 0.0 else 0.0,
-        normalization_drift=drift, eta_w=eta_w, eta_r=eta_r,
+        decay=decay, normalization_drift=drift, eta_w=eta_w, eta_r=eta_r,
         eta_tot=eta_tot, leakage=leakage, read_energy=read_energy,
         write_end=write_end, read_start=read_start)

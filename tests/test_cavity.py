@@ -110,7 +110,7 @@ def test_energy_bound_with_decay():
     g = Schedule.square(8e5, -2e-6, 0.0)
     e_in = optimal_write_input(g, p, grid)
     res = simulate_adiabatic(e_in, g, ZERO, p, grid)
-    balance = res.eta_w + res.leakage + res.decay_loss
+    balance = res.eta_w + res.leakage + res.decay / res.input_energy
     assert abs(balance - 1.0) < 1e-6
 
 

@@ -130,6 +130,46 @@ def test_decay_with_shaped_coupling_beats_every_perturbation(rng):
         assert simulate_adiabatic(bumped, g, ZERO, p, grid).eta_w < eta_opt
 
 
+@pytest.mark.parametrize("gamma, center, width, window_end, span", [
+    (1e3, 100e-6, 30e-6, 200e-6, 220e-6),   # ends between two samples
+    (2.5e4, 1e-6, 0.3e-6, 1.9e-6, 2e-6),    # ends 0.1 us before the grid
+], ids=["between-samples", "before-grid-end"])
+def test_write_efficiency_is_read_at_the_window_end(gamma, center, width,
+                                                    window_end, span):
+    # the ledger, the optimum and write_efficiency_of share one write end,
+    # the last grid sample of the first window (cooperativity 10 at the
+    # peak of a Gaussian window, 20,001 points)
+    p = CavityParams(KAPPA, gamma=gamma)
+    g = Schedule.gaussian(np.sqrt(10.0 * KAPPA * gamma), center=center,
+                          width=width, support=(0.0, window_end))
+    grid = TimeGrid.from_span(0.0, span, 20001)
+    env = optimal_write_input(g, p, grid)
+    res = simulate_adiabatic(env, g, ZERO, p, grid)
+    eta = write_efficiency_of(env, g, p)
+    assert abs(res.eta_w - eta) <= 1e-7 * eta
+    t = grid.times()
+    i_w = int(np.searchsorted(t, window_end)) - 1
+    assert t[i_w] < window_end < t[i_w + 1]
+    assert res.write_end == t[i_w]
+
+
+def test_whole_coupling_writes_with_its_first_window():
+    kappa = 2 * np.pi * 20e6
+    p = CavityParams(kappa)
+    grid = TimeGrid.from_span(-2e-6, 2e-6, 40001)
+    g = Schedule(
+        Schedule.gaussian(1.8e7, center=-1e-6, width=0.22e-6,
+                          support=(-1.9e-6, -0.1e-6)).segments
+        + Schedule.gaussian(2.2e7, center=1e-6, width=0.25e-6,
+                            support=(0.1e-6, 1.9e-6)).segments)
+    g_w = Schedule(g.segments[:1])
+    whole = optimal_write_input(g, p, grid)
+    assert np.array_equal(whole.samples,
+                          optimal_write_input(g_w, p, grid).samples)
+    assert write_efficiency_of(whole, g, p) == write_efficiency_of(whole,
+                                                                   g_w, p)
+
+
 def test_no_write_window_is_an_error():
     grid = TimeGrid.from_span(-1e-6, 0.0, 101)
     with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ import csv
 import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -257,6 +258,14 @@ def test_csv_kind_alias_is_gone(tmp_path):
             scenario_from_dict(cfg, base_dir=tmp_path)
 
 
+def test_readme_python_examples_run():
+    text = (REPO / "README.md").read_text()
+    blocks = [b.split("```")[0] for b in text.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
 def test_readme_scenario_examples_load():
     text = (REPO / "README.md").read_text()
     blocks = text.split("```yaml\n")[1:]
@@ -501,6 +510,31 @@ def test_gaussian_window_with_decay_runs_and_sweeps(tmp_path):
         assert abs(eta_w - eta) <= 1e-12 * eta, axis
     bound = write_efficiency_of(optimal_write_input(g, p, grid), g, p)
     assert abs(eta - bound) < 1e-8
+
+
+def test_freespace_run_agrees_with_the_depth_sweep():
+    # run reads eta_write at the last grid sample of the coupling's
+    # +-8 sigma support, the sweep at the end of its own active window,
+    # where the depth profile falls to 1e-3 of its peak; between the two
+    # ends the spin wave only decays, at 2 gamma.  The tolerance is the
+    # effective time the 1e-3 cut drops plus the march's a^2, with
+    # a = theta_total h_x.
+    scn = load_scenario(REPO / "presets" / "freespace_gaussian_sweep.yaml")
+    med, (seg,) = scn.medium, scn.coupling.segments
+    d = seg.amplitude ** 2 * med.length / (med.c * med.gamma)
+    assert d == pytest.approx(60.0)
+    s = run_scenario(scn).summary
+    [(_d, eta_sweep, _f, _b, _theta)] = freespace.storage_retrieval_sweep(
+        [d], med, seg, parse_quantity(scn.input_spec["center"], "time"),
+        parse_quantity(scn.input_spec["sigma"], "time"), 0.0,
+        scn.space_points)
+    radius = np.sqrt(np.log(1e3))
+    sweep_end = seg.center + radius * seg.width
+    want = eta_sweep * np.exp(-2.0 * med.gamma * (s["write_end"] - sweep_end))
+    theta_full = d * med.gamma * seg.width * np.sqrt(np.pi)
+    a2 = (s["theta_total"] / (scn.space_points - 1)) ** 2
+    tol = theta_full * math.erfc(radius) + a2
+    assert abs(s["eta_write"] / want - 1.0) <= tol
 
 
 def test_tau_write_sweep_rescales_the_write_window():

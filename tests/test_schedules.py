@@ -26,17 +26,18 @@ def test_grid_from_span_endpoints():
     assert abs(g.span - 5e-6) < 1e-18
 
 
-def test_grid_index_round_trip():
-    g = TimeGrid.from_span(0.0, 1e-6, 501)
-    for k in (0, 1, 250, 500):
-        assert g.index_of(g.times()[k]) == k
-
-
 def test_grid_rejects_degenerate():
     with pytest.raises(ParameterError):
         TimeGrid.from_span(1e-6, 1e-6, 100)
     with pytest.raises(ParameterError):
         TimeGrid(0.0, 1e-9, 1)
+    # a bad point count is named before any division by n - 1
+    for n in (1, 0, -3, 2.5, 3.0, True, "3"):
+        with pytest.raises(ParameterError, match="TimeGrid.n"):
+            TimeGrid.from_span(0.0, 1.0, n)
+        with pytest.raises(ParameterError, match="TimeGrid.n"):
+            TimeGrid(0.0, 0.5, n)
+    assert TimeGrid.from_span(0.0, 1.0, np.int64(3)).t_end == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -128,17 +129,31 @@ def test_non_finite_segment_rejected(build):
 
 
 def test_windows_are_support_clipped_to_grid():
+    # each window is the (first, last) grid-sample span of a merged
+    # support: zero-amplitude segments make no window, touching segments
+    # merge, supports past the grid are clipped to its samples
     g = Schedule([SquareSegment(-1.0, 1.0, 1.0), SquareSegment(2.0, 3.0, 0.0),
-                  SquareSegment(4.0, 5.0, 1.0), SquareSegment(9.0, 12.0, 1.0)])
+                  SquareSegment(3.0, 4.0, 2.0), SquareSegment(4.0, 5.0, 1.0),
+                  SquareSegment(9.0, 12.0, 1.0)])
     grid = TimeGrid.from_span(0.0, 10.0, 11)
-    assert g.windows(grid) == [(0.0, 1.0), (4.0, 5.0), (9.0, 10.0)]
+    assert g.windows(grid) == [(0, 1), (3, 5), (9, 10)]
+    assert all(type(i) is int for w in g.windows(grid) for i in w)
     assert g.windows(TimeGrid.from_span(6.0, 8.0, 3)) == []
+    # a support between two samples has none; edges that miss a sample
+    # by rounding still hold it, as in `evaluate`
+    h = Schedule.square(1.0, 0.3, 0.7)
+    assert h.windows(grid) == []
+    fine = TimeGrid.from_span(0.0, 1.0, 11)
+    on = np.flatnonzero(h.eval(fine.times()))
+    assert h.windows(fine) == [(on[0], on[-1])] == [(3, 7)]
+    assert Schedule.square(1.0, 0.25, 0.75).windows(fine) == [(3, 7)]
 
 
 @given(st.floats(0.1, 10.0), st.floats(-5.0, 5.0), st.floats(0.05, 0.5))
 def test_eval_vanishes_outside_support(amp, c0, w):
     g = Schedule.gaussian(amp, center=c0, width=w)
-    (lo, hi), = g.support_intervals()
+    seg, = g.segments
+    lo, hi = seg.start, seg.end
     t = np.array([lo - 3 * w, lo - 0.1 * w, hi + 0.1 * w, hi + 3 * w])
     assert np.all(g.eval(t) == 0.0)
 
@@ -146,7 +161,8 @@ def test_eval_vanishes_outside_support(amp, c0, w):
 def test_support_intervals_merge_adjacent():
     g = Schedule([SquareSegment(0.0, 1.0, 1.0), SquareSegment(1.0, 2.0, 2.0),
                   SquareSegment(3.0, 4.0, 1.0)])
-    assert g.support_intervals() == [(0.0, 2.0), (3.0, 4.0)]
+    # touching supports make one window; a gap keeps them apart
+    assert g.windows(TimeGrid.from_span(0.0, 4.0, 9)) == [(0, 4), (6, 8)]
 
 
 def test_tabulated_reproduces_nodes(rng):
