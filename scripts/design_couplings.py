@@ -1,30 +1,16 @@
 #!/usr/bin/env python3
 """Synthesize write/read coupling schedules for a Gaussian input pulse.
 
-Given target write/read efficiencies and a storage delay T, solves for
-the coupling envelopes, then verifies them by simulation: the memory
+Runs the `design` operation on a cavity scenario built from the
+arguments: it solves for the coupling envelopes that reach the target
+write/read efficiencies, replays the input through them, and writes
+`g_write.csv`, `g_read.csv`, `e_out.csv` and `result.json`.  The memory
 should emit a scaled copy of the input delayed by T.
 """
 
 import argparse
-import csv
 
-import numpy as np
-
-from dipolemem import (CavityParams, FieldEnvelope, Schedule, TimeGrid,
-                       simulate_adiabatic, synthesize_couplings)
-
-KAPPA = 2 * np.pi * 1e6
-
-
-def dump(schedule, grid, path):
-    t = grid.times()
-    vals = schedule(t)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_s", "value"])
-        for tk, vk in zip(t, vals):
-            w.writerow([f"{tk:.9e}", f"{vk:.9e}"])
+from dipolemem import design_couplings, scenario_from_dict, write_artifacts
 
 
 def main():
@@ -36,45 +22,27 @@ def main():
     ap.add_argument("--eta-w", type=float, default=0.9)
     ap.add_argument("--eta-r", type=float, default=0.9)
     ap.add_argument("--points", type=int, default=8001)
-    ap.add_argument("--prefix", default="designed",
-                    help="output file prefix")
+    ap.add_argument("--outdir", default="design_out")
     args = ap.parse_args()
 
-    sigma = args.sigma_ns * 1e-9
-    T = args.delay_us * 1e-6
-    p = CavityParams(KAPPA)
-    grid = TimeGrid.from_span(-1e-6, 0.0, args.points)
-    env = FieldEnvelope.gaussian(grid, center=-0.5e-6,
-                                 width=sigma).normalized()
+    scn = scenario_from_dict({
+        "model": "cavity-adiabatic",
+        "cavity": {"kappa": "1 MHz"},           # plain Hz: times 2*pi
+        "grid": {"start": "-1 us", "stop": "0 us", "points": args.points},
+        "coupling": [],
+        "input": {"kind": "gaussian", "center": "-0.5 us",
+                  "sigma": f"{args.sigma_ns!r} ns"},
+        "storage_time": f"{args.delay_us!r} us",
+        "design": {"eta_write": args.eta_w, "eta_read": args.eta_r},
+    })
+    rec = design_couplings(scn)
+    s = rec.summary
+    print(f"replay overlap     {s['replay_overlap']:.9f}")
+    print(f"energy ratio       {s['energy_ratio']:.6f} "
+          f"(target {s['target_energy_ratio']:.6f})")
 
-    g_w, g_r = synthesize_couplings(env, T, args.eta_w, args.eta_r, p)
-
-    # replay on a grid long enough to contain the delayed copy
-    ext = TimeGrid(grid.t0, grid.dt, grid.n + int(np.ceil(T / grid.dt)))
-    samples = np.zeros(ext.n, dtype=complex)
-    samples[: grid.n] = env.samples
-    sim = simulate_adiabatic(FieldEnvelope(ext, samples),
-                             Schedule(list(g_w.segments) + list(g_r.segments)),
-                             Schedule.zero(), p, ext)
-
-    t_ext = ext.times()
-    mask = t_ext >= grid.t0 + T - 0.5 * grid.dt
-    ref = np.interp(t_ext - T, grid.times(), env.samples.real,
-                    left=0.0, right=0.0)[mask]
-    out = sim.e_out.samples[mask]
-    overlap = abs(np.vdot(out, ref)) ** 2 \
-        / (np.vdot(out, out).real * np.vdot(ref, ref).real)
-    energy = np.trapezoid(np.abs(out) ** 2, dx=grid.dt)
-
-    print(f"replay overlap     {overlap:.9f}")
-    print(f"energy ratio       {energy:.6f} "
-          f"(target {args.eta_w * args.eta_r:.6f})")
-
-    grid_w = grid
-    grid_r = TimeGrid(grid.t0 + T, grid.dt, grid.n)
-    dump(g_w, grid_w, f"{args.prefix}_g_write.csv")
-    dump(g_r, grid_r, f"{args.prefix}_g_read.csv")
-    print(f"schedules -> {args.prefix}_g_write.csv, {args.prefix}_g_read.csv")
+    write_artifacts(rec, args.outdir)
+    print(f"schedules -> {args.outdir}/g_write.csv, {args.outdir}/g_read.csv")
 
 
 if __name__ == "__main__":

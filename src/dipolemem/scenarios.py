@@ -26,8 +26,10 @@ inline arrays (keys time_s / value, plain SI floats) or a path to a
 two-column CSV; CSV data is inlined on load, so the canonical form of a
 scenario -- and therefore its hash -- is independent of external files.
 The hash is the SHA-256 of the canonical JSON encoding; together with
-the package version it pins a run's numerics: CSV bodies are written
-with 17 significant digits and reproduce byte-identically.
+the package version it pins a run's numerics.  Every table an operation
+produces is a 2-D float array, and one writer turns each into a CSV: a
+header row, then one row per array row, 17 significant digits per cell
+and CRLF line ends, so reruns reproduce byte-identically.
 """
 
 from __future__ import annotations
@@ -336,7 +338,7 @@ def _initial_from_config(node, base_dir: Path, model: str) -> Optional[dict]:
         return None
     if model in CAVITY_MODELS:
         if isinstance(node, (int, float)) and not isinstance(node, bool):
-            return {"sigma_re": float(node), "sigma_im": 0.0}
+            return {"sigma_re": _number(node, where), "sigma_im": 0.0}
         node = _require_mapping(node, where)
         _check_keys(node, ("sigma_re", "sigma_im"), ("sigma_re",), where)
         return {"sigma_re": _number(node["sigma_re"], f"{where}.sigma_re"),
@@ -490,7 +492,10 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
     onode = raw.get("outputs") or {}
     onode = _require_mapping(onode, "outputs")
     _check_keys(onode, ("fields",), (), "outputs")
-    dump_fields = bool(onode.get("fields", False))
+    dump_fields = onode.get("fields", False)
+    if not isinstance(dump_fields, bool):
+        raise ConfigError(
+            f"outputs.fields must be true or false, got {dump_fields!r}")
     if dump_fields and model in CAVITY_MODELS:
         raise ConfigError("outputs.fields applies to propagation models only"
                           " (cavity trajectories are already in spinwave.csv)")
@@ -636,7 +641,9 @@ def _initial_spinwave(scn: Scenario, x: np.ndarray) -> np.ndarray:
 @dataclass(eq=False)
 class RunRecord:
     """Everything one operation produced: scalars for result.json plus
-    the tables to be written as CSV artifacts."""
+    the tables to be written as CSV artifacts.  Each table is
+    (filename, header tuple, 2-D float array with one column per header
+    name)."""
 
     operation: str
     scenario_hash: str
@@ -644,22 +651,33 @@ class RunRecord:
     wall_time_s: float
     summary: dict
     diagnostics: dict
-    tables: list  # (filename, header tuple, row iterable)
+    tables: list
     config: dict
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return format(float(v), ".17g")
-    return str(v)
+def _record(operation: str, scn: Scenario, start: float, summary: dict,
+            diagnostics: dict, tables: list) -> RunRecord:
+    """The record of an operation that started at perf_counter `start`."""
+    return RunRecord(operation=operation, scenario_hash=scenario_hash(scn),
+                     version=TOOLKIT_VERSION,
+                     wall_time_s=time.perf_counter() - start, summary=summary,
+                     diagnostics=diagnostics, tables=tables,
+                     config=scn.config)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+# rows formatted per write: keeps the Python float and string
+# temporaries of a multi-million-row table to a few MB
+_CSV_BLOCK_ROWS = 1 << 14
+
+
+def _write_csv(path: Path, header, table: np.ndarray) -> None:
+    """The header, then every row of `table` as %.17g cells, CRLF ends."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\r\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt_cell(c) for c in row])
+        f.write(",".join(header) + "\r\n")
+        for i in range(0, table.shape[0], _CSV_BLOCK_ROWS):
+            cols = table[i:i + _CSV_BLOCK_ROWS].T.tolist()
+            f.write("".join(map(row.__mod__, zip(*cols))))
 
 
 def write_artifacts(rec: RunRecord, outdir) -> Path:
@@ -677,13 +695,13 @@ def write_artifacts(rec: RunRecord, outdir) -> Path:
     with open(outdir / "result.json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    for name, header, rows in rec.tables:
-        _write_csv(outdir / name, header, rows)
+    for name, header, table in rec.tables:
+        _write_csv(outdir / name, header, table)
     return outdir
 
 
-def _envelope_rows(t: np.ndarray, samples: np.ndarray):
-    return zip(t, samples.real, samples.imag)
+def _envelope_rows(t: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    return np.column_stack((t, samples.real, samples.imag))
 
 
 # ---------------------------------------------------------------------------
@@ -696,11 +714,7 @@ def run_scenario(scn: Scenario) -> RunRecord:
         summary, diagnostics, tables = _run_cavity(scn)
     else:
         summary, diagnostics, tables = _run_freespace(scn)
-    wall = time.perf_counter() - start
-    return RunRecord(operation="run", scenario_hash=scenario_hash(scn),
-                     version=TOOLKIT_VERSION, wall_time_s=wall,
-                     summary=summary, diagnostics=diagnostics, tables=tables,
-                     config=scn.config)
+    return _record("run", scn, start, summary, diagnostics, tables)
 
 
 def _ledger_summary(led: Ledger) -> dict:
@@ -845,7 +859,7 @@ def _run_freespace(scn: Scenario):
 
 def _field_dump_rows(tr: FreeSpaceTransform, fields, theta, x, med):
     """Lab-frame field E(z, t) over the active evolution, one row per
-    (reduced-time node, position)."""
+    (reduced-time node, position), positions varying fastest."""
     t_act = tr.t[tr.rho > 0.0]
     th_act = tr.theta[tr.rho > 0.0]
     t_of = np.interp(theta, th_act, t_act)
@@ -853,12 +867,10 @@ def _field_dump_rows(tr: FreeSpaceTransform, fields, theta, x, med):
     chi = (np.interp(t_of, tr.t, tr.chi.real)
            + 1j * np.interp(t_of, tr.t, tr.chi.imag))
     scale = np.sqrt(med.length / med.c)
-    z = x * med.length
-    for m in range(theta.size):
-        row_scale = 1j * gv[m] * scale * np.exp(-1j * chi[m])
-        lab = row_scale * fields.e[m]
-        for j in range(x.size):
-            yield (z[j], t_of[m], lab[j].real, lab[j].imag)
+    lab = (1j * gv * scale * np.exp(-1j * chi))[:, None] * fields.e
+    return np.column_stack((np.tile(x * med.length, theta.size),
+                            np.repeat(t_of, x.size),
+                            lab.real.ravel(), lab.imag.ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -894,8 +906,6 @@ def design_couplings(scn: Scenario) -> RunRecord:
 
     sim, overlap, energy_ratio = _design_verification(
         env, g_write, g_read, T, scn.cavity)
-    wall = time.perf_counter() - start
-
     summary = {
         "target_eta_write": eta_w,
         "target_eta_read": eta_r,
@@ -910,19 +920,13 @@ def design_couplings(scn: Scenario) -> RunRecord:
         "overlap_shortfall": 1.0 - overlap,
         "energy_ratio_error": abs(energy_ratio - eta_w * eta_r),
     }
-    wseg = g_write.segments[0]
-    rseg = g_read.segments[0]
-    t_ext = sim.grid.times()
-    tables = [
-        ("g_write.csv", ("time_s", "value"), zip(wseg.times, wseg.values)),
-        ("g_read.csv", ("time_s", "value"), zip(rseg.times, rseg.values)),
-        ("e_out.csv", ("time_s", "re", "im"),
-         _envelope_rows(t_ext, sim.e_out.samples)),
-    ]
-    return RunRecord(operation="design", scenario_hash=scenario_hash(scn),
-                     version=TOOLKIT_VERSION, wall_time_s=wall,
-                     summary=summary, diagnostics=diagnostics, tables=tables,
-                     config=scn.config)
+    tables = [(f"{name}.csv", ("time_s", "value"),
+               np.column_stack((seg.times, seg.values)))
+              for name, seg in (("g_write", g_write.segments[0]),
+                                ("g_read", g_read.segments[0]))]
+    tables.append(("e_out.csv", ("time_s", "re", "im"),
+                   _envelope_rows(sim.grid.times(), sim.e_out.samples)))
+    return _record("design", scn, start, summary, diagnostics, tables)
 
 
 def _design_verification(env: FieldEnvelope, g_write: Schedule,
@@ -985,17 +989,12 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
             raise ConfigError(f"sweep axis {axis!r} value {v!r} is not finite")
 
     if axis == "d":
-        header, rows = _sweep_depth(scn, vals)
+        header, table = _sweep_depth(scn, vals)
     else:
-        header, rows = _sweep_cavity(scn, axis, vals)
-
-    wall = time.perf_counter() - start
-    summary = {"axis": axis, "values": vals, "rows": len(rows)}
-    return RunRecord(operation="sweep", scenario_hash=scenario_hash(scn),
-                     version=TOOLKIT_VERSION, wall_time_s=wall,
-                     summary=summary, diagnostics={},
-                     tables=[("sweep.csv", header, rows)],
-                     config=scn.config)
+        header, table = _sweep_cavity(scn, axis, vals)
+    summary = {"axis": axis, "values": vals, "rows": len(table)}
+    return _record("sweep", scn, start, summary, {},
+                   [("sweep.csv", header, table)])
 
 
 _CAVITY_HEADERS = {"tau_r": ("tau_r", "eta_r"), "tau_w": ("tau_w", "eta_w"),
@@ -1067,7 +1066,7 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
             g_v = coupling_at(v)
             sim = _simulate(scn, _optimal_input(scn, g_v), g_v)
             rows.append((v, float(sim.eta_w)))
-    return _CAVITY_HEADERS[axis], rows
+    return _CAVITY_HEADERS[axis], np.array(rows, dtype=float)
 
 
 def _sweep_depth(scn: Scenario, vals):
@@ -1086,8 +1085,7 @@ def _sweep_depth(scn: Scenario, vals):
         parse_quantity(scn.input_spec["sigma"], "time"),
         scn.storage_time or 0.0, scn.space_points, scn.detuning,
         scn.theta_points)
-    rows = [tuple(r) for r in table[:, [0, 2, 3]].tolist()]
-    return ("d", "eta_forward", "eta_backward"), rows
+    return ("d", "eta_forward", "eta_backward"), table[:, [0, 2, 3]]
 
 
 # ---------------------------------------------------------------------------

@@ -148,10 +148,17 @@ def test_config_rejections():
                           "sigma": "10 ns", "fwtm": "30 ns"}),
         cavity_cfg(input={"kind": "warble"}),
         cavity_cfg(outputs={"fields": True}),            # cavity models
+        cavity_cfg(input=None, initial_excitation=float("inf")),
+        cavity_cfg(input=None, initial_excitation=float("nan")),
+        cavity_cfg(input=None,                           # YAML overflow
+                   initial_excitation=yaml.safe_load("1.0e+400")),
         freespace_cfg(cavity={"kappa": "1 MHz_angular"}),
         freespace_cfg(input={"kind": "optimal"}),
         freespace_cfg(space_points=4),
         freespace_cfg(theta_points=4),
+        freespace_cfg(outputs={"fields": "false"}),      # not a YAML bool
+        freespace_cfg(outputs={"fields": "no"}),
+        freespace_cfg(outputs={"fields": 2}),
         freespace_cfg(storage_time="-1 ns"),
         freespace_cfg(input={"kind": "gaussian", "center": "0 us",
                              "sigma": "0 ns"}),
@@ -429,6 +436,78 @@ def test_freespace_field_dump_is_opt_in(tmp_path, monkeypatch, model):
     assert len(rows) - 1 == n_theta[-1] * 16
 
 
+def _old_field_dump_rows(tr, fields, theta, x, med):
+    """Reference rows of fields.csv, one (node, position) at a time."""
+    t_act = tr.t[tr.rho > 0.0]
+    th_act = tr.theta[tr.rho > 0.0]
+    t_of = np.interp(theta, th_act, t_act)
+    gv = tr.g.eval(t_of)
+    chi = (np.interp(t_of, tr.t, tr.chi.real)
+           + 1j * np.interp(t_of, tr.t, tr.chi.imag))
+    scale = np.sqrt(med.length / med.c)
+    z = x * med.length
+    for m in range(theta.size):
+        row_scale = 1j * gv[m] * scale * np.exp(-1j * chi[m])
+        lab = row_scale * fields.e[m]
+        for j in range(x.size):
+            yield (z[j], t_of[m], lab[j].real, lab[j].imag)
+
+
+def _reference_csv(header, rows) -> bytes:
+    """csv.writer with CRLF line ends and .17g cells."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\r\n")
+    w.writerow(header)
+    for row in rows:
+        w.writerow([format(float(v), ".17g") for v in row])
+    return buf.getvalue().encode()
+
+
+def test_one_writer_formats_every_double(tmp_path):
+    special = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308,
+               float("nan"), float("inf"), float("-inf"), 0.1, 1.0 / 3.0]
+    # more rows than one write block, so a block boundary is crossed
+    n = scenarios._CSV_BLOCK_ROWS + 5
+    rng = np.random.default_rng(3)
+    table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300,
+                                                               (n, 3))
+    table[:len(special), 0] = special
+    table[-len(special):, 2] = special
+    rec = scenarios.RunRecord(
+        operation="run", scenario_hash="0" * 64, version="test",
+        wall_time_s=0.0, summary={}, diagnostics={},
+        tables=[("t.csv", ("a", "b", "c"), table),
+                ("one.csv", ("x",), table[:7, 1:2])], config={})
+    write_artifacts(rec, tmp_path)
+    assert (tmp_path / "t.csv").read_bytes() \
+        == _reference_csv(("a", "b", "c"), table.tolist())
+    assert (tmp_path / "one.csv").read_bytes() \
+        == _reference_csv(("x",), table[:7, 1:2].tolist())
+
+
+@pytest.mark.parametrize("model", ["freespace-numeric",
+                                   "freespace-analytic"])
+def test_field_dump_matches_row_loop(tmp_path, monkeypatch, model):
+    seen = {}
+    for name in ("numeric_evolution", "analytic_evolution"):
+        solver = getattr(scenarios, name)
+
+        def spy(bc, ic, theta, x, *args, _solver=solver, **kw):
+            seen["theta"], seen["x"] = theta, x
+            seen["fields"] = _solver(bc, ic, theta, x, *args, **kw)
+            return seen["fields"]
+        monkeypatch.setattr(scenarios, name, spy)
+    scn = scenario_from_dict(freespace_cfg(
+        model=model, space_points=16, theta_points=40,
+        outputs={"fields": True}))
+    write_artifacts(run_scenario(scn), tmp_path)
+    tr = freespace.FreeSpaceTransform(scn.coupling, scn.detuning,
+                                      scn.medium, scn.grid)
+    ref = _reference_csv(("z_m", "time_s", "re", "im"), _old_field_dump_rows(
+        tr, seen["fields"], seen["theta"], seen["x"], scn.medium))
+    assert (tmp_path / "fields.csv").read_bytes() == ref
+
+
 def test_storage_followed_by_read_replays(tmp_path):
     scn = scenario_from_dict(freespace_cfg(
         storage_time="1 us",
@@ -654,7 +733,7 @@ def test_depth_sweep_through_scenario():
     rec = run_sweep(scn, "d", [0.0, 60.0])
     [(name, header, rows)] = rec.tables
     assert header == ("d", "eta_forward", "eta_backward")
-    assert rows[0] == (0.0, 0.0, 0.0)
+    assert tuple(rows[0]) == (0.0, 0.0, 0.0)
     assert rows[1][2] > rows[1][1] > 0.0     # backward wins at high d
 
 

@@ -34,9 +34,10 @@ def _header(path):
     ("cavity_storage_demo.py", ["--points", "4001", "--csv", "env.csv"],
      {"env.csv": ["time_s", "e_in_re", "e_in_im", "e_out_re", "e_out_im",
                   "sigma_abs"]}),
-    ("design_couplings.py", ["--points", "2001", "--prefix", "designed"],
-     {"designed_g_write.csv": ["time_s", "value"],
-      "designed_g_read.csv": ["time_s", "value"]}),
+    ("design_couplings.py", ["--points", "2001"],
+     {"design_out/g_write.csv": ["time_s", "value"],
+      "design_out/g_read.csv": ["time_s", "value"],
+      "design_out/result.json": None}),
     ("depth_sweep.py", ["--num", "2"],
      {"depth_sweep_out/sweep.csv": ["d", "eta_forward", "eta_backward"],
       "depth_sweep_out/result.json": None}),
