@@ -8,13 +8,13 @@ the unreduced cavity model and dumps the field envelopes to CSV.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
 from dipolemem import (CavityParams, Schedule, TimeGrid, effective_time,
                        optimal_write_input, simulate_adiabatic, simulate_full,
                        total_efficiency)
+from dipolemem.scenarios import _write_csv
 
 KAPPA = 2 * np.pi * 20e6  # cavity linewidth, rad/s
 
@@ -65,18 +65,11 @@ def main():
               f"(adiabatic {sim.eta_tot:.6f})")
 
     if args.csv:
-        t = grid.times()
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_s", "e_in_re", "e_in_im",
-                        "e_out_re", "e_out_im", "sigma_abs"])
-            for k in range(grid.n):
-                w.writerow([f"{t[k]:.9e}",
-                            f"{e_in.samples[k].real:.9e}",
-                            f"{e_in.samples[k].imag:.9e}",
-                            f"{sim.e_out.samples[k].real:.9e}",
-                            f"{sim.e_out.samples[k].imag:.9e}",
-                            f"{abs(sim.sigma[k]):.9e}"])
+        table = np.column_stack((grid.times(), e_in.samples.real,
+                                 e_in.samples.imag, sim.e_out.samples.real,
+                                 sim.e_out.samples.imag, np.abs(sim.sigma)))
+        _write_csv(args.csv, ("time_s", "e_in_re", "e_in_im", "e_out_re",
+                              "e_out_im", "sigma_abs"), table)
         print(f"envelopes -> {args.csv}")
 
 

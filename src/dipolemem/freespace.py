@@ -53,7 +53,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import special
 
 from .errors import (ParameterError, ResolutionError, SingularTransformError)
 from .schedules import (FieldEnvelope, GaussianSegment, Schedule, TimeGrid,
@@ -114,11 +113,13 @@ def entire_bessel_kernel(a, order: int = 0):
         out[small] = _kernel_series(a_arr[small], order)
     pos = a_arr > _SERIES_CUT
     if np.any(pos):
+        from scipy import special
         ap = a_arr[pos]
         x = 2.0 * np.sqrt(ap)
         out[pos] = special.i0(x) if order == 0 else special.i1(x) / np.sqrt(ap)
     neg = a_arr < -_SERIES_CUT
     if np.any(neg):
+        from scipy import special
         an = -a_arr[neg]
         x = 2.0 * np.sqrt(an)
         out[neg] = special.j0(x) if order == 0 else special.j1(x) / np.sqrt(an)
@@ -409,6 +410,8 @@ def _window_theta_map(d: float, gamma: float, sigma: float, center: float,
     effective time is theta(t) = (full/2) (erf((t-center)/sigma) +
     erf(R/sigma)) with full = d*gamma*sigma*sqrt(pi), inverted exactly.
     """
+    from scipy import special
+
     full = d * gamma * sigma * np.sqrt(np.pi)
     edge = special.erf(_WINDOW_RADIUS)
     theta = np.linspace(0.0, full * edge, n_theta)

@@ -550,12 +550,6 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(raw, base_dir=path.parent)
 
 
-def save_scenario(scn: Scenario, path) -> None:
-    """Write the canonical form back out (round-trips to the same hash)."""
-    with open(path, "w") as f:
-        yaml.safe_dump(scn.config, f, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # building runtime objects from the resolved config
 # ---------------------------------------------------------------------------

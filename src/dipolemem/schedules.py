@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ParameterError, SingularTransformError
 
@@ -245,8 +244,14 @@ class PiecewiseLinearSegment:
 @dataclass(eq=False)
 class TabulatedSegment:
     """Sampled control interpolated with a monotone piecewise cubic
-    (PCHIP).  The interpolant never overshoots the tabulated range, so
-    a non-negative table stays non-negative."""
+    (PCHIP).  The knot slopes follow Fritsch & Carlson, SIAM J. Numer.
+    Anal. 17, 238 (1980): zero at a local extremum or flat side, else the
+    weighted harmonic mean of the two adjacent secants; the end slopes are
+    the shape-preserving three-point rule of Moler, *Numerical Computing
+    with MATLAB*, sec. 3.6.  Coefficients and evaluation repeat scipy's
+    `PchipInterpolator` operation for operation, so the values are the
+    same doubles.  The interpolant never overshoots the tabulated range,
+    so a non-negative table stays non-negative."""
 
     times: np.ndarray
     values: np.ndarray
@@ -255,7 +260,7 @@ class TabulatedSegment:
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
         _check_knots(self.times, self.values, "tabulated")
-        self._interp = PchipInterpolator(self.times, self.values, extrapolate=False)
+        self._coef = _pchip_coefficients(self.times, self.values)
 
     @property
     def start(self) -> float:
@@ -267,8 +272,12 @@ class TabulatedSegment:
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
         tol = _edge_tol(self.start, self.end)
-        v = self._interp(np.clip(t, self.start, self.end))
-        v = np.where(np.isnan(v), 0.0, v)
+        tc = np.clip(t, self.start, self.end)
+        i = np.clip(np.searchsorted(self.times, tc, "right") - 1,
+                    0, self.times.size - 2)
+        s = tc - self.times[i]
+        c0, c1, c2, c3 = self._coef[:, i]
+        v = ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
         return np.where((t >= self.start - tol) & (t <= self.end + tol), v, 0.0)
 
     def peak_abs(self) -> float:
@@ -277,6 +286,39 @@ class TabulatedSegment:
 
     def scaled(self, s: float) -> "TabulatedSegment":
         return TabulatedSegment(self.times, self.values * s)
+
+
+def _pchip_coefficients(x, y):
+    """(c0, c1, c2, c3) per interval, highest power first in s = t - x[i],
+    of the cubic Hermite spline through (x, y) with the PCHIP knot slopes
+    d (see `TabulatedSegment`)."""
+    h = x[1:] - x[:-1]
+    m = (y[1:] - y[:-1]) / h
+    if y.size == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        sm = np.sign(m)
+        flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+        w1 = 2 * h[1:] + h[:-1]
+        w2 = h[1:] + 2 * h[:-1]
+        d = np.zeros_like(y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
+def _pchip_end_slope(h0, h1, m0, m1):
+    # one-sided three-point slope, zeroed or capped to keep the shape
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 def _check_finite(seg, kind):

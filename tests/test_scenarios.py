@@ -107,9 +107,10 @@ def test_canonical_config_is_idempotent():
 
 
 def test_save_load_round_trip(tmp_path):
-    from dipolemem.scenarios import save_scenario
+    # the canonical config, written out as YAML, loads to the same hash
     scn = scenario_from_dict(freespace_cfg())
-    save_scenario(scn, tmp_path / "case.yaml")
+    (tmp_path / "case.yaml").write_text(
+        yaml.safe_dump(scn.config, sort_keys=True))
     back = load_scenario(tmp_path / "case.yaml")
     assert scenario_hash(back) == scenario_hash(scn)
 
@@ -790,14 +791,19 @@ def _write_cfg(tmp_path, cfg, name="case.yaml"):
 _SRC_ROOT = str(Path(dipolemem.__file__).resolve().parents[1])
 
 
-def _cli(args, cwd):
-    """Run ``python -m dipolemem`` on the package under test."""
+def _python(args, cwd):
+    """Run a fresh interpreter that imports the package under test."""
     old = os.environ.get("PYTHONPATH")
     path = _SRC_ROOT + (os.pathsep + old if old else "")
-    return subprocess.run([sys.executable, "-m", "dipolemem", *args],
+    return subprocess.run([sys.executable, *args],
                           cwd=cwd, capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path},
                           timeout=300)
+
+
+def _cli(args, cwd):
+    """Run ``python -m dipolemem`` on the package under test."""
+    return _python(["-m", "dipolemem", *args], cwd)
 
 
 def test_cli_run_writes_artifacts(tmp_path):
@@ -857,6 +863,23 @@ def test_cli_version(tmp_path):
     proc = _cli(["--version"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("dipolemem ")
+
+
+def test_cavity_run_loads_no_scipy(tmp_path):
+    # scipy costs most of a CLI process's start-up; a cavity run with a
+    # tabulated (PCHIP) coupling must not load any of it
+    cfg = _write_cfg(tmp_path, cavity_cfg(
+        grid={"start": "0 us", "stop": "2 us", "points": 201},
+        coupling=[{"kind": "tabulated", "time_s": _T,
+                   "value": [0.0, 3e5, 7e5, 4e5, 0.0]}]))
+    code = ("import sys, dipolemem\n"
+            "from dipolemem.scenarios import load_scenario, run_scenario\n"
+            "run_scenario(load_scenario(sys.argv[1]))\n"
+            "print([m for m in sys.modules\n"
+            "       if m == 'scipy' or m.startswith('scipy.')])\n")
+    proc = _python(["-c", code, str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_verify_passes(capsys):

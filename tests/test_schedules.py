@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from dipolemem import (FieldEnvelope, ParameterError, Schedule,
                        SingularTransformError, TimeGrid, effective_fields,
                        effective_time)
-from dipolemem.schedules import (DipolePhysical, GaussianSegment,
+from dipolemem.schedules import (ZERO_LEVEL, DipolePhysical, GaussianSegment,
                                  SquareSegment, coupling_from_dipole,
                                  cumtrapz0)
 
@@ -180,6 +180,46 @@ def test_tabulated_interpolant_stays_nonnegative(rng):
     g = Schedule.tabulated(tt, vv)
     fine = np.linspace(0.0, 1.0, 4001)
     assert g.eval(fine).min() >= 0.0
+
+
+def _pchip_tables(rng):
+    """(name, knot times, knot values) of the tables the numpy PCHIP is
+    held to scipy's on."""
+    n = 60
+    uniform = np.linspace(-1e-6, 2e-6, n)
+    ragged = np.cumsum(rng.uniform(0.01, 3.0, n)) * 1e-8
+    runs = rng.standard_normal(n)
+    runs[10:20] = 0.0
+    runs[30:36] = runs[30]
+    runs[40:] = -np.abs(runs[40:])
+    yield "random", uniform, rng.standard_normal(n)
+    yield "monotone", ragged, np.cumsum(np.abs(rng.standard_normal(n)))
+    yield "flat runs and sign changes", ragged, runs
+    yield "scales", ragged, rng.standard_normal(n) * 10.0 ** rng.integers(
+        -6, 7, n)
+    yield "2 knots", np.array([0.0, 3e-7]), np.array([1.5, -0.5])
+    yield "3 knots", np.array([0.0, 1e-7, 4e-7]), np.array([0.0, 2.0, 1.0])
+    # the end slopes' two shape rules: capped at 3 secants, and zeroed
+    yield "3 knots, end slope capped", np.array([0.0, 1.0, 1.1]), \
+        np.array([0.0, 1.0, 0.0])
+    yield "3 knots, end slope zeroed", np.array([0.0, 1.0, 2.0]), \
+        np.array([0.0, 1.0, 5.0])
+
+
+def test_tabulated_matches_scipy_pchip_exactly(rng):
+    from scipy.interpolate import PchipInterpolator
+
+    for name, tt, vv in _pchip_tables(rng):
+        span = tt[-1] - tt[0]
+        inside = np.concatenate([tt, rng.uniform(tt[0], tt[-1], 2000)])
+        outside = np.concatenate([tt[0] - span * rng.uniform(1e-6, 2.0, 50),
+                                  tt[-1] + span * rng.uniform(1e-6, 2.0, 50)])
+        ref = PchipInterpolator(tt, vv)(inside)
+        # Schedule.eval snaps values below ZERO_LEVEL of the peak to zero
+        ref[np.abs(ref) < ZERO_LEVEL * np.abs(vv).max()] = 0.0
+        g = Schedule.tabulated(tt, vv)
+        assert np.array_equal(g.eval(inside), ref), name
+        assert np.array_equal(g.eval(outside), np.zeros(outside.size)), name
 
 
 def test_piecewise_linear_midpoints():

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dipolemem
@@ -50,3 +51,19 @@ def test_script_runs(tmp_path, name, args, outputs):
         assert path.exists(), rel
         if header is not None:
             assert _header(path) == header
+    if name == "cavity_storage_demo.py":
+        _assert_cells_round_trip(tmp_path / "env.csv", 4001)
+
+
+def _assert_cells_round_trip(path, points):
+    # the demo writes through the package's CSV writer: every cell is the
+    # %.17g text of a double, which parses back to that double, and the
+    # time column is the grid's own samples
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))[1:]
+    assert len(rows) == points
+    for row in rows:
+        assert all(format(float(c), ".17g") == c for c in row), row
+    t = np.array([float(row[0]) for row in rows])
+    assert np.array_equal(
+        t, dipolemem.TimeGrid.from_span(-2e-6, 2e-6, points).times())
