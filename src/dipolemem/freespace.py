@@ -12,6 +12,13 @@ the parameter-free pair
 
     dS/dtau = -curly-E,        dcurly-E/dz = S.
 
+For a medium of length L this is the cavity's change of variables at
+kappa = c/L (Gorshkov, Andre, Lukin & Sorensen, PRA 76, 033805 (2007)):
+theta = tau*L (below) is the effective time integral g^2/kappa dt, and
+the boundary field sqrt(c/L) E e^{i chi} / (i g) is the effective field
+sqrt(kappa) E / g turned by e^{i chi} / i.  `FreeSpaceTransform` is
+`effective_time` and `effective_fields` at that kappa.
+
 Its exact solution is a pair of causal convolutions against the entire
 kernels
 
@@ -54,9 +61,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (ParameterError, ResolutionError, SingularTransformError)
+from .errors import ParameterError, ResolutionError
 from .schedules import (FieldEnvelope, GaussianSegment, Schedule, TimeGrid,
-                        ZERO_LEVEL, cumtrapz0)
+                        cumtrapz0, effective_fields, effective_time)
 
 # Largest kernel-argument change across one grid cell before the
 # trapezoid quadrature of the kernel convolutions degrades.
@@ -107,7 +114,7 @@ def entire_bessel_kernel(a, order: int = 0):
     if order not in (0, 1):
         raise ParameterError(f"kernel order must be 0 or 1, got {order}")
     a_arr = np.asarray(a, dtype=float)
-    out = np.empty_like(a_arr)
+    out = np.full_like(a_arr, np.nan)      # NaN is in no branch below
     small = np.abs(a_arr) <= _SERIES_CUT
     if np.any(small):
         out[small] = _kernel_series(a_arr[small], order)
@@ -293,9 +300,11 @@ class FreeSpaceTransform:
     """Tables mapping lab-frame quantities to the scaled reduced system.
 
     Built on a TimeGrid for a coupling schedule g(t) (rad/s), detuning
-    schedule Delta(t) and a medium.  Holds theta(t) = L * integral
-    g^2/c dt (dimensionless effective time), the complex exponent
-    chi(t) = integral (Delta - i gamma) dt, and converts:
+    schedule Delta(t) and a medium.  The map is the cavity's
+    effective-time change of variables (`effective_time`,
+    `effective_fields`) with kappa = c/L: theta(t) = L * integral
+    g^2/c dt is the effective time (dimensionless), and with the
+    complex exponent chi(t) = integral (Delta - i gamma) dt it converts
 
         boundary field  A(0, theta(t)) = sqrt(c/L) E~(t) e^{i chi} / (i g(t))
         output field    E~(t) = i g(t) sqrt(L/c) A e^{-i chi}
@@ -313,13 +322,11 @@ class FreeSpaceTransform:
 
     def __post_init__(self):
         t = self.grid.times()
-        gv = self.g.eval(t)
-        if np.any(gv < 0.0):
-            raise ParameterError("coupling schedule must be non-negative")
+        self.kappa = self.medium.c / self.medium.length
         self.t = t
-        self.gv = gv
-        self.rho = gv * gv * self.medium.length / self.medium.c
-        self.theta = cumtrapz0(self.rho, self.grid.dt)
+        self.gv = self.g.eval(t)
+        self.rho = self.gv * self.gv / self.kappa
+        self.theta = effective_time(self.g, self.kappa, self.grid)
         dv = self.delta.eval(t) if self.delta is not None else np.zeros_like(t)
         self.chi = cumtrapz0(dv, self.grid.dt) \
             - 1j * self.medium.gamma * (t - t[0])
@@ -332,27 +339,22 @@ class FreeSpaceTransform:
         """A(0, theta(t_k)) on the time grid (zero where g = 0)."""
         if e_in.grid != self.grid:
             raise ParameterError("envelope grid differs from transform grid")
-        absval = np.abs(e_in.samples)
-        fmax = absval.max() if absval.size else 0.0
-        on = self.gv > 0.0
-        bad = (~on) & (absval > ZERO_LEVEL * fmax)
-        if np.any(bad):
-            k = int(np.argmax(bad))
-            raise SingularTransformError(
-                f"field is nonzero at t={self.t[k]:g} where the coupling "
-                "vanishes; the reduced boundary map is singular there")
-        scale = np.sqrt(self.medium.c / self.medium.length)
-        out = np.zeros(self.grid.n, dtype=complex)
-        out[on] = scale * e_in.samples[on] * np.exp(1j * self.chi[on]) \
-            / (1j * self.gv[on])
-        return out
+        values = effective_fields(e_in, self.g, self.kappa).values
+        return -1j * np.exp(1j * self.chi) * values
+
+    def lab_factor(self, t) -> np.ndarray:
+        """i g(t) sqrt(L/c) e^{-i chi(t)} at lab times t: the factor
+        that turns reduced field samples into lab-frame envelopes."""
+        t = np.asarray(t, dtype=float)
+        chi = (np.interp(t, self.t, self.chi.real)
+               + 1j * np.interp(t, self.t, self.chi.imag))
+        scale = np.sqrt(self.medium.length / self.medium.c)
+        return 1j * self.g.eval(t) * scale * np.exp(-1j * chi)
 
     def field_from_reduced(self, values: np.ndarray) -> FieldEnvelope:
         """Lab-frame envelope from reduced field samples on the grid."""
-        scale = np.sqrt(self.medium.length / self.medium.c)
-        samples = 1j * self.gv * scale * np.asarray(values, dtype=complex) \
-            * np.exp(-1j * self.chi)
-        return FieldEnvelope(self.grid, samples)
+        return FieldEnvelope(self.grid, self.lab_factor(self.t)
+                             * np.asarray(values, dtype=complex))
 
     def decay_weight(self) -> np.ndarray:
         """e^{-2 gamma (t - t0)}: photon-flux weight for reduced traces."""
@@ -445,7 +447,7 @@ def _sweep_point(d, medium, coupling, input_center, input_sigma, read_gap,
         # t_w is non-uniform (uniform in theta), so integrate against it.
         # The read windows are source-free and only pick up an overall
         # phase.
-        phi = cumtrapz0(detuning(t_w).real, np.diff(t_w))
+        phi = cumtrapz0(detuning.eval(t_w), np.diff(t_w))
         bc_w = bc_w * np.exp(1j * phi)
     wr = numeric_evolution(bc_w, np.zeros(x.size, dtype=complex),
                            theta_w, x, store_fields=False)

@@ -847,22 +847,16 @@ def _run_freespace(scn: Scenario):
     ]
     if scn.dump_fields and fields is not None:
         tables.append(("fields.csv", ("z_m", "time_s", "re", "im"),
-                       _field_dump_rows(tr, fields, theta, x, med)))
+                       _field_dump_rows(tr, fields, theta, x)))
     return summary, diagnostics, tables
 
 
-def _field_dump_rows(tr: FreeSpaceTransform, fields, theta, x, med):
+def _field_dump_rows(tr: FreeSpaceTransform, fields, theta, x):
     """Lab-frame field E(z, t) over the active evolution, one row per
     (reduced-time node, position), positions varying fastest."""
-    t_act = tr.t[tr.rho > 0.0]
-    th_act = tr.theta[tr.rho > 0.0]
-    t_of = np.interp(theta, th_act, t_act)
-    gv = tr.g.eval(t_of)
-    chi = (np.interp(t_of, tr.t, tr.chi.real)
-           + 1j * np.interp(t_of, tr.t, tr.chi.imag))
-    scale = np.sqrt(med.length / med.c)
-    lab = (1j * gv * scale * np.exp(-1j * chi))[:, None] * fields.e
-    return np.column_stack((np.tile(x * med.length, theta.size),
+    t_of = np.interp(theta, tr.theta[tr.rho > 0.0], tr.t[tr.rho > 0.0])
+    lab = tr.lab_factor(t_of)[:, None] * fields.e
+    return np.column_stack((np.tile(x * tr.medium.length, theta.size),
                             np.repeat(t_of, x.size),
                             lab.real.ravel(), lab.imag.ravel()))
 
@@ -880,6 +874,9 @@ def design_couplings(scn: Scenario) -> RunRecord:
     if scn.design is None:
         raise ConfigError("the design operation needs a design block "
                           "(eta_write, eta_read)")
+    if scn.cavity.gamma > 0.0:
+        raise ConfigError("the design operation needs cavity.gamma = 0: "
+                          "the coupling synthesis has no spin decay")
     if scn.storage_time is None:
         raise ConfigError("the design operation needs storage_time")
     if scn.input_spec["kind"] in ("none", "optimal"):

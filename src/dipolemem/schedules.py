@@ -337,9 +337,6 @@ def _check_knots(times, values, kind):
         raise ParameterError(f"{kind} segment knots must be finite")
 
 
-Segment = SquareSegment | GaussianSegment | PiecewiseLinearSegment | TabulatedSegment
-
-
 # ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------
@@ -387,9 +384,6 @@ class Schedule:
         if peak > 0.0:
             out[np.abs(out) < ZERO_LEVEL * peak] = 0.0
         return out
-
-    def __call__(self, t):
-        return self.eval(t)
 
     # -- structure ----------------------------------------------------------
 

@@ -15,7 +15,7 @@ from dipolemem import (FieldEnvelope, FreeSpaceTransform, GaussianSegment,
                        numeric_evolution, reduced_continuity_residual,
                        storage_retrieval_sweep, thin_medium_cavity_coupling)
 from dipolemem.freespace import _window_theta_map, theta_nodes
-from dipolemem.schedules import cumtrapz0
+from dipolemem.schedules import cumtrapz0, effective_fields, effective_time
 
 GAMMA = 2 * np.pi * 5e4
 
@@ -61,6 +61,15 @@ def test_kernel_derivative_identity(rng):
 def test_kernel_rejects_unknown_order():
     with pytest.raises(ParameterError):
         entire_bessel_kernel(np.array([0.0]), 2)
+
+
+@pytest.mark.parametrize("order", [0, 1])
+def test_kernel_returns_nan_for_nan(order):
+    got = entire_bessel_kernel(np.array([np.nan, 1.0, -40.0, np.nan]), order)
+    assert np.isnan(got[[0, 3]]).all()
+    np.testing.assert_array_equal(
+        got[1:3], entire_bessel_kernel(np.array([1.0, -40.0]), order))
+    assert math.isnan(entire_bessel_kernel(np.nan, order))
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +236,33 @@ def test_transform_theta_is_cumulative_depth():
     assert np.all(np.diff(tr.theta) >= 0.0)
     want = cumtrapz0(tr.gv ** 2 * 0.01 / tr.medium.c, grid.dt)
     np.testing.assert_allclose(tr.theta, want, rtol=1e-12)
+    # theta is the cavity's effective time at kappa = c/L
+    kappa = tr.medium.c / tr.medium.length
+    np.testing.assert_array_equal(tr.theta,
+                                  effective_time(tr.g, kappa, grid))
     w = tr.decay_weight()
     assert w[0] == 1.0 and abs(w[-1] - np.exp(-2 * GAMMA * 2e-6)) < 1e-12
 
 
 def test_transform_rejects_uncovered_field():
     tr, grid = _transform_setup()
+    kappa = tr.medium.c / tr.medium.length
+    # the boundary map is the effective field at kappa = c/L, turned by
+    # e^{i chi} / i
+    t = grid.times()
+    covered = FieldEnvelope(grid, np.where(
+        np.abs(t) < 0.85e-6, np.exp(-(t / 0.25e-6) ** 2), 0.0)).normalized()
+    np.testing.assert_array_equal(
+        tr.boundary_to_reduced(covered),
+        -1j * np.exp(1j * tr.chi)
+        * effective_fields(covered, tr.g, kappa).values)
     env = FieldEnvelope.gaussian(grid, center=0.95e-6,
                                  width=0.05e-6).normalized()
-    with pytest.raises(SingularTransformError):
+    with pytest.raises(SingularTransformError) as got:
         tr.boundary_to_reduced(env)
+    with pytest.raises(SingularTransformError) as want:
+        effective_fields(env, tr.g, kappa)
+    assert str(got.value) == str(want.value)
 
 
 def test_thin_medium_mapping():

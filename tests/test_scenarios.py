@@ -509,6 +509,24 @@ def test_field_dump_matches_row_loop(tmp_path, monkeypatch, model):
     assert (tmp_path / "fields.csv").read_bytes() == ref
 
 
+def test_field_dump_far_end_is_the_output(tmp_path):
+    """fields.csv at z = L and e_out.csv come from one lab-frame map, so
+    at every grid-sample time they hold the same doubles."""
+    cfg = yaml.safe_load(
+        (REPO / "presets" / "freespace_gaussian_sweep.yaml").read_text())
+    cfg.update(space_points=41, outputs={"fields": True})
+    scn = scenario_from_dict(cfg)
+    write_artifacts(run_scenario(scn), tmp_path)
+    fields = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1)
+    e_out = np.loadtxt(tmp_path / "e_out.csv", delimiter=",", skiprows=1)
+    far = fields[fields[:, 0] == scn.medium.length]
+    row_of = {t: k for k, t in enumerate(e_out[:, 0])}
+    on_grid = np.array([t in row_of for t in far[:, 1]])
+    assert on_grid.sum() > 1000
+    want = e_out[[row_of[t] for t in far[on_grid, 1]], 1:]
+    np.testing.assert_array_equal(far[on_grid, 2:], want)
+
+
 def test_storage_followed_by_read_replays(tmp_path):
     scn = scenario_from_dict(freespace_cfg(
         storage_time="1 us",
@@ -832,6 +850,25 @@ def test_cli_reports_numeric_refusals(tmp_path):
     proc = _cli(["run", str(cfg)], cwd=tmp_path)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stderr)["error"] == "StabilityError"
+
+
+def test_cli_design_refuses_spin_decay(tmp_path):
+    # the synthesis has no decay: at gamma = 2e5 rad/s its replay would
+    # reach an energy ratio of about 0.24 against the 0.81 target
+    cfg = _write_cfg(tmp_path, cavity_cfg(
+        grid={"start": "-1 us", "stop": "0 us", "points": 4001},
+        coupling=[],
+        input={"kind": "gaussian", "center": "-0.5 us", "sigma": "100 ns"},
+        storage_time="3 us",
+        design={"eta_write": 0.9, "eta_read": 0.9},
+        cavity={"kappa": "1 MHz_angular", "gamma": "200 kHz_angular"}))
+    proc = _cli(["design", str(cfg), "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert "cavity.gamma" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_and_value_parsing(tmp_path):
