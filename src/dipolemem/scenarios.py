@@ -57,8 +57,9 @@ from .freespace import (FreeSpaceTransform, MediumParams, analytic_evolution,
                         entire_bessel_kernel, numeric_evolution,
                         reduced_continuity_residual, storage_retrieval_sweep,
                         theta_nodes, thin_medium_cavity_coupling)
-from .schedules import (FieldEnvelope, GaussianSegment, Ledger, Schedule,
-                        SquareSegment, TimeGrid, effective_time, ledger)
+from .schedules import (FieldEnvelope, GaussianSegment, Ledger,
+                        PiecewiseLinearSegment, Schedule, SquareSegment,
+                        TimeGrid, effective_time, ledger)
 from .units import format_quantity, parse_quantity
 
 try:
@@ -103,6 +104,27 @@ def _check_keys(node: dict, allowed, required, where: str) -> None:
 
 def _number(node, where: str) -> float:
     return parse_quantity(node, "dimensionless", where=where)
+
+
+def _read(node, where: str, dims: dict, required=None, extra=()) -> dict:
+    """The quantities of a config block in SI, keyed like the block.
+
+    `node` must be a mapping whose keys are those of `dims` (key ->
+    dimension) or `extra`; the keys in `required` (by default every key
+    of `dims`) must be present.  Each present `dims` key is parsed once,
+    in the order of `dims`; `extra` keys are left to the caller.
+    """
+    node = _require_mapping(node, where)
+    _check_keys(node, (*dims, *extra), dims if required is None else required,
+                where)
+    return {k: parse_quantity(node[k], dim, where=f"{where}.{k}")
+            for k, dim in dims.items() if k in node}
+
+
+def _count(n, where: str, least: int, note: str = "") -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ConfigError(f"{where} must be an integer >= {least}{note}")
+    return n
 
 
 def _float_list(node, where: str) -> list[float]:
@@ -181,17 +203,14 @@ def _segment_from_config(node, base_dir: Path, where: str):
     node = _require_mapping(node, where)
     kind = node.get("kind")
     if kind == "square":
-        _check_keys(node, ("kind", "start", "end", "amplitude"),
-                    ("start", "end", "amplitude"), where)
-        return SquareSegment(
-            parse_quantity(node["start"], "time", where=f"{where}.start"),
-            parse_quantity(node["end"], "time", where=f"{where}.end"),
-            parse_quantity(node["amplitude"], "rate", where=f"{where}.amplitude"))
+        return SquareSegment(**_read(
+            node, where, {"start": "time", "end": "time", "amplitude": "rate"},
+            extra=("kind",)))
     if kind == "gaussian":
-        _check_keys(node, ("kind", "amplitude", "center", "sigma", "support"),
-                    ("amplitude", "center", "sigma"), where)
-        center = parse_quantity(node["center"], "time", where=f"{where}.center")
-        sigma = parse_quantity(node["sigma"], "time", where=f"{where}.sigma")
+        q = _read(node, where,
+                  {"center": "time", "sigma": "time", "amplitude": "rate"},
+                  extra=("kind", "support"))
+        center, sigma = q["center"], q["sigma"]
         if sigma <= 0.0:
             raise ConfigError(f"sigma must be positive at {where}")
         if "support" in node:
@@ -202,10 +221,7 @@ def _segment_from_config(node, base_dir: Path, where: str):
             hi = parse_quantity(sup[1], "time", where=f"{where}.support[1]")
         else:
             lo, hi = center - 8.0 * sigma, center + 8.0 * sigma
-        return GaussianSegment(
-            lo, hi,
-            parse_quantity(node["amplitude"], "rate", where=f"{where}.amplitude"),
-            center, sigma)
+        return GaussianSegment(lo, hi, q["amplitude"], center, sigma)
     if kind in ("piecewise_linear", "tabulated"):
         _check_keys(node, ("kind", "time_s", "value", "csv"), (), where)
         t, v = _table(node, base_dir, where, ("time_s", "value"))
@@ -233,7 +249,7 @@ def _segment_to_config(seg) -> dict:
                 "sigma": format_quantity(seg.width, "time"),
                 "support": [format_quantity(seg.start, "time"),
                             format_quantity(seg.end, "time")]}
-    kind = "piecewise_linear" if type(seg).__name__.startswith("Piecewise") \
+    kind = "piecewise_linear" if isinstance(seg, PiecewiseLinearSegment) \
         else "tabulated"
     return {"kind": kind,
             "time_s": [float(x) for x in seg.times],
@@ -262,6 +278,7 @@ def _schedule_to_config(sched: Schedule) -> list:
 # ---------------------------------------------------------------------------
 
 def _input_from_config(node, base_dir: Path, model: str) -> dict:
+    """The input block with its times in seconds."""
     where = "input"
     if node is None:
         return {"kind": "none"}
@@ -271,35 +288,24 @@ def _input_from_config(node, base_dir: Path, model: str) -> dict:
         _check_keys(node, ("kind",), (), where)
         return {"kind": "none"}
     if kind == "gaussian":
-        _check_keys(node, ("kind", "center", "sigma", "fwtm", "photons"),
-                    ("center",), where)
-        if ("sigma" in node) == ("fwtm" in node):
+        q = _read(node, where, {"sigma": "time", "fwtm": "time",
+                                "center": "time"},
+                  required=("center",), extra=("kind", "photons"))
+        if ("sigma" in q) == ("fwtm" in q):
             raise ConfigError(f"{where}: give exactly one of sigma or fwtm")
-        if "sigma" in node:
-            sigma = parse_quantity(node["sigma"], "time", where=f"{where}.sigma")
-        else:
-            # full width at a tenth of the peak *amplitude*
-            fwtm = parse_quantity(node["fwtm"], "time", where=f"{where}.fwtm")
-            sigma = fwtm / (2.0 * np.sqrt(2.0 * np.log(10.0)))
+        # fwtm: full width at a tenth of the peak *amplitude*
+        sigma = q["sigma"] if "sigma" in q \
+            else q["fwtm"] / (2.0 * np.sqrt(2.0 * np.log(10.0)))
         if sigma <= 0.0:
             raise ConfigError(f"{where}: width must be positive")
-        return {"kind": "gaussian",
-                "center": format_quantity(
-                    parse_quantity(node["center"], "time",
-                                   where=f"{where}.center"), "time"),
-                "sigma": format_quantity(sigma, "time"),
+        return {"kind": "gaussian", "center": q["center"], "sigma": sigma,
                 "photons": _photons(node, where)}
     if kind == "square":
-        _check_keys(node, ("kind", "start", "end", "photons"),
-                    ("start", "end"), where)
-        start = parse_quantity(node["start"], "time", where=f"{where}.start")
-        end = parse_quantity(node["end"], "time", where=f"{where}.end")
-        if not end > start:
+        q = _read(node, where, {"start": "time", "end": "time"},
+                  extra=("kind", "photons"))
+        if not q["end"] > q["start"]:
             raise ConfigError(f"{where}: need end > start")
-        return {"kind": "square",
-                "start": format_quantity(start, "time"),
-                "end": format_quantity(end, "time"),
-                "photons": _photons(node, where)}
+        return {"kind": "square", **q, "photons": _photons(node, where)}
     if kind == "optimal":
         if model not in CAVITY_MODELS:
             raise ConfigError(
@@ -312,17 +318,22 @@ def _input_from_config(node, base_dir: Path, model: str) -> dict:
                     (), where)
         t, re, im = _table(node, base_dir, where, ("time_s", "re", "im"),
                            optional=("im",))
-        out = {"kind": "tabulated",
-               "time_s": [float(x) for x in t],
-               "re": [float(x) for x in re],
-               "im": [float(x) for x in im],
-               "photons": None}
-        if "photons" in node and node["photons"] is not None:
-            out["photons"] = _photons(node, where)
-        return out
+        return {"kind": "tabulated",
+                "time_s": [float(x) for x in t],
+                "re": [float(x) for x in re],
+                "im": [float(x) for x in im],
+                "photons": None if node.get("photons") is None
+                else _photons(node, where)}
     raise ConfigError(
         f"unknown input kind {kind!r}; expected none, gaussian, square, "
         "optimal or tabulated")
+
+
+def _input_to_config(spec: dict) -> dict:
+    """The canonical input block: the spec with its times as strings."""
+    return {k: format_quantity(v, "time")
+            if k in ("center", "sigma", "start", "end") else v
+            for k, v in spec.items()}
 
 
 def _photons(node: dict, where: str) -> float:
@@ -339,25 +350,23 @@ def _initial_from_config(node, base_dir: Path, model: str) -> Optional[dict]:
     if model in CAVITY_MODELS:
         if isinstance(node, (int, float)) and not isinstance(node, bool):
             return {"sigma_re": _number(node, where), "sigma_im": 0.0}
-        node = _require_mapping(node, where)
-        _check_keys(node, ("sigma_re", "sigma_im"), ("sigma_re",), where)
-        return {"sigma_re": _number(node["sigma_re"], f"{where}.sigma_re"),
-                "sigma_im": _number(node.get("sigma_im", 0.0),
-                                    f"{where}.sigma_im")}
+        q = _read(node, where, {"sigma_re": "dimensionless",
+                                "sigma_im": "dimensionless"},
+                  required=("sigma_re",))
+        return {"sigma_re": q["sigma_re"], "sigma_im": q.get("sigma_im", 0.0)}
     node = _require_mapping(node, where)
     kind = node.get("kind")
     if kind == "gaussian":
-        _check_keys(node, ("kind", "center_frac", "sigma_frac", "excitation"),
-                    ("center_frac", "sigma_frac"), where)
-        c = _number(node["center_frac"], f"{where}.center_frac")
-        s = _number(node["sigma_frac"], f"{where}.sigma_frac")
-        n = _number(node.get("excitation", 1.0), f"{where}.excitation")
-        if not 0.0 <= c <= 1.0:
+        q = _read(node, where, {"center_frac": "dimensionless",
+                                "sigma_frac": "dimensionless",
+                                "excitation": "dimensionless"},
+                  required=("center_frac", "sigma_frac"), extra=("kind",))
+        q.setdefault("excitation", 1.0)
+        if not 0.0 <= q["center_frac"] <= 1.0:
             raise ConfigError(f"{where}.center_frac must lie in [0, 1]")
-        if s <= 0.0 or n <= 0.0:
+        if q["sigma_frac"] <= 0.0 or q["excitation"] <= 0.0:
             raise ConfigError(f"{where}: sigma_frac and excitation must be > 0")
-        return {"kind": "gaussian", "center_frac": c, "sigma_frac": s,
-                "excitation": n}
+        return {"kind": "gaussian", **q}
     if kind == "tabulated":
         _check_keys(node, ("kind", "csv", "x", "re", "im"), (), where)
         x, re, im = _table(node, base_dir, where, ("x", "re", "im"),
@@ -382,10 +391,13 @@ def _initial_from_config(node, base_dir: Path, model: str) -> Optional[dict]:
 class Scenario:
     """A fully resolved experiment description.
 
+    The fields hold decoded values: quantities in SI floats, and
+    `input_spec` gives its times (center, sigma, start, end) in seconds.
     `config` is the canonical dictionary: every quantity in SI with an
     explicit unit string, every external table inlined, every default
-    materialized.  Re-parsing it reproduces the same canonical form, so
-    the SHA-256 of its sorted JSON encoding identifies the scenario.
+    materialized.  Only `config` holds unit strings.  Re-parsing it
+    reproduces the same canonical form, so the SHA-256 of its sorted
+    JSON encoding identifies the scenario.
     """
 
     model: str
@@ -413,6 +425,11 @@ _TOP_KEYS = ("model", "grid", "coupling", "detuning", "cavity", "medium",
              "input", "initial_excitation", "storage_time", "space_points",
              "theta_points", "outputs", "design")
 
+# the physics block of each model family: its parameter class and the
+# dimension of each field, the first one required
+_BLOCKS = {"cavity": (CavityParams, {"kappa": "rate", "gamma": "rate"}),
+           "medium": (MediumParams, {"length": "length", "gamma": "rate"})}
+
 
 def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
     base_dir = Path(base_dir)
@@ -423,50 +440,29 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
     if model not in MODELS:
         raise ConfigError(f"unknown model {model!r}; expected one of {MODELS}")
 
-    gnode = _require_mapping(raw["grid"], "grid")
-    _check_keys(gnode, ("start", "stop", "points"),
-                ("start", "stop", "points"), "grid")
-    t0 = parse_quantity(gnode["start"], "time", where="grid.start")
-    t1 = parse_quantity(gnode["stop"], "time", where="grid.stop")
-    npts = gnode["points"]
-    if not isinstance(npts, int) or isinstance(npts, bool) or npts < 2:
-        raise ConfigError("grid.points must be an integer >= 2")
-    if not t1 > t0:
+    span = _read(raw["grid"], "grid", {"start": "time", "stop": "time"},
+                 required=("start", "stop", "points"), extra=("points",))
+    npts = _count(raw["grid"]["points"], "grid.points", 2)
+    if not span["stop"] > span["start"]:
         raise ConfigError("grid.stop must exceed grid.start")
-    grid = TimeGrid.from_span(t0, t1, npts)
+    grid = TimeGrid.from_span(span["start"], span["stop"], npts)
 
     coupling = _schedule_from_config(raw["coupling"], base_dir, "coupling")
     if not coupling.is_nonnegative(grid):
         raise ConfigError("the coupling schedule must be non-negative")
     detuning = _schedule_from_config(raw.get("detuning"), base_dir, "detuning")
 
-    cavity = medium = None
-    if model in CAVITY_MODELS:
-        if "medium" in raw and raw["medium"] is not None:
-            raise ConfigError(f"model {model} takes a cavity block, not medium")
-        cnode = _require_mapping(raw.get("cavity"), "cavity")
-        _check_keys(cnode, ("kappa", "gamma"), ("kappa",), "cavity")
-        try:
-            cavity = CavityParams(
-                kappa=parse_quantity(cnode["kappa"], "rate",
-                                     where="cavity.kappa"),
-                gamma=parse_quantity(cnode.get("gamma", "0 Hz_angular"),
-                                     "rate", where="cavity.gamma"))
-        except ParameterError as exc:
-            raise ConfigError(f"bad cavity block: {exc}") from exc
-    else:
-        if "cavity" in raw and raw["cavity"] is not None:
-            raise ConfigError(f"model {model} takes a medium block, not cavity")
-        mnode = _require_mapping(raw.get("medium"), "medium")
-        _check_keys(mnode, ("length", "gamma"), ("length",), "medium")
-        try:
-            medium = MediumParams(
-                length=parse_quantity(mnode["length"], "length",
-                                      where="medium.length"),
-                gamma=parse_quantity(mnode.get("gamma", "0 Hz_angular"),
-                                     "rate", where="medium.gamma"))
-        except ParameterError as exc:
-            raise ConfigError(f"bad medium block: {exc}") from exc
+    block, other = ("cavity", "medium") if model in CAVITY_MODELS \
+        else ("medium", "cavity")
+    if raw.get(other) is not None:
+        raise ConfigError(f"model {model} takes a {block} block, not {other}")
+    cls, dims = _BLOCKS[block]
+    q = _read(raw.get(block), block, dims, required=tuple(dims)[:1])
+    params = {"cavity": None, "medium": None}
+    try:
+        params[block] = cls(**q)
+    except ParameterError as exc:
+        raise ConfigError(f"bad {block} block: {exc}") from exc
 
     input_spec = _input_from_config(raw.get("input"), base_dir, model)
     initial = _initial_from_config(raw.get("initial_excitation"), base_dir,
@@ -479,15 +475,10 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
         if storage_time <= 0.0:
             raise ConfigError("storage_time must be positive when given")
 
-    space_points = raw.get("space_points", 201)
-    if not isinstance(space_points, int) or isinstance(space_points, bool) \
-            or space_points < 16:
-        raise ConfigError("space_points must be an integer >= 16")
+    space_points = _count(raw.get("space_points", 201), "space_points", 16)
     theta_points = raw.get("theta_points")
     if theta_points is not None:
-        if not isinstance(theta_points, int) or isinstance(theta_points, bool) \
-                or theta_points < 16:
-            raise ConfigError("theta_points must be an integer >= 16 (or null)")
+        _count(theta_points, "theta_points", 16, " (or null)")
 
     onode = raw.get("outputs") or {}
     onode = _require_mapping(onode, "outputs")
@@ -502,11 +493,8 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
 
     design = None
     if raw.get("design") is not None:
-        dnode = _require_mapping(raw["design"], "design")
-        _check_keys(dnode, ("eta_write", "eta_read"),
-                    ("eta_write", "eta_read"), "design")
-        design = {"eta_write": _number(dnode["eta_write"], "design.eta_write"),
-                  "eta_read": _number(dnode["eta_read"], "design.eta_read")}
+        design = _read(raw["design"], "design", {"eta_write": "dimensionless",
+                                                 "eta_read": "dimensionless"})
 
     config = {
         "model": model,
@@ -515,13 +503,11 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
                  "points": grid.n},
         "coupling": _schedule_to_config(coupling),
         "detuning": _schedule_to_config(detuning),
-        "cavity": None if cavity is None else {
-            "kappa": format_quantity(cavity.kappa, "rate"),
-            "gamma": format_quantity(cavity.gamma, "rate")},
-        "medium": None if medium is None else {
-            "length": format_quantity(medium.length, "length"),
-            "gamma": format_quantity(medium.gamma, "rate")},
-        "input": input_spec,
+        **{name: None if p is None else
+           {k: format_quantity(getattr(p, k), dim)
+            for k, dim in _BLOCKS[name][1].items()}
+           for name, p in params.items()},
+        "input": _input_to_config(input_spec),
         "initial_excitation": initial,
         "storage_time": None if storage_time is None
         else format_quantity(storage_time, "time"),
@@ -531,11 +517,11 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
         "design": design,
     }
     return Scenario(model=model, grid=grid, coupling=coupling,
-                    detuning=detuning, cavity=cavity, medium=medium,
-                    input_spec=input_spec, initial_excitation=initial,
-                    storage_time=storage_time, space_points=space_points,
-                    theta_points=theta_points, dump_fields=dump_fields,
-                    design=design, config=config)
+                    detuning=detuning, cavity=params["cavity"],
+                    medium=params["medium"], input_spec=input_spec,
+                    initial_excitation=initial, storage_time=storage_time,
+                    space_points=space_points, theta_points=theta_points,
+                    dump_fields=dump_fields, design=design, config=config)
 
 
 def load_scenario(path) -> Scenario:
@@ -563,45 +549,40 @@ def _optimal_input(scn: Scenario, coupling: Schedule) -> FieldEnvelope:
 
 def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
     """The lab-frame input envelope on the scenario grid (None if the
-    scenario has no input field)."""
+    scenario has no input field), scaled to the spec's photon number
+    when it gives one."""
     spec = scn.input_spec
     kind = spec["kind"]
     grid = scn.grid
     if kind == "none":
         return None
     if kind == "gaussian":
-        env = FieldEnvelope.gaussian(
-            grid, parse_quantity(spec["center"], "time"),
-            parse_quantity(spec["sigma"], "time"))
-        return _normalized_to(env, spec["photons"])
-    if kind == "square":
+        env = FieldEnvelope.gaussian(grid, spec["center"], spec["sigma"])
+    elif kind == "square":
         t = grid.times()
-        lo = parse_quantity(spec["start"], "time")
-        hi = parse_quantity(spec["end"], "time")
-        samples = ((t >= lo) & (t <= hi)).astype(complex)
+        samples = ((t >= spec["start"]) & (t <= spec["end"])).astype(complex)
         if not samples.any():
             raise ConfigError("square input window misses the grid")
-        return _normalized_to(FieldEnvelope(grid, samples), spec["photons"])
-    if kind == "optimal":
-        return _normalized_to(_optimal_input(scn, scn.coupling),
-                              spec["photons"])
-    if kind == "tabulated":
-        t = grid.times()
-        tt = np.asarray(spec["time_s"], dtype=float)
-        re = np.interp(t, tt, np.asarray(spec["re"]), left=0.0, right=0.0)
-        im = np.interp(t, tt, np.asarray(spec["im"]), left=0.0, right=0.0)
-        env = FieldEnvelope(grid, re + 1j * im)
-        if spec.get("photons") is not None:
-            env = _normalized_to(env, spec["photons"])
-        return env
-    raise ConfigError(f"unhandled input kind {kind!r}")
-
-
-def _normalized_to(env: FieldEnvelope, photons: float) -> FieldEnvelope:
+        env = FieldEnvelope(grid, samples)
+    elif kind == "optimal":
+        env = _optimal_input(scn, scn.coupling)
+    else:
+        env = FieldEnvelope(grid, _sampled(spec, "time_s", grid.times()))
+        if spec["photons"] is None:
+            return env
     n2 = env.norm2()
     if n2 <= 0.0:
         raise ConfigError("input envelope vanishes on the grid")
-    return FieldEnvelope(env.grid, env.samples * np.sqrt(photons / n2))
+    return FieldEnvelope(grid, env.samples * np.sqrt(spec["photons"] / n2))
+
+
+def _sampled(spec: dict, key: str, x: np.ndarray) -> np.ndarray:
+    """The table (spec[key], re + i im) at x: linear between its rows,
+    zero outside them."""
+    xs = np.asarray(spec[key], dtype=float)
+    re = np.interp(x, xs, np.asarray(spec["re"]), left=0.0, right=0.0)
+    im = np.interp(x, xs, np.asarray(spec["im"]), left=0.0, right=0.0)
+    return re + 1j * im
 
 
 def _cavity_sigma0(scn: Scenario) -> complex:
@@ -622,10 +603,7 @@ def _initial_spinwave(scn: Scenario, x: np.ndarray) -> np.ndarray:
                       / (2.0 * spec["sigma_frac"] ** 2)).astype(complex)
         n2 = float(np.trapezoid(np.abs(prof) ** 2, x=x))
         return prof * np.sqrt(spec["excitation"] / n2)
-    xs = np.asarray(spec["x"], dtype=float)
-    re = np.interp(x, xs, np.asarray(spec["re"]), left=0.0, right=0.0)
-    im = np.interp(x, xs, np.asarray(spec["im"]), left=0.0, right=0.0)
-    return re + 1j * im
+    return _sampled(spec, "x", x)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +714,8 @@ def _simulate(scn: Scenario, e_in, coupling, sigma0=0.0) -> SimResult:
 
 def _run_cavity(scn: Scenario):
     sim = _simulate(scn, build_input(scn), scn.coupling, _cavity_sigma0(scn))
-    diagnostics = {"normalization_drift": sim.normalization_drift}
-    if scn.cavity.gamma == 0.0 and scn.detuning.max_abs() == 0.0:
-        diagnostics["continuity_residual"] = continuity_residual(sim)
+    diagnostics = {"normalization_drift": sim.normalization_drift,
+                   "continuity_residual": continuity_residual(sim)}
     summary = {"model": scn.model, "tau_total": float(sim.tau[-1]),
                **_ledger_summary(sim)}
     t = scn.grid.times()
@@ -847,16 +824,19 @@ def _run_freespace(scn: Scenario):
     ]
     if scn.dump_fields and fields is not None:
         tables.append(("fields.csv", ("z_m", "time_s", "re", "im"),
-                       _field_dump_rows(tr, fields, theta, x)))
+                       _field_dump_rows(tr, fields, theta, x, act)))
     return summary, diagnostics, tables
 
 
-def _field_dump_rows(tr: FreeSpaceTransform, fields, theta, x):
+def _field_dump_rows(tr: FreeSpaceTransform, fields, theta, x, act):
     """Lab-frame field E(z, t) over the active evolution, one row per
-    (reduced-time node, position), positions varying fastest."""
-    t_of = np.interp(theta, tr.theta[tr.rho > 0.0], tr.t[tr.rho > 0.0])
-    lab = tr.lab_factor(t_of)[:, None] * fields.e
-    return np.column_stack((np.tile(x * tr.medium.length, theta.size),
+    (reduced-time node, position), positions varying fastest.  Nodes
+    below the theta of the first active sample have no lab time of
+    their own and are left out."""
+    keep = theta >= tr.theta[act][0]
+    t_of = np.interp(theta[keep], tr.theta[tr.rho > 0.0], tr.t[tr.rho > 0.0])
+    lab = tr.lab_factor(t_of)[:, None] * fields.e[keep]
+    return np.column_stack((np.tile(x * tr.medium.length, t_of.size),
                             np.repeat(t_of, x.size),
                             lab.real.ravel(), lab.imag.ravel()))
 
@@ -889,8 +869,7 @@ def design_couplings(scn: Scenario) -> RunRecord:
             f"storage_time ({T:g} s) must be at least the grid span "
             f"({span:g} s): the write coupling is tabulated on the whole "
             "grid and must not overlap the read coupling")
-    env = build_input(scn)
-    env = FieldEnvelope(env.grid, env.samples / np.sqrt(env.norm2()))
+    env = build_input(scn).normalized()
     eta_w = scn.design["eta_write"]
     eta_r = scn.design["eta_read"]
     g_write, g_read = synthesize_couplings(env, T, eta_w, eta_r, scn.cavity)
@@ -1071,11 +1050,9 @@ def _sweep_depth(scn: Scenario, vals):
     if scn.input_spec["kind"] != "gaussian":
         raise ConfigError("a depth sweep needs a gaussian input envelope")
     table = storage_retrieval_sweep(
-        vals, scn.medium, segs[0],
-        parse_quantity(scn.input_spec["center"], "time"),
-        parse_quantity(scn.input_spec["sigma"], "time"),
-        scn.storage_time or 0.0, scn.space_points, scn.detuning,
-        scn.theta_points)
+        vals, scn.medium, segs[0], scn.input_spec["center"],
+        scn.input_spec["sigma"], scn.storage_time or 0.0, scn.space_points,
+        scn.detuning, scn.theta_points)
     return ("d", "eta_forward", "eta_backward"), table[:, [0, 2, 3]]
 
 

@@ -522,12 +522,16 @@ def effective_time(g: Schedule, kappa: float, grid: TimeGrid) -> np.ndarray:
     Trapezoidal quadrature on the grid; tau is non-decreasing and
     dimensionless.  kappa must be positive and g non-negative.
     """
+    return _effective_time(g.eval(grid.times()), kappa, grid.dt)
+
+
+def _effective_time(gv: np.ndarray, kappa: float, dt: float) -> np.ndarray:
+    """tau from the coupling samples gv on a grid of step dt."""
     if not (kappa > 0.0 and np.isfinite(kappa)):
         raise ParameterError(f"kappa must be positive, got {kappa}")
-    gv = g.eval(grid.times())
     if np.any(gv < 0.0):
         raise ParameterError("coupling schedule must be non-negative")
-    return cumtrapz0(gv * gv / kappa, grid.dt)
+    return cumtrapz0(gv * gv / kappa, dt)
 
 
 def effective_fields(field: FieldEnvelope, g: Schedule,
@@ -542,7 +546,7 @@ def effective_fields(field: FieldEnvelope, g: Schedule,
     """
     t = field.grid.times()
     gv = g.eval(t)
-    tau = effective_time(g, kappa, field.grid)
+    tau = _effective_time(gv, kappa, field.grid.dt)
     absval = np.abs(field.samples)
     fmax = absval.max() if absval.size else 0.0
     on = gv > 0.0

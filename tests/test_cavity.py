@@ -79,6 +79,9 @@ def test_square_pulse_efficiency_asymptote():
 # continuity / conservation
 # ---------------------------------------------------------------------------
 
+_RAMP = Schedule.piecewise_linear([-2e-6, 0.0, 2e-6], [3e5, -2e5, 1e5])
+
+
 def test_continuity_residual_adiabatic_write_read():
     g = Schedule([s for s in
                   (Schedule.gaussian(7e5, center=-1e-6, width=0.2e-6,
@@ -86,10 +89,14 @@ def test_continuity_residual_adiabatic_write_read():
                    + Schedule.gaussian(9e5, center=1e-6, width=0.25e-6,
                                        support=(0.2e-6, 1.8e-6)).segments)])
     grid = TimeGrid.from_span(-2e-6, 2e-6, 40001)
-    e_in = optimal_write_input(
-        Schedule(g.segments[:1]), CavityParams(KAPPA), grid)
-    res = simulate_adiabatic(e_in, g, ZERO, CavityParams(KAPPA), grid)
-    assert continuity_residual(res) < 1e-6
+    # without and with spin decay (the -2 gamma |sigma|^2 term) and a
+    # detuning ramp, which turns sigma's phase only
+    for p, delta in ((CavityParams(KAPPA), ZERO),
+                     (CavityParams(KAPPA, gamma=5e4), _RAMP)):
+        e_in = optimal_write_input(Schedule(g.segments[:1]), p, grid,
+                                   delta=delta)
+        res = simulate_adiabatic(e_in, g, delta, p, grid)
+        assert continuity_residual(res) < 1e-6
 
 
 def test_continuity_residual_full_model():
@@ -97,8 +104,10 @@ def test_continuity_residual_full_model():
                           support=(-1.5e-6, 1.5e-6))
     grid = TimeGrid.from_span(-2e-6, 2e-6, 40001)
     e_in = FieldEnvelope.gaussian(grid, center=-0.2e-6, width=0.25e-6)
-    res = simulate_full(e_in.normalized(), g, ZERO, CavityParams(5e6), grid)
-    assert continuity_residual(res) < 1e-6
+    for p, delta in ((CavityParams(5e6), ZERO),
+                     (CavityParams(5e6, gamma=5e4), _RAMP)):
+        res = simulate_full(e_in.normalized(), g, delta, p, grid)
+        assert continuity_residual(res) < 1e-6
 
 
 def test_energy_bound_with_decay():

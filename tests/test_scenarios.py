@@ -163,6 +163,10 @@ def test_config_rejections():
         freespace_cfg(storage_time="-1 ns"),
         freespace_cfg(input={"kind": "gaussian", "center": "0 us",
                              "sigma": "0 ns"}),
+        freespace_cfg(coupling=[{"kind": "gaussian",        # reversed support
+                                 "amplitude": "750 MHz_angular",
+                                 "center": "0 us", "sigma": "100 ns",
+                                 "support": ["0.4 us", "-0.4 us"]}]),
     ]
     for raw in bad:
         with pytest.raises(ConfigError):
@@ -201,6 +205,75 @@ _TABLE_FORMS = {
                             [0.1, 0.6, 1.0, 0.6, 0.1],
                             [0.0, 0.1, 0.0, -0.1, 0.0]]),
 }
+
+
+# one scenario per input kind, coupling segment kind and initial
+# excitation form, with the hash of its canonical form as the decoder
+# that parsed unit strings in every block gave it: a decoder change
+# must keep each canonical form, and so each hash, as it is
+_PINNED_HASHES = {
+    "cavity-optimal-square": (
+        "78bf25e0c30bfa32acc522cd6e33096c24a0375695e42e5822046a528eb18a6e",
+        cavity_cfg()),
+    "cavity-none-sigma-number": (
+        "68f103018a8020885fb792cbec184f45c5abd736cee27d963ea295c5d65548c1",
+        cavity_cfg(input=None, initial_excitation=0.5)),
+    "cavity-fwtm-sigma-mapping": (
+        "a96c94627b9972b0cb07669d39dc892ced29a27523d1a131df5220b3a3764903",
+        cavity_cfg(input={"kind": "gaussian", "center": "-1 us",
+                          "fwtm": "300 ns", "photons": 2},
+                   initial_excitation={"sigma_re": 0.3, "sigma_im": -0.1})),
+    "cavity-square-input-decay": (
+        "d758bd48aa842d1f0d6f50abec103e327992063f5f24e743b755276240cee08f",
+        cavity_cfg(input={"kind": "square", "start": "-1.5 us",
+                          "end": "-0.5 us"},
+                   cavity={"kappa": "1 MHz_angular", "gamma": "2 kHz"})),
+    "cavity-tabulated-design": (
+        "47c9367ee8e25b1778e0b51049b423dfc44880f3964cc1f27bd27c9e99c73d43",
+        cavity_cfg(grid={"start": "0 us", "stop": "2 us", "points": 201},
+                   coupling=[{"kind": "piecewise_linear", "time_s": _T,
+                              "value": [0.0, 3e5, 7e5, 4e5, 0.0]}],
+                   detuning=[{"kind": "tabulated", "time_s": _T,
+                              "value": [1e5, -2e5, 0.0, 3e5, 1e5]}],
+                   input={"kind": "tabulated", "time_s": _T,
+                          "re": [0.0, 0.3, 1.0, 0.4, 0.1]},
+                   storage_time="3 us",
+                   design={"eta_write": 0.9, "eta_read": 0.8})),
+    "freespace-gaussian": (
+        "ec51fc29e3b17f9b7ecae36229a524d7ba6c9acb70e9dda8cc4c655eb28cc8ba",
+        freespace_cfg()),
+    "freespace-initial-gaussian": (
+        "3c63690b73bb443a32be3587de8a386bca0b77ec300f70516ebae80e82ca9648",
+        freespace_cfg(model="freespace-analytic", input=None,
+                      theta_points=64,
+                      coupling=[{"kind": "gaussian",
+                                 "amplitude": "500 MHz_angular",
+                                 "center": "0.5 us", "sigma": "150 ns"}],
+                      initial_excitation={"kind": "gaussian",
+                                          "center_frac": 0.4,
+                                          "sigma_frac": 0.1})),
+    "freespace-initial-tabulated": (
+        "8ea92e586f86b711044babc68157f8f96e319c31c44dc03ee07798aaf844a0e4",
+        freespace_cfg(input={"kind": "none"}, space_points=64,
+                      initial_excitation={"kind": "tabulated",
+                                          "x": [0.0, 0.5, 1.0],
+                                          "re": [0.1, 1.0, 0.1],
+                                          "im": [0.0, 0.2, 0.0]})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED_HASHES))
+def test_canonical_hash_is_pinned(name):
+    want, raw = _PINNED_HASHES[name]
+    assert scenario_hash(scenario_from_dict(raw)) == want
+
+
+def test_preset_hashes_are_pinned():
+    assert {p.name: scenario_hash(load_scenario(p)) for p in PRESETS} == {
+        "cavity_square_optimal.yaml":
+        "a179e8480eb11cf5d8292a0b3e8dfb41e5889ab20eeca60c6cc4c640cf40b1f7",
+        "freespace_gaussian_sweep.yaml":
+        "12e72a68ef2c5a9f2b43e2c232de32a7efaf9930ed1790728b435bc01fb6b759"}
 
 
 @pytest.mark.parametrize("form", sorted(_TABLE_FORMS))
@@ -417,28 +490,34 @@ def test_freespace_run_closes_its_ledger():
 @pytest.mark.parametrize("model", ["freespace-numeric",
                                    "freespace-analytic"])
 def test_freespace_field_dump_is_opt_in(tmp_path, monkeypatch, model):
-    n_theta = []
+    thetas = []
     for name in ("numeric_evolution", "analytic_evolution"):
         solver = getattr(scenarios, name)
 
         def spy(*args, _solver=solver, **kw):
             fields = _solver(*args, **kw)
-            n_theta.append(fields.tau.size)
+            thetas.append(fields.tau)
             return fields
         monkeypatch.setattr(scenarios, name, spy)
     cfg = freespace_cfg(model=model, space_points=16, theta_points=40)
     write_artifacts(run_scenario(scenario_from_dict(cfg)), tmp_path / "off")
     assert not (tmp_path / "off" / "fields.csv").exists()
     cfg["outputs"] = {"fields": True}
-    write_artifacts(run_scenario(scenario_from_dict(cfg)), tmp_path / "on")
+    scn = scenario_from_dict(cfg)
+    write_artifacts(run_scenario(scn), tmp_path / "on")
     with open(tmp_path / "on" / "fields.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["z_m", "time_s", "re", "im"]
-    assert len(rows) - 1 == n_theta[-1] * 16
+    # one row per position at each node from the first active sample on
+    tr = freespace.FreeSpaceTransform(scn.coupling, scn.detuning,
+                                      scn.medium, scn.grid)
+    th_first = tr.theta[tr.rho >= scenarios.RHO_CUT * tr.rho.max()][0]
+    assert len(rows) - 1 == (thetas[-1] >= th_first).sum() * 16
 
 
 def _old_field_dump_rows(tr, fields, theta, x, med):
-    """Reference rows of fields.csv, one (node, position) at a time."""
+    """Reference rows of fields.csv, one (node, position) at a time,
+    from the first node at or past the first active sample's theta."""
     t_act = tr.t[tr.rho > 0.0]
     th_act = tr.theta[tr.rho > 0.0]
     t_of = np.interp(theta, th_act, t_act)
@@ -447,7 +526,10 @@ def _old_field_dump_rows(tr, fields, theta, x, med):
            + 1j * np.interp(t_of, tr.t, tr.chi.imag))
     scale = np.sqrt(med.length / med.c)
     z = x * med.length
+    th_first = tr.theta[tr.rho >= scenarios.RHO_CUT * tr.rho.max()][0]
     for m in range(theta.size):
+        if theta[m] < th_first:
+            continue
         row_scale = 1j * gv[m] * scale * np.exp(-1j * chi[m])
         lab = row_scale * fields.e[m]
         for j in range(x.size):
@@ -511,20 +593,24 @@ def test_field_dump_matches_row_loop(tmp_path, monkeypatch, model):
 
 def test_field_dump_far_end_is_the_output(tmp_path):
     """fields.csv at z = L and e_out.csv come from one lab-frame map, so
-    at every grid-sample time they hold the same doubles."""
-    cfg = yaml.safe_load(
+    at every grid-sample time they hold the same doubles.  In the second
+    case the coupling starts after the grid does, and the theta = 0 node
+    the march prepends has no lab time of its own."""
+    preset = yaml.safe_load(
         (REPO / "presets" / "freespace_gaussian_sweep.yaml").read_text())
-    cfg.update(space_points=41, outputs={"fields": True})
-    scn = scenario_from_dict(cfg)
-    write_artifacts(run_scenario(scn), tmp_path)
-    fields = np.loadtxt(tmp_path / "fields.csv", delimiter=",", skiprows=1)
-    e_out = np.loadtxt(tmp_path / "e_out.csv", delimiter=",", skiprows=1)
-    far = fields[fields[:, 0] == scn.medium.length]
-    row_of = {t: k for k, t in enumerate(e_out[:, 0])}
-    on_grid = np.array([t in row_of for t in far[:, 1]])
-    assert on_grid.sum() > 1000
-    want = e_out[[row_of[t] for t in far[on_grid, 1]], 1:]
-    np.testing.assert_array_equal(far[on_grid, 2:], want)
+    cases = [(dict(preset, space_points=41, outputs={"fields": True}), 1000),
+             (freespace_cfg(space_points=41, outputs={"fields": True}), 700)]
+    for case, (cfg, least) in enumerate(cases):
+        scn = scenario_from_dict(cfg)
+        out = write_artifacts(run_scenario(scn), tmp_path / str(case))
+        fields = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
+        e_out = np.loadtxt(out / "e_out.csv", delimiter=",", skiprows=1)
+        far = fields[fields[:, 0] == scn.medium.length]
+        row_of = {t: k for k, t in enumerate(e_out[:, 0])}
+        on_grid = np.array([t in row_of for t in far[:, 1]])
+        assert on_grid.sum() > least
+        want = e_out[[row_of[t] for t in far[on_grid, 1]], 1:]
+        np.testing.assert_array_equal(far[on_grid, 2:], want)
 
 
 def test_storage_followed_by_read_replays(tmp_path):
@@ -623,9 +709,8 @@ def test_freespace_run_agrees_with_the_depth_sweep():
     assert d == pytest.approx(60.0)
     s = run_scenario(scn).summary
     [(_d, eta_sweep, _f, _b, _theta)] = freespace.storage_retrieval_sweep(
-        [d], med, seg, parse_quantity(scn.input_spec["center"], "time"),
-        parse_quantity(scn.input_spec["sigma"], "time"), 0.0,
-        scn.space_points)
+        [d], med, seg, scn.input_spec["center"], scn.input_spec["sigma"],
+        0.0, scn.space_points)
     radius = np.sqrt(np.log(1e3))
     sweep_end = seg.center + radius * seg.width
     want = eta_sweep * np.exp(-2.0 * med.gamma * (s["write_end"] - sweep_end))

@@ -263,6 +263,24 @@ def test_effective_fields_preserve_norm():
     assert abs(eff.norm2_tau() - env.norm2()) < 1e-9 * env.norm2()
 
 
+def test_effective_fields_evaluates_the_coupling_once(monkeypatch):
+    grid = TimeGrid.from_span(-1e-6, 0.0, 801)
+    g = Schedule.gaussian(8e5, center=-0.5e-6, width=0.12e-6,
+                          support=(-1e-6, 0.0))
+    env = FieldEnvelope(grid, g.eval(grid.times()).astype(complex))
+    calls = []
+    eval_ = Schedule.eval
+
+    def spy(self, t):
+        calls.append(t.size)
+        return eval_(self, t)
+    monkeypatch.setattr(Schedule, "eval", spy)
+    eff = effective_fields(env, g, 1e6)
+    assert calls == [grid.n]
+    # tau is the effective_time of the same samples, bit for bit
+    assert np.array_equal(eff.tau, effective_time(g, 1e6, grid))
+
+
 def test_effective_fields_singular_off_support():
     kappa = 1e6
     grid = TimeGrid.from_span(-1e-6, 0.0, 2001)
