@@ -39,7 +39,7 @@ import numpy as np
 
 from .errors import ParameterError, StabilityError
 from .schedules import (FieldEnvelope, Ledger, Schedule, TimeGrid,
-                        cumtrapz0, effective_time, ledger)
+                        _effective_time, ledger)
 
 # Explicit RK4 is stable for |rate * dt| up to ~2.8, but accuracy (and the
 # spirit of a fixed-step scheme) wants a hard guard well below that.
@@ -167,7 +167,7 @@ def _stage_values(e_in: Optional[FieldEnvelope], g: Schedule,
     grid = grid if grid is not None else e_in.grid
     if e_in is not None and e_in.grid != grid:
         raise ParameterError("input envelope grid differs from the run grid")
-    if not g.is_nonnegative(grid):
+    if not g.is_nonnegative():
         raise ParameterError("coupling schedule must be non-negative")
     t = grid.times()
     tm = t[:-1] + 0.5 * grid.dt
@@ -206,7 +206,7 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
 
     e_out = FieldEnvelope(grid, s_in + drive * gv * sigma)
     e_cav = (1j * gv * sigma + np.sqrt(2.0 * p.kappa) * s_in) / p.kappa
-    tau = cumtrapz0(gv * gv / p.kappa, h)
+    tau = _effective_time(gv, p.kappa, h)
     return _with_ledger("adiabatic", p, g, delta, sigma, e_cav, e_in, e_out,
                         tau, read_by_continuity=True)
 
@@ -238,7 +238,7 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
     sigma, ecav = _affine_scan(*_rk4_maps(j, jm, f, fm, h), [sigma0, 0.0])
 
     e_out = FieldEnvelope(grid, -s_in + root2k * ecav)
-    tau = cumtrapz0(gv * gv / p.kappa, h)
+    tau = _effective_time(gv, p.kappa, h)
     return _with_ledger("full", p, g, delta, sigma, ecav, e_in, e_out, tau,
                         total=np.abs(sigma) ** 2 + np.abs(ecav) ** 2)
 
@@ -255,11 +255,11 @@ def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,
     """
     if sigma0 == 0.0:
         raise ParameterError("read_analytic needs a nonzero initial amplitude")
-    if not g.is_nonnegative(grid):
+    if not g.is_nonnegative():
         raise ParameterError("coupling schedule must be non-negative")
     t = grid.times()
-    tau = effective_time(g, p.kappa, grid)
     gv = g.eval(t)
+    tau = _effective_time(gv, p.kappa, grid.dt)
     sigma = sigma0 * np.exp(-tau - p.gamma * (t - grid.t0))
     e_out = FieldEnvelope(grid, 1j * np.sqrt(2.0 / p.kappa) * gv * sigma)
     e_cav = 1j * gv * sigma / p.kappa

@@ -63,7 +63,8 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .schedules import (FieldEnvelope, GaussianSegment, Schedule, TimeGrid,
-                        cumtrapz0, effective_fields, effective_time)
+                        _effective_time, cumtrapz0, effective_fields,
+                        interp_complex)
 
 # Largest kernel-argument change across one grid cell before the
 # trapezoid quadrature of the kernel convolutions degrades.
@@ -326,7 +327,7 @@ class FreeSpaceTransform:
         self.t = t
         self.gv = self.g.eval(t)
         self.rho = self.gv * self.gv / self.kappa
-        self.theta = effective_time(self.g, self.kappa, self.grid)
+        self.theta = _effective_time(self.gv, self.kappa, self.grid.dt)
         dv = self.delta.eval(t) if self.delta is not None else np.zeros_like(t)
         self.chi = cumtrapz0(dv, self.grid.dt) \
             - 1j * self.medium.gamma * (t - t[0])
@@ -346,8 +347,7 @@ class FreeSpaceTransform:
         """i g(t) sqrt(L/c) e^{-i chi(t)} at lab times t: the factor
         that turns reduced field samples into lab-frame envelopes."""
         t = np.asarray(t, dtype=float)
-        chi = (np.interp(t, self.t, self.chi.real)
-               + 1j * np.interp(t, self.t, self.chi.imag))
+        chi = interp_complex(t, self.t, self.chi)
         scale = np.sqrt(self.medium.length / self.medium.c)
         return 1j * self.g.eval(t) * scale * np.exp(-1j * chi)
 

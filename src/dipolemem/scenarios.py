@@ -59,7 +59,8 @@ from .freespace import (FreeSpaceTransform, MediumParams, analytic_evolution,
                         theta_nodes, thin_medium_cavity_coupling)
 from .schedules import (FieldEnvelope, GaussianSegment, Ledger,
                         PiecewiseLinearSegment, Schedule, SquareSegment,
-                        TimeGrid, effective_time, ledger)
+                        TabulatedSegment, TimeGrid, effective_time,
+                        interp_complex, ledger)
 from .units import format_quantity, parse_quantity
 
 try:
@@ -249,8 +250,8 @@ def _segment_to_config(seg) -> dict:
                 "sigma": format_quantity(seg.width, "time"),
                 "support": [format_quantity(seg.start, "time"),
                             format_quantity(seg.end, "time")]}
-    kind = "piecewise_linear" if isinstance(seg, PiecewiseLinearSegment) \
-        else "tabulated"
+    kind = "tabulated" if isinstance(seg, TabulatedSegment) \
+        else "piecewise_linear"
     return {"kind": kind,
             "time_s": [float(x) for x in seg.times],
             "value": [float(x) for x in seg.values]}
@@ -448,7 +449,7 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
     grid = TimeGrid.from_span(span["start"], span["stop"], npts)
 
     coupling = _schedule_from_config(raw["coupling"], base_dir, "coupling")
-    if not coupling.is_nonnegative(grid):
+    if not coupling.is_nonnegative():
         raise ConfigError("the coupling schedule must be non-negative")
     detuning = _schedule_from_config(raw.get("detuning"), base_dir, "detuning")
 
@@ -559,8 +560,8 @@ def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
     if kind == "gaussian":
         env = FieldEnvelope.gaussian(grid, spec["center"], spec["sigma"])
     elif kind == "square":
-        t = grid.times()
-        samples = ((t >= spec["start"]) & (t <= spec["end"])).astype(complex)
+        samples = SquareSegment(spec["start"], spec["end"], 1.0).evaluate(
+            grid.times())
         if not samples.any():
             raise ConfigError("square input window misses the grid")
         env = FieldEnvelope(grid, samples)
@@ -578,10 +579,9 @@ def build_input(scn: Scenario) -> Optional[FieldEnvelope]:
 
 def _sampled(spec: dict, key: str, x: np.ndarray) -> np.ndarray:
     """The table (spec[key], re + i im) at x: linear between its rows,
-    zero outside them."""
-    xs = np.asarray(spec[key], dtype=float)
-    re = np.interp(x, xs, np.asarray(spec["re"]), left=0.0, right=0.0)
-    im = np.interp(x, xs, np.asarray(spec["im"]), left=0.0, right=0.0)
+    zero outside them, by the segments' support rule."""
+    re, im = (PiecewiseLinearSegment(spec[key], spec[part]).evaluate(x)
+              for part in ("re", "im"))
     return re + 1j * im
 
 
@@ -754,8 +754,7 @@ def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act, h_target):
     theta = np.concatenate([th_nodes[:1], sub])
     if theta[0] > 0.0:
         theta = np.concatenate([[0.0], theta])
-    bc = (np.interp(theta, th_nodes, bc_nodes.real)
-          + 1j * np.interp(theta, th_nodes, bc_nodes.imag))
+    bc = interp_complex(theta, th_nodes, bc_nodes)
     return theta, bc
 
 
@@ -796,14 +795,12 @@ def _run_freespace(scn: Scenario):
             # the kernel solver needs a uniform axis
             th_act = tr.theta[act]
             theta = np.linspace(0.0, theta_total, n_theta)
-            bc = (np.interp(theta, th_act, bc_t[act].real)
-                  + 1j * np.interp(theta, th_act, bc_t[act].imag))
+            bc = interp_complex(theta, th_act, bc_t[act])
             fields = analytic_evolution(bc, ic, theta, x)
 
         # map the far-end field back to the lab frame; below the coupling
         # cut the medium is transparent and the input passes through
-        e_red_t = (np.interp(tr.theta, theta, fields.e_end.real)
-                   + 1j * np.interp(tr.theta, theta, fields.e_end.imag))
+        e_red_t = interp_complex(tr.theta, theta, fields.e_end)
         out = tr.field_from_reduced(e_red_t).samples
         out[~act] = in_samples[~act]
         s_final = fields.s_final
@@ -913,10 +910,8 @@ def _design_verification(env: FieldEnvelope, g_write: Schedule,
     sim = simulate_adiabatic(e_ext, combined, Schedule.zero(), p, ext)
 
     t_ext = ext.times()
-    ref = (np.interp(t_ext - T, grid.times(), env.samples.real,
-                     left=0.0, right=0.0)
-           + 1j * np.interp(t_ext - T, grid.times(), env.samples.imag,
-                            left=0.0, right=0.0))
+    ref = interp_complex(t_ext - T, grid.times(), env.samples,
+                         left=0.0, right=0.0)
     mask = t_ext >= grid.t0 + T - 0.5 * grid.dt
     a = sim.e_out.samples[mask]
     b = ref[mask]

@@ -7,6 +7,12 @@ fields are `FieldEnvelope` objects with complex samples in units of
 s^(-1/2), so that the trapezoidal norm integral(|E|^2 dt) is a
 dimensionless (mean photon) number.
 
+There is one support rule, `_Segment.evaluate`: a sample belongs to a
+segment's closed window when it lies within `_edge_tol` of it, so a
+grid sample meant to land on a window edge counts however it rounds.
+Coupling windows (`Schedule.windows`) and the square and tabulated
+inputs use the same rule.
+
 The memory dynamics become universal in the effective time
 
     tau(t) = integral_0^t g(t')^2 / kappa dt'
@@ -24,7 +30,7 @@ normalization drift of a run, measured against its coupling windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -154,8 +160,23 @@ def _edge_tol(start: float, end: float) -> float:
     return 1e-9 * (end - start) + 32.0 * np.finfo(float).eps * scale
 
 
+class _Segment:
+    """The one support rule of the package: a segment is its `shape` on
+    the closed interval [start, end], widened on each side by
+    `_edge_tol`, and exactly 0.0 outside it.  Couplings, detunings and
+    the square and tabulated inputs all decide window membership here."""
+
+    def bounds(self) -> tuple[float, float]:
+        tol = _edge_tol(self.start, self.end)
+        return self.start - tol, self.end + tol
+
+    def evaluate(self, t: np.ndarray) -> np.ndarray:
+        a, b = self.bounds()
+        return np.where((t >= a) & (t <= b), self.shape(t), 0.0)
+
+
 @dataclass(frozen=True)
-class SquareSegment:
+class SquareSegment(_Segment):
     """Constant amplitude on the closed interval [start, end]."""
 
     start: float
@@ -165,20 +186,18 @@ class SquareSegment:
     def __post_init__(self):
         _check_finite(self, "square")
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        tol = _edge_tol(self.start, self.end)
-        return np.where((t >= self.start - tol) & (t <= self.end + tol),
-                        self.amplitude, 0.0)
+    def shape(self, t: np.ndarray) -> float:
+        return self.amplitude
 
     def peak_abs(self) -> float:
         return abs(self.amplitude)
 
     def scaled(self, s: float) -> "SquareSegment":
-        return SquareSegment(self.start, self.end, self.amplitude * s)
+        return replace(self, amplitude=self.amplitude * s)
 
 
 @dataclass(frozen=True)
-class GaussianSegment:
+class GaussianSegment(_Segment):
     """amplitude * exp(-(t-center)^2 / (2 width^2)) on [start, end]."""
 
     start: float
@@ -192,10 +211,9 @@ class GaussianSegment:
         if not self.width > 0.0:
             raise ParameterError("Gaussian segment needs width > 0")
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        tol = _edge_tol(self.start, self.end)
-        v = self.amplitude * np.exp(-((t - self.center) ** 2) / (2.0 * self.width ** 2))
-        return np.where((t >= self.start - tol) & (t <= self.end + tol), v, 0.0)
+    def shape(self, t: np.ndarray) -> np.ndarray:
+        return self.amplitude * np.exp(-((t - self.center) ** 2)
+                                       / (2.0 * self.width ** 2))
 
     def peak_abs(self) -> float:
         # peak within the support window
@@ -204,22 +222,22 @@ class GaussianSegment:
                                            / (2.0 * self.width ** 2)))
 
     def scaled(self, s: float) -> "GaussianSegment":
-        return GaussianSegment(self.start, self.end, self.amplitude * s,
-                               self.center, self.width)
+        return replace(self, amplitude=self.amplitude * s)
 
 
 @dataclass(eq=False)
-class PiecewiseLinearSegment:
+class PiecewiseLinearSegment(_Segment):
     """Linear interpolation through (times, values) knots; support is
     [times[0], times[-1]]."""
 
     times: np.ndarray
     values: np.ndarray
+    kind = "piecewise-linear"       # names the kind in error messages
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.values = np.asarray(self.values, dtype=float)
-        _check_knots(self.times, self.values, "piecewise-linear")
+        _check_knots(self.times, self.values, self.kind)
 
     @property
     def start(self) -> float:
@@ -229,20 +247,19 @@ class PiecewiseLinearSegment:
     def end(self) -> float:
         return float(self.times[-1])
 
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        tol = _edge_tol(self.start, self.end)
-        v = np.interp(np.clip(t, self.start, self.end), self.times, self.values)
-        return np.where((t >= self.start - tol) & (t <= self.end + tol), v, 0.0)
+    def shape(self, t: np.ndarray) -> np.ndarray:
+        return np.interp(np.clip(t, self.start, self.end), self.times,
+                         self.values)
 
     def peak_abs(self) -> float:
+        # linear and PCHIP extrema sit at the knots
         return float(np.max(np.abs(self.values)))
 
     def scaled(self, s: float) -> "PiecewiseLinearSegment":
-        return PiecewiseLinearSegment(self.times, self.values * s)
+        return type(self)(self.times, self.values * s)
 
 
-@dataclass(eq=False)
-class TabulatedSegment:
+class TabulatedSegment(PiecewiseLinearSegment):
     """Sampled control interpolated with a monotone piecewise cubic
     (PCHIP).  The knot slopes follow Fritsch & Carlson, SIAM J. Numer.
     Anal. 17, 238 (1980): zero at a local extremum or flat side, else the
@@ -253,39 +270,19 @@ class TabulatedSegment:
     same doubles.  The interpolant never overshoots the tabulated range,
     so a non-negative table stays non-negative."""
 
-    times: np.ndarray
-    values: np.ndarray
+    kind = "tabulated"
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        _check_knots(self.times, self.values, "tabulated")
+        super().__post_init__()
         self._coef = _pchip_coefficients(self.times, self.values)
 
-    @property
-    def start(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def end(self) -> float:
-        return float(self.times[-1])
-
-    def evaluate(self, t: np.ndarray) -> np.ndarray:
-        tol = _edge_tol(self.start, self.end)
+    def shape(self, t: np.ndarray) -> np.ndarray:
         tc = np.clip(t, self.start, self.end)
         i = np.clip(np.searchsorted(self.times, tc, "right") - 1,
                     0, self.times.size - 2)
         s = tc - self.times[i]
         c0, c1, c2, c3 = self._coef[:, i]
-        v = ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
-        return np.where((t >= self.start - tol) & (t <= self.end + tol), v, 0.0)
-
-    def peak_abs(self) -> float:
-        # PCHIP extrema sit at the knots
-        return float(np.max(np.abs(self.values)))
-
-    def scaled(self, s: float) -> "TabulatedSegment":
-        return TabulatedSegment(self.times, self.values * s)
+        return ((c3 + c2 * s) + c1 * (s * s)) + c0 * (s * s * s)
 
 
 def _pchip_coefficients(x, y):
@@ -391,15 +388,13 @@ class Schedule:
         """The coupling windows a run on this grid sees, in time order:
         each merged support interval as the indices (first, last) of
         its grid samples, which are exactly the samples where a segment
-        can evaluate nonzero (edges widened by `_edge_tol`, as in the
-        segments' own `evaluate`).  An interval with no sample on the
-        grid is dropped."""
+        can evaluate nonzero (edges from `_Segment.bounds`).  An
+        interval with no sample on the grid is dropped."""
         merged: list[list[float]] = []
         for seg in self.segments:
             if seg.peak_abs() == 0.0:
                 continue
-            tol = _edge_tol(seg.start, seg.end)
-            a, b = seg.start - tol, seg.end + tol
+            a, b = seg.bounds()
             if merged and a <= merged[-1][1]:
                 merged[-1][1] = max(b, merged[-1][1])
             else:
@@ -412,9 +407,11 @@ class Schedule:
     def scaled(self, s: float) -> "Schedule":
         return Schedule([seg.scaled(s) for seg in self.segments])
 
-    def is_nonnegative(self, grid: TimeGrid | None = None) -> bool:
-        """Cheap non-negativity check (knot/amplitude based; optionally
-        verified on a grid)."""
+    def is_nonnegative(self) -> bool:
+        """Non-negativity from the amplitudes and knots alone.  No grid
+        is needed: piecewise-linear values are convex combinations of
+        their knots, PCHIP never overshoots its knots, and `eval` snaps
+        rounding-level values below ZERO_LEVEL * peak to exactly 0."""
         for seg in self.segments:
             if isinstance(seg, (SquareSegment, GaussianSegment)):
                 if seg.amplitude < 0.0:
@@ -422,9 +419,6 @@ class Schedule:
             else:
                 if np.any(seg.values < 0.0):
                     return False
-        if grid is not None and self.segments:
-            if np.any(self.eval(grid.times()) < 0.0):
-                return False
         return True
 
     # -- convenience constructors -------------------------------------------
@@ -514,6 +508,13 @@ def cumtrapz0(y: np.ndarray, dx) -> np.ndarray:
     out[0] = 0.0
     np.cumsum(0.5 * dx * (y[1:] + y[:-1]), out=out[1:])
     return out
+
+
+def interp_complex(x, xp, fp: np.ndarray, **kw) -> np.ndarray:
+    """`np.interp` of complex samples fp, real and imaginary parts apart
+    (keywords such as left/right go to both)."""
+    return (np.interp(x, xp, fp.real, **kw)
+            + 1j * np.interp(x, xp, fp.imag, **kw))
 
 
 def effective_time(g: Schedule, kappa: float, grid: TimeGrid) -> np.ndarray:

@@ -244,6 +244,23 @@ def test_transform_theta_is_cumulative_depth():
     assert w[0] == 1.0 and abs(w[-1] - np.exp(-2 * GAMMA * 2e-6)) < 1e-12
 
 
+def test_transform_evaluates_the_coupling_once(monkeypatch):
+    tr, grid = _transform_setup()
+    calls = []
+    eval_ = Schedule.eval
+
+    def spy(self, t):
+        if self is tr.g:
+            calls.append(t.size)
+        return eval_(self, t)
+    monkeypatch.setattr(Schedule, "eval", spy)
+    again = FreeSpaceTransform(tr.g, tr.delta, tr.medium, grid)
+    assert calls == [grid.n]
+    # theta comes from the samples it holds, bit for bit
+    assert np.array_equal(again.theta, tr.theta)
+    assert np.array_equal(again.gv, tr.gv)
+
+
 def test_transform_rejects_uncovered_field():
     tr, grid = _transform_setup()
     kappa = tr.medium.c / tr.medium.length

@@ -409,6 +409,38 @@ def test_uncoupled_cavity_reflects_everything():
         assert rec.summary["output_photons"] == rec.summary["input_photons"]
 
 
+def _edge_cfg(inp):
+    # the window [0.1, 0.7] us sits on samples 2100 and 2700 of the grid,
+    # up to rounding: t[2100] = 9.999999999999989e-08 s
+    return cavity_cfg(
+        grid={"start": "-2 us", "stop": "2 us", "points": 4001},
+        coupling=[{"kind": "square", "start": "0.1 us", "end": "0.7 us",
+                   "amplitude": "1 MHz_angular"}],
+        input=inp)
+
+
+def test_square_input_spans_its_coupling_window():
+    # an input with the same edges as its coupling window covers the
+    # same samples: inputs and couplings share one support rule
+    scn = scenario_from_dict(_edge_cfg(
+        {"kind": "square", "start": "0.1 us", "end": "0.7 us"}))
+    on = np.flatnonzero(build_input(scn).samples)
+    assert scn.coupling.windows(scn.grid) == [(2100, 2700)]
+    assert (on[0], on[-1]) == (2100, 2700) and on.size == 601
+    assert scn.grid.times()[on[0]] == 9.999999999999989e-08
+
+
+def test_tabulated_input_takes_its_knot_value_on_the_edge_sample():
+    scn = scenario_from_dict(_edge_cfg(
+        {"kind": "tabulated", "time_s": [1e-7, 4e-7, 7e-7],
+         "re": [1.0, 0.5, 0.2], "im": [0.0, 0.1, 0.0]}))
+    s = build_input(scn).samples
+    assert s[2100] == 1.0
+    assert s[2099] == 0.0 and s[2701] == 0.0
+    on = np.flatnonzero(s)
+    assert (on[0], on[-1]) == scn.coupling.windows(scn.grid)[0]
+
+
 @pytest.mark.parametrize("cfg", [
     cavity_cfg(input=None, initial_excitation={"sigma_re": 1.0}),
     cavity_cfg(model="cavity-full", input=None,

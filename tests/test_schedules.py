@@ -9,7 +9,8 @@ from dipolemem import (FieldEnvelope, ParameterError, Schedule,
                        SingularTransformError, TimeGrid, effective_fields,
                        effective_time)
 from dipolemem.schedules import (ZERO_LEVEL, DipolePhysical, GaussianSegment,
-                                 SquareSegment, coupling_from_dipole,
+                                 PiecewiseLinearSegment, SquareSegment,
+                                 TabulatedSegment, coupling_from_dipole,
                                  cumtrapz0)
 
 
@@ -180,6 +181,56 @@ def test_tabulated_interpolant_stays_nonnegative(rng):
     g = Schedule.tabulated(tt, vv)
     fine = np.linspace(0.0, 1.0, 4001)
     assert g.eval(fine).min() >= 0.0
+
+
+@st.composite
+def _segment_chain(draw):
+    """One to three adjacent segments of random kinds with non-negative
+    amplitudes or knots over many scales, exact zeros included, and
+    sample times: random ones, the knots and their float neighbours, and
+    the widened window edges."""
+    t0 = draw(st.floats(-1e-5, 1e-5))
+    segs, knots = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["square", "gaussian", "linear", "pchip"]))
+        n = 2 if kind in ("square", "gaussian") else draw(st.integers(2, 12))
+        gaps = draw(st.lists(st.floats(1e-3, 1.0), min_size=n - 1,
+                             max_size=n - 1))
+        tt = t0 + np.concatenate([[0.0], np.cumsum(gaps)]) * 1e-6
+        value = st.sampled_from([0.0, 1e-15, 1e-6, 1.0, 1e6]) \
+            | st.floats(0.0, 1e6)
+        vv = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+        if kind == "square":
+            segs.append(SquareSegment(tt[0], tt[-1], vv[0]))
+        elif kind == "gaussian":
+            segs.append(GaussianSegment(tt[0], tt[-1], vv[0],
+                                        draw(st.floats(t0 - 1e-6, t0 + 2e-6)),
+                                        draw(st.floats(1e-9, 1e-6))))
+        elif kind == "linear":
+            segs.append(PiecewiseLinearSegment(tt, vv))
+        else:
+            segs.append(TabulatedSegment(tt, vv))
+        knots.append(tt)
+        t0 = tt[-1]
+    knots = np.concatenate(knots)
+    lo, hi = knots[0], knots[-1]
+    rand = np.array(draw(st.lists(st.floats(2 * lo - hi, 2 * hi - lo),
+                                  min_size=1, max_size=200)))
+    edges = np.ravel([seg.bounds() for seg in segs])
+    t = np.concatenate([rand, knots, np.nextafter(knots, -np.inf),
+                        np.nextafter(knots, np.inf), edges,
+                        np.linspace(lo, hi, draw(st.integers(2, 3001)))])
+    return Schedule(segs), t
+
+
+@settings(max_examples=300)
+@given(_segment_chain())
+def test_nonnegative_knots_give_nonnegative_values(case):
+    # is_nonnegative reads only amplitudes and knots; it must imply
+    # eval >= 0 anywhere, knot times and their float neighbours included
+    g, t = case
+    if g.is_nonnegative():
+        assert np.all(g.eval(t) >= 0.0)
 
 
 def _pchip_tables(rng):
