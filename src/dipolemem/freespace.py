@@ -35,10 +35,10 @@ non-positive in the causal region):
                     - t int_0^z S(z',0) K1(t (z'-z)) dz'
 
 (with E for curly-E and t for tau).  `analytic_evolution` evaluates
-these on uniform grids.  `numeric_evolution` is the cross-check and the
-workhorse for runs and sweeps: the system treats z and tau alike, so it
-marches along z, n_z - 1 midpoint steps each on the whole tau axis
-(any increasing one), keeping only the boundary traces when asked.
+these on uniform grids by blocked FFT convolutions.  `numeric_evolution`
+is the cross-check and the workhorse for runs and sweeps: the system
+treats z and tau alike, so it marches a batch of systems along z, in
+n_z - 1 midpoint steps each on whole tau axes (any increasing ones).
 
 Scaled variables: for a medium of length L, x = z/L, theta = tau*L,
 A = curly-E/sqrt(L) and S_hat = sqrt(L)*S satisfy the same system on
@@ -49,9 +49,9 @@ x in [0,1], with photon-exact bookkeeping:
 
 `storage_retrieval_sweep` uses these to scan storage + retrieval
 efficiency against the peak optical depth of a scenario's Gaussian
-coupling pulse, for forward and backward retrieval; it solves each
-coupling window with `numeric_evolution` on the window's own uniform
-theta grid, where theta(t) is an erf.
+coupling pulse, for forward and backward retrieval, on each window's
+uniform theta grid (theta(t) is an erf): one `numeric_evolution` march
+writes all depths of one node count, and one more reads them all.
 """
 
 from __future__ import annotations
@@ -71,7 +71,10 @@ from .schedules import (FieldEnvelope, GaussianSegment, Schedule, TimeGrid,
 MAX_CELL_ARG = 0.5
 
 _SERIES_CUT = 30.0
-_SERIES_TERMS = 48
+_SERIES_TERMS = 48          # cap; |a| <= 30 stops at 29 terms
+# kernel lines per FFT block in `_causal_conv`: padded to 2,048 samples
+# (an 801-node axis), one block's transforms are a cache-sized 512 KiB
+_FFT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -97,9 +100,13 @@ class MediumParams:
 # ---------------------------------------------------------------------------
 
 def _kernel_series(a: np.ndarray, order: int) -> np.ndarray:
+    amax, bound = float(np.max(np.abs(a), initial=0.0)), 1.0
     acc = np.ones_like(a)
     term = np.ones_like(a)
     for k in range(1, _SERIES_TERMS + 1):
+        bound *= amax / (k * (k + order))      # next term's size at max |a|
+        if bound < 2.0 ** -60:
+            break
         term = term * (a / (k * (k + order)))
         acc += term
     return acc
@@ -191,13 +198,24 @@ def _check_resolution(tau, z):
             f"(limit {MAX_CELL_ARG}); refine the tau/z grids")
 
 
-def _causal_conv(f: np.ndarray, krow: np.ndarray, h: float) -> np.ndarray:
-    """Running trapezoid integral int_0^{x_j} f(x') k(x'-x_j) dx' for all j,
-    with krow[i] = k(-i h)."""
+def _causal_conv(f: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
+    """Running trapezoid integrals int_0^{x_j} f(x') k(x'-x_j) dx' for all
+    j, along every row of the real kernel table k (k[:, i] = k(-i h)):
+    real numpy.fft products of Re f and Im f, _FFT_BLOCK rows at a time,
+    padded to a power of two >= 2n - 1, as prime lengths take Bluestein."""
     n = f.size
-    full = np.convolve(f, krow[:n])[:n]
-    full = full - 0.5 * f[0] * krow[:n] - 0.5 * f * krow[0]
-    return h * full
+    size = 1 << (2 * n - 2).bit_length()
+    parts = np.stack([f.real, f.imag])[:, None, :]      # (2, 1, n)
+    parts_hat = np.fft.rfft(parts, size)
+    out = np.empty(k.shape, dtype=complex)
+    for lo in range(0, k.shape[0], _FFT_BLOCK):
+        rows = slice(lo, lo + _FFT_BLOCK)
+        full = np.fft.irfft(np.fft.rfft(k[rows], size) * parts_hat,
+                            size)[..., :n]
+        full -= 0.5 * parts[..., :1] * k[rows] + 0.5 * parts * k[rows, :1]
+        full[..., 0] = 0.0               # empty integral, not round-off
+        out.real[rows], out.imag[rows] = h * full
+    return out
 
 
 def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
@@ -206,29 +224,28 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
     bc: field at z = 0 sampled on the tau axis; ic: spin wave at tau = 0
     sampled on the z axis.  Both axes must be uniform and start at 0.
     Quadrature is trapezoidal, so the overall accuracy is second order;
-    the kernels are exact (entire series / Bessel forms).
+    the kernels are exact (entire series / Bessel forms), and each
+    source term is one `_causal_conv` over a whole kernel table.
     """
     bc, ic, tau, z = _check_axes(bc, ic, tau, z)
     _check_resolution(tau, z)
-    n_t, n_z = tau.size, z.size
     h_t = tau[1] - tau[0]
     h_z = z[1] - z[0]
 
     # kernel tables; all causal arguments are <= 0.  On uniform axes from
     # 0, tau_m z_j = (m h_t)(j h_z): row m is the kernel along z at tau_m,
     # column j the kernel along tau at z_j
-    arg = -np.outer(tau, h_z * np.arange(n_z))   # (n_t, n_z)
+    arg = -np.outer(tau, h_z * np.arange(z.size))   # (n_t, n_z)
     k0 = entire_bessel_kernel(arg, 0)
     k1 = entire_bessel_kernel(arg, 1)
 
-    e = np.empty((n_t, n_z), dtype=complex)
-    s = np.empty((n_t, n_z), dtype=complex)
-    for m in range(n_t):                 # spin-wave sources, along z
-        e[m] = bc[m] + _causal_conv(ic, k0[m], h_z)
-        s[m] = ic - tau[m] * _causal_conv(ic, k1[m], h_z)
-    for j in range(n_z):                 # boundary sources, along tau
-        e[:, j] -= z[j] * _causal_conv(bc, k1[:, j], h_t)
-        s[:, j] -= _causal_conv(bc, k0[:, j], h_t)
+    e = _causal_conv(ic, k0, h_z)            # spin-wave sources, along z
+    e += bc[:, None]
+    e -= z * _causal_conv(bc, k1.T, h_t).T   # boundary sources, along tau
+    s = _causal_conv(ic, k1, h_z)
+    s *= -tau[:, None]
+    s += ic
+    s -= _causal_conv(bc, k0.T, h_t).T
 
     s_norm2 = np.trapezoid(np.abs(s) ** 2, x=z, axis=1)
     return FreeSpaceFields(tau=tau, z=z, e=e, s=s, e_end=e[:, -1].copy(),
@@ -241,42 +258,64 @@ def numeric_evolution(bc, ic, tau, z, *,
     integrating dS/dtau = -E by running trapezoid over the whole tau
     axis at each stage.
 
-    Takes n_z - 1 steps, each on whole tau arrays, so the cost in
-    Python steps does not grow with the tau node count.  Independent of
-    the kernel solution; with store_fields=False only the boundary
-    traces and the final spin wave are kept, which is what the
-    efficiency sweeps need.  Unlike the kernel route, the tau axis may
-    be any increasing axis (the trapezoid takes the cell widths), which
-    lets callers cluster nodes where the boundary trace has structure.
+    bc and tau (k, n_tau) and ic (k, n_z) are k systems on one z axis,
+    each row checked as if alone; results gain that leading batch axis
+    (a 1-d call is a batch of one).  The n_z - 1 steps reuse (k, n_tau)
+    work buffers, so the Python step count grows with neither k nor
+    n_tau.  Independent of the kernel solution; store_fields=False keeps
+    only the boundary traces and the final spin wave, as the sweeps
+    need.  The tau axes may be any increasing ones (the trapezoid takes
+    the cell widths), to cluster nodes where the trace has structure.
     """
-    bc, ic, tau, z = _check_axes(bc, ic, tau, z, uniform_tau=False)
-    _check_resolution(tau, z)
+    single = np.ndim(tau) == 1
+    bc, ic, tau = (np.atleast_2d(np.asarray(v, dtype=t)) for v, t in
+                   ((bc, complex), (ic, complex), (tau, float)))
+    if not len(bc) == len(ic) == len(tau):
+        raise ParameterError("bc, ic and tau need one row per system")
+    for row in zip(bc, ic, tau):
+        z = _check_axes(*row, z, uniform_tau=False)[3]
+        _check_resolution(row[2], z)
+    k, n_t = tau.shape
     n_z = z.size
     h_z = z[1] - z[0]
-    d_tau = np.diff(tau)
+    half_dtau = 0.5 * np.diff(tau)
 
-    e_mat = np.empty((tau.size, n_z), dtype=complex) if store_fields else None
-    s_mat = np.empty((tau.size, n_z), dtype=complex) if store_fields else None
-    s_final = np.empty(n_z, dtype=complex)
-    s_norm2 = np.zeros(tau.size)
-
+    e_mat, s_mat = (np.empty((k, n_t, n_z), dtype=complex) if store_fields
+                    else None for _ in range(2))
+    s_final = np.empty((k, n_z), dtype=complex)
+    s_norm2 = np.zeros((k, n_t))
     e_now = bc.copy()
+    s_now, e_half, s_half = (np.empty_like(bc) for _ in range(3))
+    cells = np.empty((k, n_t - 1), dtype=complex)
+
+    def spin(e, s0, out):
+        # out = s0 - running trapezoid of e, row by row
+        np.multiply(half_dtau, np.add(e[:, 1:], e[:, :-1], out=cells),
+                    out=cells)
+        out[:, 0] = s0
+        np.subtract(s0[:, None], np.cumsum(cells, axis=1, out=cells),
+                    out=out[:, 1:])
+
     for j in range(n_z):
-        s_now = ic[j] - cumtrapz0(e_now, d_tau)
-        s_final[j] = s_now[-1]
+        spin(e_now, ic[:, j], s_now)
+        s_final[:, j] = s_now[:, -1]
         weight = 0.5 * h_z if j in (0, n_z - 1) else h_z
         s_norm2 += weight * np.abs(s_now) ** 2
         if store_fields:
-            e_mat[:, j] = e_now
-            s_mat[:, j] = s_now
+            e_mat[:, :, j] = e_now
+            s_mat[:, :, j] = s_now
         if j == n_z - 1:
             break
-        e_half = e_now + (0.5 * h_z) * s_now
-        s_half = 0.5 * (ic[j] + ic[j + 1]) - cumtrapz0(e_half, d_tau)
-        e_now = e_now + h_z * s_half
+        np.multiply(0.5 * h_z, s_now, out=e_half)
+        e_half += e_now
+        spin(e_half, 0.5 * (ic[:, j] + ic[:, j + 1]), s_half)
+        s_half *= h_z
+        e_now += s_half
 
-    return FreeSpaceFields(tau=tau, z=z, e=e_mat, s=s_mat, e_end=e_now,
-                           s_final=s_final, s_norm2=s_norm2)
+    r = 0 if single else slice(None)
+    e_mat, s_mat = (m if m is None else m[r] for m in (e_mat, s_mat))
+    return FreeSpaceFields(tau=tau[r], z=z, e=e_mat, s=s_mat, e_end=e_now[r],
+                           s_final=s_final[r], s_norm2=s_norm2[r])
 
 
 def reduced_continuity_residual(fields: FreeSpaceFields, bc) -> float:
@@ -422,52 +461,6 @@ def _window_theta_map(d: float, gamma: float, sigma: float, center: float,
     return theta, t_of, rho_of
 
 
-def _sweep_point(d, medium, coupling, input_center, input_sigma, read_gap,
-                 x, detuning, theta_points):
-    """(eta_write, eta_forward, eta_backward, theta_total) at depth d: the
-    write and both reads each z-marched over its window's theta grid."""
-    if d == 0.0:
-        # no coupling: the medium is transparent, nothing is stored
-        return 0.0, 0.0, 0.0, 0.0
-    gam = medium.gamma
-    sigma = coupling.width
-    # input photons normalized to 1: |E~|^2 = exp(-t^2/sig^2)/(sig sqrt(pi))
-    norm = (input_sigma * np.sqrt(np.pi)) ** -0.5
-    n_theta = theta_nodes(d * gam * sigma * np.sqrt(np.pi), theta_points)
-
-    # ---- write ----
-    theta_w, t_w, rho_w = _window_theta_map(d, gam, sigma, coupling.center,
-                                            n_theta)
-    e_amp = norm * np.exp(-((t_w - input_center) ** 2)
-                          / (2.0 * input_sigma ** 2))
-    bc_w = e_amp * np.exp(gam * t_w) / (1j * np.sqrt(rho_w))
-    if detuning is not None:
-        # accumulated detuning phase over the write window (the phase
-        # reference is arbitrary: a constant offset cancels in |.|^2).
-        # t_w is non-uniform (uniform in theta), so integrate against it.
-        # The read windows are source-free and only pick up an overall
-        # phase.
-        phi = cumtrapz0(detuning.eval(t_w), np.diff(t_w))
-        bc_w = bc_w * np.exp(1j * phi)
-    wr = numeric_evolution(bc_w, np.zeros(x.size, dtype=complex),
-                           theta_w, x, store_fields=False)
-    t_wend = t_w[-1]
-    eta_write = float(np.exp(-2.0 * gam * t_wend)
-                      * np.trapezoid(np.abs(wr.s_final) ** 2, x=x))
-
-    # ---- read (forward, and backward with the spin wave mirrored) ----
-    read_center = t_wend + read_gap + _WINDOW_RADIUS * sigma
-    theta_r, t_r, _ = _window_theta_map(d, gam, sigma, read_center, n_theta)
-    bc_zero = np.zeros_like(theta_r, dtype=complex)
-    weight = np.exp(-2.0 * gam * t_r)
-    etas = []
-    for ic in (wr.s_final, wr.s_final[::-1].copy()):
-        rd = numeric_evolution(bc_zero, ic, theta_r, x, store_fields=False)
-        etas.append(float(np.trapezoid(np.abs(rd.e_end) ** 2 * weight,
-                                       x=theta_r)))
-    return eta_write, etas[0], etas[1], float(theta_w[-1])
-
-
 def storage_retrieval_sweep(d_values, medium: MediumParams,
                             coupling: GaussianSegment, input_center: float,
                             input_sigma: float, read_gap: float,
@@ -484,10 +477,10 @@ def storage_retrieval_sweep(d_values, medium: MediumParams,
     pulse, whose active window starts `read_gap` after the write window
     ends, retrieves the spin wave: forward at the far end, and backward
     at the input end with the spin wave spatially mirrored (Gorshkov,
-    Andre, Lukin & Sorensen, PRA 76, 033805 (2007)).  Each window is
-    solved by the z-march `numeric_evolution` in `space_points` - 1
-    steps, each over the window's own uniform theta grid (`theta_nodes`
-    nodes).  A detuning schedule chirps the write boundary trace.
+    Andre, Lukin & Sorensen, PRA 76, 033805 (2007)).  Depths with one
+    `theta_nodes` count share a z-march (`numeric_evolution`, with
+    `space_points` - 1 steps) for the writes and one for both reads, each
+    row on its window's uniform theta grid.  A detuning chirps the write.
 
     The sweep's windows are its own: each ends where the depth profile
     falls to `_WINDOW_CUT` of its peak, and eta_write is read there, not
@@ -511,7 +504,43 @@ def storage_retrieval_sweep(d_values, medium: MediumParams,
         raise ParameterError(f"optical depth must be finite and >= 0, "
                              f"got {d_arr[bad][0]}")
     x = np.linspace(0.0, 1.0, space_points)
-    return np.array([(d, *_sweep_point(d, medium, coupling, input_center,
-                                       input_sigma, read_gap, x, detuning,
-                                       theta_points))
-                     for d in d_arr.tolist()])
+    gam, sigma = medium.gamma, coupling.width
+    # input photons normalized to 1: |E~|^2 = exp(-t^2/sig^2)/(sig sqrt(pi))
+    norm = (input_sigma * np.sqrt(np.pi)) ** -0.5
+    rows = np.column_stack([d_arr, np.zeros((d_arr.size, 4))])
+    nodes = np.array([theta_nodes(d * gam * sigma * np.sqrt(np.pi),
+                                  theta_points) for d in d_arr.tolist()])
+    # one write and one read march per node count; d = 0 has no coupling,
+    # so the medium is transparent and its row stays zero
+    for n_theta in np.unique(nodes[d_arr > 0.0]).tolist():
+        idx = np.flatnonzero((nodes == n_theta) & (d_arr > 0.0))
+        theta, t_w, rho_w = (np.array(v) for v in zip(*(
+            _window_theta_map(d, gam, sigma, coupling.center, n_theta)
+            for d in d_arr[idx])))
+        e_amp = norm * np.exp(-((t_w - input_center) ** 2)
+                              / (2.0 * input_sigma ** 2))
+        bc_w = e_amp * np.exp(gam * t_w) / (1j * np.sqrt(rho_w))
+        if detuning is not None:
+            # detuning phase over each write window (against its uneven
+            # t_w); the source-free reads only gain an overall phase
+            bc_w = bc_w * np.exp(1j * np.array(
+                [cumtrapz0(detuning.eval(t), np.diff(t)) for t in t_w]))
+        wr = numeric_evolution(bc_w, np.zeros((idx.size, x.size), complex),
+                               theta, x, store_fields=False)
+        rows[idx, 1] = np.exp(-2.0 * gam * t_w[:, -1]) * np.trapezoid(
+            np.abs(wr.s_final) ** 2, x=x)
+        # read with the same pulse once the write window has passed: the
+        # spin waves as stored (forward) and mirrored (backward), together
+        theta_r, t_r, _rho = (np.array(v) for v in zip(*(
+            _window_theta_map(d, gam, sigma, t_end + read_gap
+                              + _WINDOW_RADIUS * sigma, n_theta)
+            for d, t_end in zip(d_arr[idx], t_w[:, -1]))))
+        theta_r = np.concatenate([theta_r, theta_r])
+        ic_r = np.concatenate([wr.s_final, wr.s_final[:, ::-1]])
+        rd = numeric_evolution(np.zeros_like(theta_r, dtype=complex), ic_r,
+                               theta_r, x, store_fields=False)
+        weight = np.tile(np.exp(-2.0 * gam * t_r), (2, 1))
+        rows[idx, 2:4] = np.trapezoid(np.abs(rd.e_end) ** 2 * weight,
+                                      x=theta_r).reshape(2, -1).T
+        rows[idx, 4] = theta[:, -1]
+    return rows

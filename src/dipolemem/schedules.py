@@ -299,7 +299,7 @@ def _pchip_coefficients(x, y):
         w1 = 2 * h[1:] + h[:-1]
         w2 = h[1:] + 2 * h[:-1]
         d = np.zeros_like(y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
             d[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
         d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])

@@ -14,7 +14,8 @@ from dipolemem import (FieldEnvelope, FreeSpaceTransform, GaussianSegment,
                        analytic_evolution, entire_bessel_kernel,
                        numeric_evolution, reduced_continuity_residual,
                        storage_retrieval_sweep, thin_medium_cavity_coupling)
-from dipolemem.freespace import _window_theta_map, theta_nodes
+from dipolemem.freespace import (_kernel_series, _window_theta_map,
+                                 theta_nodes)
 from dipolemem.schedules import cumtrapz0, effective_fields, effective_time
 
 GAMMA = 2 * np.pi * 5e4
@@ -72,6 +73,22 @@ def test_kernel_returns_nan_for_nan(order):
     assert math.isnan(entire_bessel_kernel(np.nan, order))
 
 
+@pytest.mark.parametrize("a_max", [0.5, 3.35, 30.0])
+def test_kernel_series_stops_at_negligible_terms(a_max):
+    """The series sums terms only while the next one's bound at max |a|
+    is >= 2^-60, so small tables (the preset's |a| <= 3.35) take about
+    16 terms.  It matches the fixed 48-term sum to 1e-15 of the kernel
+    scale, max(1, |K|) (K(0) = 1)."""
+    a = np.linspace(-a_max, a_max, 20001)
+    for order in (0, 1):
+        acc, term = np.ones_like(a), np.ones_like(a)
+        for k in range(1, 49):
+            term = term * (a / (k * (k + order)))
+            acc += term
+        err = np.abs(_kernel_series(a, order) - acc)
+        assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(acc))), order
+
+
 # ---------------------------------------------------------------------------
 # reduced-system solvers
 # ---------------------------------------------------------------------------
@@ -111,6 +128,48 @@ def test_march_is_linear():
     np.testing.assert_allclose(two.e_end, 2.0 * one.e_end, rtol=1e-14)
     np.testing.assert_allclose(two.s_final, 2.0 * one.s_final, rtol=1e-14)
     np.testing.assert_allclose(two.s_norm2, 4.0 * one.s_norm2, rtol=1e-14)
+
+
+def _loop_conv(f, krow, h):
+    n = f.size
+    full = np.convolve(f, krow[:n])[:n]
+    full = full - 0.5 * f[0] * krow[:n] - 0.5 * f * krow[0]
+    return h * full
+
+
+def _loop_analytic(bc, ic, tau, z):
+    """The kernel solution as one np.convolve per table line: the
+    reference for the FFT convolutions of analytic_evolution."""
+    h_t, h_z = tau[1] - tau[0], z[1] - z[0]
+    arg = -np.outer(tau, h_z * np.arange(z.size))
+    k0 = entire_bessel_kernel(arg, 0)
+    k1 = entire_bessel_kernel(arg, 1)
+    e = np.empty(arg.shape, dtype=complex)
+    s = np.empty(arg.shape, dtype=complex)
+    for m in range(tau.size):
+        e[m] = bc[m] + _loop_conv(ic, k0[m], h_z)
+        s[m] = ic - tau[m] * _loop_conv(ic, k1[m], h_z)
+    for j in range(z.size):
+        e[:, j] -= z[j] * _loop_conv(bc, k1[:, j], h_t)
+        s[:, j] -= _loop_conv(bc, k0[:, j], h_t)
+    return e, s
+
+
+@pytest.mark.parametrize("n_t,n_z", [(801, 201), (2, 2), (7, 5), (33, 17),
+                                     (5, 40)])
+def test_fft_convolutions_match_the_line_loop(n_t, n_z, rng):
+    # extents at the resolution guard's limit, theta_total h_z = 0.5
+    tau = np.linspace(0.0, min(8.0, 0.5 * (n_z - 1)), n_t)
+    z = np.linspace(0.0, min(1.0, 0.5 * (n_t - 1) / tau[-1]), n_z)
+    bc = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
+    ic = rng.normal(size=n_z) + 1j * rng.normal(size=n_z)
+    got = analytic_evolution(bc, ic, tau, z)
+    e, s = _loop_analytic(bc, ic, tau, z)
+    for name, field, want in (("e", got.e, e), ("s", got.s, s)):
+        assert np.abs(field - want).max() <= 1e-13 * np.abs(want).max(), name
+    # a real boundary trace and spin wave stay exactly real
+    real = analytic_evolution(bc.real, ic.real, tau, z)
+    assert not real.e.imag.any() and not real.s.imag.any()
 
 
 def _clustered_case():
@@ -195,6 +254,40 @@ def test_coarse_grid_is_refused():
     bc = np.exp(-((tau - 5.0) / 2.0) ** 2).astype(complex)
     with pytest.raises(ResolutionError):
         numeric_evolution(bc, np.zeros(11, dtype=complex), tau, z)
+
+
+def test_batched_march_equals_single_rows(rng):
+    """Rows of a batch march bit for bit as they would alone, each on
+    its own (here non-uniform) theta axis."""
+    z = np.linspace(0.0, 1.0, 101)
+    taus, bcs, ics = [], [], []
+    for _ in range(3):
+        u = np.sort(rng.uniform(0.0, 1.0, 401))
+        tau = rng.uniform(2.0, 4.0) * (u - u[0]) / (u[-1] - u[0])
+        taus.append(tau)
+        bcs.append(np.exp(-((tau - rng.uniform(0.5, 1.5)) / 0.4) ** 2)
+                   * np.exp(1j * rng.uniform(0.0, 3.0) * tau))
+        ics.append(rng.normal(size=z.size) + 1j * rng.normal(size=z.size))
+    batch = numeric_evolution(bcs, ics, taus, z)
+    assert batch.e.shape == (3, 401, 101)
+    for i in range(3):
+        one = numeric_evolution(bcs[i], ics[i], taus[i], z)
+        for name in ("tau", "e_end", "s_final", "s_norm2", "e", "s"):
+            np.testing.assert_array_equal(getattr(batch, name)[i],
+                                          getattr(one, name), err_msg=name)
+
+
+def test_batched_march_checks_every_row():
+    bc, ic, tau, z = _fixed_case()
+    coarse = np.linspace(0.0, 150.0, tau.size)         # too coarse in z
+    with pytest.raises(ResolutionError):
+        numeric_evolution([bc, bc], [ic, ic], [tau, coarse], z)
+    with pytest.raises(ParameterError):
+        numeric_evolution([bc, bc], [ic, ic], [tau, tau[::-1]], z)
+    with pytest.raises(ParameterError):                 # ic off the z axis
+        numeric_evolution([bc, bc], [ic[:-1], ic[1:]], [tau, tau], z)
+    with pytest.raises(ParameterError):                 # row counts differ
+        numeric_evolution([bc, bc], [ic], [tau, tau], z)
 
 
 def test_medium_guards():
@@ -373,6 +466,16 @@ def test_sweep_point_order_is_irrelevant():
     b = _sweep([60.0, 20.0])
     np.testing.assert_array_equal(a[3], b[3][::-1])
     np.testing.assert_array_equal(a[1], b[1][::-1])
+
+
+def test_sweep_batches_equal_single_depths():
+    """Depths march in one batch per theta node count (40: 801 nodes,
+    150: 837); rows come back in input order, bit for bit as if each
+    depth were swept alone."""
+    depths = [0.0, 40.0, 150.0, 40.0]
+    batched = _sweep(depths)
+    for i, d in enumerate(depths):
+        np.testing.assert_array_equal(batched[:, i], _sweep([d])[:, 0])
 
 
 def test_sweep_efficiencies_grow_with_depth():

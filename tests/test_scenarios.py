@@ -831,10 +831,11 @@ def test_sweep_rejections():
 
 
 def test_depth_sweep_obeys_theta_points(monkeypatch):
-    n_theta = []
+    # one entry per march, holding each batch row's theta node count
+    marches = []
 
     def spy(bc, ic, tau, z, **kw):
-        n_theta.append(tau.size)
+        marches.append([np.shape(tau)[-1]] * np.atleast_2d(tau).shape[0])
         return solver(bc, ic, tau, z, **kw)
     solver = freespace.numeric_evolution
     monkeypatch.setattr(freespace, "numeric_evolution", spy)
@@ -843,11 +844,12 @@ def test_depth_sweep_obeys_theta_points(monkeypatch):
         coupling=[{"kind": "gaussian", "amplitude": "1 MHz_angular",
                    "center": "-50 ns", "sigma": "100 ns"}])
     run_sweep(scenario_from_dict(cfg), "d", [150.0])
-    # automatic: a theta step of 0.01 over 150 gamma sigma sqrt(pi) = 8.35
-    assert n_theta == [837] * 3
-    n_theta.clear()
+    # automatic: a theta step of 0.01 over 150 gamma sigma sqrt(pi) = 8.35;
+    # one write march, then one read march over forward and backward
+    assert marches == [[837], [837] * 2]
+    marches.clear()
     run_sweep(scenario_from_dict(dict(cfg, theta_points=500)), "d", [150.0])
-    assert n_theta == [500] * 3
+    assert marches == [[500], [500] * 2]
 
 
 def test_depth_sweep_obeys_the_kernel_argument_guard(tmp_path):

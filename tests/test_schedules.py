@@ -233,6 +233,16 @@ def test_nonnegative_knots_give_nonnegative_values(case):
         assert np.all(g.eval(t) >= 0.0)
 
 
+def test_pchip_takes_subnormal_steps_without_overflow_warnings():
+    # w / m overflows for a secant slope of 5e-324 / 1e-6; the harmonic
+    # mean's limit is a zero knot slope, and the table stays nonnegative
+    t = np.linspace(0.0, 1e-5, 11)
+    v = np.zeros(11)
+    v[-1] = 5e-324
+    seg = TabulatedSegment(t, v)
+    assert np.all(seg.evaluate(np.linspace(0.0, 1e-5, 1001)) >= 0.0)
+
+
 def _pchip_tables(rng):
     """(name, knot times, knot values) of the tables the numpy PCHIP is
     held to scipy's on."""
