@@ -69,16 +69,14 @@ class CavityParams:
 
 @dataclass(eq=False)
 class SimResult(Ledger):
-    """Trajectories plus the photon-number ledger of one run (the
-    inherited `Ledger` entries, with N = |sigma|^2)."""
+    """Trajectories plus the photon-number ledger (`Ledger`, N = |sigma|^2)
+    of one run; e_cav is None where the model slaves the field to sigma."""
 
     grid: TimeGrid
-    model: str
     params: CavityParams
     g: Schedule
-    delta: Schedule
     sigma: np.ndarray
-    e_cav: np.ndarray
+    e_cav: Optional[np.ndarray]
     e_in: Optional[FieldEnvelope]
     e_out: FieldEnvelope
     tau: np.ndarray
@@ -205,10 +203,8 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
     sigma = _affine_scan(D, v, sigma0)[0]
 
     e_out = FieldEnvelope(grid, s_in + drive * gv * sigma)
-    e_cav = (1j * gv * sigma + np.sqrt(2.0 * p.kappa) * s_in) / p.kappa
     tau = _effective_time(gv, p.kappa, h)
-    return _with_ledger("adiabatic", p, g, delta, sigma, e_cav, e_in, e_out,
-                        tau, read_by_continuity=True)
+    return _with_ledger(p, g, sigma, e_in, e_out, tau)
 
 
 def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
@@ -239,8 +235,7 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
 
     e_out = FieldEnvelope(grid, -s_in + root2k * ecav)
     tau = _effective_time(gv, p.kappa, h)
-    return _with_ledger("full", p, g, delta, sigma, ecav, e_in, e_out, tau,
-                        total=np.abs(sigma) ** 2 + np.abs(ecav) ** 2)
+    return _with_ledger(p, g, sigma, e_in, e_out, tau, ecav)
 
 
 def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,
@@ -262,12 +257,7 @@ def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,
     tau = _effective_time(gv, p.kappa, grid.dt)
     sigma = sigma0 * np.exp(-tau - p.gamma * (t - grid.t0))
     e_out = FieldEnvelope(grid, 1j * np.sqrt(2.0 / p.kappa) * gv * sigma)
-    e_cav = 1j * gv * sigma / p.kappa
-    res = _with_ledger("analytic-read", p, g, Schedule.zero(), sigma, e_cav,
-                       None, e_out, tau, read_by_continuity=True)
-    if p.gamma == 0.0:
-        res.eta_r = float(1.0 - np.exp(-2.0 * tau[-1]))
-    return res
+    return _with_ledger(p, g, sigma, None, e_out, tau)
 
 
 def square_pulse_efficiency(g0: float, duration: float, p: CavityParams) -> float:
@@ -294,15 +284,20 @@ def square_pulse_efficiency(g0: float, duration: float, p: CavityParams) -> floa
 # ledger and diagnostics
 # ---------------------------------------------------------------------------
 
-def _with_ledger(model, p, g, delta, sigma, e_cav, e_in, e_out, tau,
-                 **kw) -> SimResult:
+def _stored(sigma, e_cav):
+    """|sigma|^2 and the stored energy, which adds |E_cav|^2 if given."""
+    spin = np.abs(sigma) ** 2
+    return spin, spin if e_cav is None else spin + np.abs(e_cav) ** 2
+
+
+def _with_ledger(p, g, sigma, e_in, e_out, tau, e_cav=None) -> SimResult:
     grid = e_out.grid
-    led = ledger(grid, g.windows(grid), np.abs(sigma) ** 2,
-                 np.abs(e_out.samples) ** 2,
-                 e_in.norm2() if e_in is not None else 0.0, p.gamma, **kw)
-    return SimResult(**vars(led), grid=grid, model=model, params=p, g=g,
-                     delta=delta, sigma=sigma, e_cav=e_cav, e_in=e_in,
-                     e_out=e_out, tau=tau)
+    spin, total = _stored(sigma, e_cav)
+    led = ledger(grid, g.windows(grid), spin, np.abs(e_out.samples) ** 2,
+                 e_in.norm2() if e_in is not None else 0.0, p.gamma,
+                 total=total)
+    return SimResult(**vars(led), grid=grid, params=p, g=g, sigma=sigma,
+                     e_cav=e_cav, e_in=e_in, e_out=e_out, tau=tau)
 
 
 def continuity_residual(result: SimResult) -> float:
@@ -310,32 +305,25 @@ def continuity_residual(result: SimResult) -> float:
 
         max_t | dN/dt - |E_in|^2 + |E_out|^2 + 2 gamma |sigma|^2 | / peak flux,
 
-    where N = |sigma|^2 for the adiabatic model (the cavity field is
-    slaved there and carries no independent energy) and
-    N = |sigma|^2 + |E_cav|^2 for the full model.  The detuning turns
-    sigma's phase only and does not enter.  The derivative is
-    taken by centered differences of the stored trajectory and the
-    residual scales as O(dt^2) under grid refinement.  Grid points
-    within one step of a coupling-segment boundary are excluded (the
-    finite difference straddles a kink there, which is an artifact of
-    differentiation, not of the solution).
+    where N = |sigma|^2, plus |E_cav|^2 when the result carries a cavity
+    field.  The detuning turns sigma's phase only and does not enter.
+    The derivative is taken by centered differences of the stored
+    trajectory, so the residual scales as O(dt^2) under grid refinement.
+    The samples at and next to the first and last sample of each
+    coupling window (`Schedule.windows`) are excluded: the difference
+    straddles the edge's kink there, an artifact of differentiation.
     """
     grid = result.grid
-    t = grid.times()
-    spin = np.abs(result.sigma) ** 2
-    stored = spin
-    if result.model == "full":
-        stored = spin + np.abs(result.e_cav) ** 2
-    in2 = (np.abs(result.e_in.samples) ** 2 if result.e_in is not None
-           else np.zeros(grid.n))
+    spin, stored = _stored(result.sigma, result.e_cav)
+    in2 = 0.0 if result.e_in is None else np.abs(result.e_in.samples) ** 2
     out2 = np.abs(result.e_out.samples) ** 2
     resid = np.abs(np.gradient(stored, grid.dt, edge_order=2) - in2 + out2
                    + 2.0 * result.params.gamma * spin)
     mask = np.ones(grid.n, dtype=bool)
-    for seg in result.g.segments:
-        for edge in (seg.start, seg.end):
-            mask &= np.abs(t - edge) > 1.5 * grid.dt
-    denom = max(in2.max(initial=0.0), out2.max(initial=0.0))
+    for window in result.g.windows(grid):
+        for k in window:
+            mask[max(k - 1, 0):k + 2] = False
+    denom = max(np.max(in2, initial=0.0), out2.max(initial=0.0))
     if denom == 0.0:
         return 0.0
     if not mask.any():

@@ -252,6 +252,19 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
                            s_final=s[-1].copy(), s_norm2=s_norm2)
 
 
+def _batch_rows(v, dtype, name) -> np.ndarray:
+    """v as an array, naming the first row of a ragged batch."""
+    try:
+        return np.asarray(v, dtype=dtype)
+    except ValueError:
+        n = [np.size(row) for row in v]
+        bad = [i for i in range(len(n)) if n[i] != n[0]]
+        if not bad:
+            raise
+        raise ParameterError(f"{name} row {bad[0]} has {n[bad[0]]} samples "
+                             f"but row 0 has {n[0]}") from None
+
+
 def numeric_evolution(bc, ic, tau, z, *,
                       store_fields: bool = True) -> FreeSpaceFields:
     """March the reduced system along z (midpoint rule, second order),
@@ -267,9 +280,11 @@ def numeric_evolution(bc, ic, tau, z, *,
     need.  The tau axes may be any increasing ones (the trapezoid takes
     the cell widths), to cluster nodes where the trace has structure.
     """
-    single = np.ndim(tau) == 1
-    bc, ic, tau = (np.atleast_2d(np.asarray(v, dtype=t)) for v, t in
-                   ((bc, complex), (ic, complex), (tau, float)))
+    bc, ic, tau = (_batch_rows(v, t, name) for v, t, name in
+                   ((bc, complex, "bc"), (ic, complex, "ic"),
+                    (tau, float, "tau")))
+    single = tau.ndim == 1
+    bc, ic, tau = (np.atleast_2d(v) for v in (bc, ic, tau))
     if not len(bc) == len(ic) == len(tau):
         raise ParameterError("bc, ic and tau need one row per system")
     for row in zip(bc, ic, tau):
@@ -367,8 +382,7 @@ class FreeSpaceTransform:
         self.gv = self.g.eval(t)
         self.rho = self.gv * self.gv / self.kappa
         self.theta = _effective_time(self.gv, self.kappa, self.grid.dt)
-        dv = self.delta.eval(t) if self.delta is not None else np.zeros_like(t)
-        self.chi = cumtrapz0(dv, self.grid.dt) \
+        self.chi = cumtrapz0(self.delta.eval(t), self.grid.dt) \
             - 1j * self.medium.gamma * (t - t[0])
 
     @property

@@ -211,25 +211,24 @@ def _segment_from_config(node, base_dir: Path, where: str):
         q = _read(node, where,
                   {"center": "time", "sigma": "time", "amplitude": "rate"},
                   extra=("kind", "support"))
-        center, sigma = q["center"], q["sigma"]
-        if sigma <= 0.0:
+        if q["sigma"] <= 0.0:
             raise ConfigError(f"sigma must be positive at {where}")
+        support = None
         if "support" in node:
             sup = node["support"]
             if not (isinstance(sup, list) and len(sup) == 2):
                 raise ConfigError(f"support at {where} must be [start, end]")
-            lo = parse_quantity(sup[0], "time", where=f"{where}.support[0]")
-            hi = parse_quantity(sup[1], "time", where=f"{where}.support[1]")
-        else:
-            lo, hi = center - 8.0 * sigma, center + 8.0 * sigma
-        return GaussianSegment(lo, hi, q["amplitude"], center, sigma)
+            support = [parse_quantity(x, "time", where=f"{where}.support[{i}]")
+                       for i, x in enumerate(sup)]
+        return GaussianSegment.around(q["amplitude"], q["center"],
+                                      q["sigma"], support)
     if kind in ("piecewise_linear", "tabulated"):
         _check_keys(node, ("kind", "time_s", "value", "csv"), (), where)
         t, v = _table(node, base_dir, where, ("time_s", "value"))
         try:
-            seg_cls = Schedule.piecewise_linear if kind == "piecewise_linear" \
-                else Schedule.tabulated
-            return seg_cls(t, v).segments[0]
+            seg_cls = PiecewiseLinearSegment if kind == "piecewise_linear" \
+                else TabulatedSegment
+            return seg_cls(t, v)
         except ParameterError as exc:
             raise ConfigError(f"bad {kind} segment at {where}: {exc}") from exc
     raise ConfigError(

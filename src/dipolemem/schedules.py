@@ -224,6 +224,13 @@ class GaussianSegment(_Segment):
     def scaled(self, s: float) -> "GaussianSegment":
         return replace(self, amplitude=self.amplitude * s)
 
+    @classmethod
+    def around(cls, amplitude, center, width, support=None):
+        """On `support`, by default center +- 8 widths (tails < 1.3e-14)."""
+        if support is None:
+            support = (center - 8.0 * width, center + 8.0 * width)
+        return cls(support[0], support[1], amplitude, center, width)
+
 
 @dataclass(eq=False)
 class PiecewiseLinearSegment(_Segment):
@@ -433,10 +440,7 @@ class Schedule:
 
     @classmethod
     def gaussian(cls, amplitude, center, width, support=None) -> "Schedule":
-        if support is None:
-            support = (center - 8.0 * width, center + 8.0 * width)
-        return cls([GaussianSegment(support[0], support[1], amplitude,
-                                    center, width)])
+        return cls([GaussianSegment.around(amplitude, center, width, support)])
 
     @classmethod
     def piecewise_linear(cls, times, values) -> "Schedule":
@@ -574,12 +578,12 @@ class Ledger:
     All energies are photon numbers: the integrals of |E_in|^2 and
     |E_out|^2, the stored energy at the ends of the grid, and the decay
     loss.  eta_w is the excitation at the last grid sample of the first
-    coupling window (the write window) over the input; eta_r relates
-    the output from the first sample of the second window (the read
-    window) to the excitation stored there; eta_tot is that read output
-    over the input.  write_end and read_start are the times of those
-    two samples.  Entries that do not apply to a run (e.g. eta_w for a
-    pure read) are None.
+    coupling window (the write window) over the input; eta_r is the
+    share of the excitation stored at the first sample of the second
+    window (the read window) that the read releases (see `ledger`);
+    eta_tot is the output from there on over the input.  write_end and
+    read_start are the times of those two samples.  Entries that do not
+    apply to a run (e.g. eta_w for a pure read) are None.
     """
 
     input_energy: float
@@ -592,16 +596,13 @@ class Ledger:
     eta_r: Optional[float]
     eta_tot: Optional[float]
     leakage: Optional[float]
-    read_energy: Optional[float]
     write_end: Optional[float]
     read_start: Optional[float]
 
 
 def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
            n: np.ndarray, out2: np.ndarray, input_energy: float,
-           gamma: float, *,
-           total: Optional[np.ndarray] = None,
-           read_by_continuity: bool = False) -> Ledger:
+           gamma: float, *, total: Optional[np.ndarray] = None) -> Ledger:
     """The photon-number ledger of one run, for every memory model.
 
     n is the stored excitation N(t) that decays at rate 2 gamma
@@ -616,9 +617,9 @@ def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
     second reads from its first; with no window on the grid nothing is
     stored (eta_w = eta_tot = 0) and the whole output is leakage.
     Without input, stored excitation makes a pure read from the grid
-    start with zero leakage.  eta_r is the read output over the stored
-    excitation, or with read_by_continuity the drop of N over the read
-    minus its decay, which stays smooth in t across coupling edges.
+    start with zero leakage.  eta_r, for every model, is the drop of
+    total over the read less the decay of N there, over N at the read
+    start: energy continuity, smooth in t across coupling edges.
     """
     h = grid.dt
     total = n if total is None else total
@@ -630,7 +631,7 @@ def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
         drift = abs(input_energy + float(total[0]) - output_energy
                     - float(total[-1]) - decay) / norm
 
-    eta_w = eta_r = eta_tot = leakage = read_energy = None
+    eta_w = eta_r = eta_tot = leakage = None
     write_end = read_start = i_r = None
     if input_energy > 0.0 and windows:
         i_w = windows[0][1]
@@ -646,20 +647,15 @@ def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
     elif n[0] > 0.0:
         read_start, i_r, leakage = grid.t0, 0, 0.0
     if i_r is not None:
-        stored = float(n[i_r])
-        read_energy = float(np.trapezoid(out2[i_r:], dx=h))
-        if stored > 0.0:
-            if read_by_continuity:
-                tail = 2.0 * gamma * float(np.trapezoid(n[i_r:], dx=h))
-                eta_r = (stored - float(n[-1]) - tail) / stored
-            else:
-                eta_r = read_energy / stored
+        if n[i_r] > 0.0:
+            tail = 2.0 * gamma * np.trapezoid(n[i_r:], dx=h)
+            eta_r = float((total[i_r] - total[-1] - tail) / n[i_r])
         if input_energy > 0.0:
-            eta_tot = read_energy / input_energy
+            eta_tot = float(np.trapezoid(out2[i_r:], dx=h)) / input_energy
 
     return Ledger(
         input_energy=input_energy, output_energy=output_energy,
         stored_initial=float(total[0]), stored_final=float(total[-1]),
         decay=decay, normalization_drift=drift, eta_w=eta_w, eta_r=eta_r,
-        eta_tot=eta_tot, leakage=leakage, read_energy=read_energy,
-        write_end=write_end, read_start=read_start)
+        eta_tot=eta_tot, leakage=leakage, write_end=write_end,
+        read_start=read_start)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dipolemem import (CavityParams, FieldEnvelope, ParameterError, Schedule,
-                       StabilityError, TimeGrid, continuity_residual,
+                       SquareSegment, StabilityError, TimeGrid, continuity_residual,
                        effective_fields, effective_time, optimal_write_input,
                        read_analytic, simulate_adiabatic, simulate_full,
                        square_pulse_efficiency)
@@ -32,6 +32,9 @@ def test_read_decay_law_gaussian_coupling():
     tau_r = effective_time(g, KAPPA, grid)[-1]
     res = _read_run(g, grid)
     assert abs(res.output_energy - (1.0 - np.exp(-2.0 * tau_r))) < 1e-10
+    # the closed-form read meets the law to rounding through the ledger
+    ana = read_analytic(1.0, g, CavityParams(KAPPA), grid)
+    assert abs(ana.eta_r - (1.0 - np.exp(-2.0 * tau_r))) < 1e-15
 
 
 @given(st.floats(0.1, 3.5), st.floats(0.08, 0.3))
@@ -108,6 +111,63 @@ def test_continuity_residual_full_model():
                      (CavityParams(5e6, gamma=5e4), _RAMP)):
         res = simulate_full(e_in.normalized(), g, delta, p, grid)
         assert continuity_residual(res) < 1e-6
+
+
+def test_continuity_residual_with_edges_between_samples():
+    """Window edges a third or two thirds of a step off the grid: the
+    residual skips the samples at and next to each window's first and
+    last sample, and nowhere else exceeds the bound."""
+    grid = TimeGrid.from_span(-2e-6, 2e-6, 4001)
+    a, b = -1.7e-6 + grid.dt / 3, -0.3e-6 - grid.dt / 3
+    c, d = 0.4e-6 + 2 * grid.dt / 3, 1.6e-6 + grid.dt / 3
+    g = Schedule([SquareSegment(a, b, np.sqrt(KAPPA / (b - a))),
+                  SquareSegment(c, d, np.sqrt(0.8 * KAPPA / (d - c)))])
+    assert g.windows(grid) == [(301, 1699), (2401, 3600)]
+    for gamma in (0.0, 5e4):
+        p = CavityParams(KAPPA, gamma=gamma)
+        e_in = optimal_write_input(Schedule(g.segments[:1]), p, grid)
+        for sim in (simulate_adiabatic, simulate_full):
+            res = sim(e_in, g, ZERO, p, grid)
+            assert continuity_residual(res) < 1e-6
+
+
+def _read_output_ratio(res):
+    """The read output over the excitation stored at the read start."""
+    i_r = round((res.read_start - res.grid.t0) / res.grid.dt)
+    out = np.trapezoid(np.abs(res.e_out.samples[i_r:]) ** 2, dx=res.grid.dt)
+    return out / np.abs(res.sigma[i_r]) ** 2
+
+
+@pytest.mark.parametrize("write, bound", [(False, 3e-9), (True, 1e-7)])
+def test_full_model_read_continuity_matches_read_output(write, bound):
+    """The full model's continuity eta_r against the read output over
+    the stored excitation, for a pure read and a write then read; both
+    are second order in the step, so doubling the points cuts their
+    difference fourfold."""
+    p = CavityParams(KAPPA, gamma=5e4)
+    g_w = Schedule.square(np.sqrt(KAPPA / 2e-6), -2e-6, 0.0)
+    g_r = Schedule.gaussian(9e5, center=1e-6, width=0.25e-6,
+                            support=(0.2e-6, 1.8e-6))
+    diffs = []
+    for n in (12345, 24689):
+        grid = TimeGrid.from_span(-2e-6, 2e-6, n)
+        if write:
+            e_in = optimal_write_input(g_w, p, grid)
+            res = simulate_full(e_in, Schedule(g_w.segments + g_r.segments),
+                                ZERO, p, grid)
+        else:
+            res = simulate_full(None, g_r, ZERO, p, grid, sigma0=1.0)
+        diffs.append(abs(res.eta_r - _read_output_ratio(res)))
+    assert diffs[0] < bound
+    assert 3.5 < diffs[0] / diffs[1] < 4.5
+
+
+def test_slaved_models_carry_no_cavity_field():
+    g = Schedule.square(8e5, 0.0, 1e-6)
+    grid = TimeGrid.from_span(0.0, 1e-6, 1001)
+    assert _read_run(g, grid).e_cav is None
+    assert read_analytic(1.0, g, CavityParams(KAPPA), grid).e_cav is None
+    assert _read_run(g, grid, model="full").e_cav.shape == (grid.n,)
 
 
 def test_energy_bound_with_decay():

@@ -290,6 +290,18 @@ def test_batched_march_checks_every_row():
         numeric_evolution([bc, bc], [ic], [tau, tau], z)
 
 
+@pytest.mark.parametrize("arg", [0, 1, 2])
+def test_batched_march_names_a_short_row(arg):
+    """A batch given as lists whose rows differ in length fails as a
+    ParameterError naming the argument and the row."""
+    *rows, z = _fixed_case()
+    name, n = ("bc", "ic", "tau")[arg], rows[arg].size
+    batch = [[r, r[:-1] if i == arg else r] for i, r in enumerate(rows)]
+    with pytest.raises(ParameterError, match=f"{name} row 1 has {n - 1} "
+                       f"samples but row 0 has {n}"):
+        numeric_evolution(*batch, z)
+
+
 def test_medium_guards():
     with pytest.raises(ParameterError):
         MediumParams(0.0)
