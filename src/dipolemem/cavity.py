@@ -156,13 +156,10 @@ def _affine_scan(D, v, x0) -> np.ndarray:
 
 
 def _stage_values(e_in: Optional[FieldEnvelope], g: Schedule,
-                  delta: Schedule, grid: Optional[TimeGrid]):
+                  delta: Schedule, grid: TimeGrid):
     """Checks shared by both models, then g and Delta at the grid points
     and half steps and the input samples (the half-step input is the
     midpoint of its neighbours, the best available with sampled data)."""
-    if e_in is None and grid is None:
-        raise ParameterError("need a grid when no input envelope is given")
-    grid = grid if grid is not None else e_in.grid
     if e_in is not None and e_in.grid != grid:
         raise ParameterError("input envelope grid differs from the run grid")
     if not g.is_nonnegative():
@@ -171,13 +168,12 @@ def _stage_values(e_in: Optional[FieldEnvelope], g: Schedule,
     tm = t[:-1] + 0.5 * grid.dt
     s_in = (e_in.samples if e_in is not None
             else np.zeros(grid.n, dtype=complex))
-    return (grid, g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm),
+    return (g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm),
             s_in, 0.5 * (s_in[:-1] + s_in[1:]))
 
 
 def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
-                       delta: Schedule, p: CavityParams,
-                       grid: Optional[TimeGrid] = None,
+                       delta: Schedule, p: CavityParams, grid: TimeGrid,
                        sigma0: complex = 0.0) -> SimResult:
     """Integrate the bad-cavity (adiabatically eliminated) model.
 
@@ -185,7 +181,7 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
     sigma0).  The step guard is dt * max(g^2/kappa + gamma + |Delta|)
     <= 0.1, the stiffest retained rate.
     """
-    grid, gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
+    gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
     h = grid.dt
     rate = gv * gv / p.kappa + p.gamma + np.abs(dv)
     rate_m = gm * gm / p.kappa + p.gamma + np.abs(dm)
@@ -208,13 +204,13 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
 
 
 def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
-                  p: CavityParams, grid: Optional[TimeGrid] = None,
+                  p: CavityParams, grid: TimeGrid,
                   sigma0: complex = 0.0) -> SimResult:
     """Integrate the full two-mode model (dipole + intracavity field).
 
     The step must resolve the cavity pole: dt * kappa <= 0.1 enforced.
     """
-    grid, gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
+    gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
     h = grid.dt
     stiff = max(p.kappa, p.gamma + float(np.abs(dv).max(initial=0.0)),
                 float(gv.max(initial=0.0)))

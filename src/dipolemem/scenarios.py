@@ -52,7 +52,7 @@ from .cavity import (CavityParams, SimResult, continuity_residual,
                      square_pulse_efficiency)
 from .control import optimal_write_input, synthesize_couplings, \
     variational_optimize
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, ResolutionError
 from .freespace import (FreeSpaceTransform, MediumParams, analytic_evolution,
                         entire_bessel_kernel, numeric_evolution,
                         reduced_continuity_residual, storage_retrieval_sweep,
@@ -726,34 +726,24 @@ def _run_cavity(scn: Scenario):
     return summary, diagnostics, tables
 
 
-def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act, h_target):
-    """Theta axis of the reduced z-march.
+def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act):
+    """Theta nodes of the reduced z-march and the boundary trace on them.
 
-    Every active time sample keeps its own theta node: the map t -> theta
-    compresses the coupling-window tails, and resampling the boundary
-    trace onto a uniform theta grid starves exactly those stretches where
-    the input still carries flux but theta barely advances.  Cells wider
-    than h_target are subdivided so the interior keeps the requested
-    resolution.
+    The nodes are the effective times of the active lab samples
+    themselves, each distinct value once (theta stalls where g ~ 0),
+    with a leading 0 when the first is positive; the trace at that 0
+    repeats the first sample.  Every node is a lab sample, so the march
+    sees the data as sampled and maps back to the lab frame exactly.
     """
-    th_raw = tr.theta[act]
-    keep = np.empty(th_raw.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = np.diff(th_raw) > 0.0      # theta stalls where g ~ 0
-    th_nodes = th_raw[keep]
-    bc_nodes = bc_t[act][keep]
-    # each cell [a, b] gets n sub-nodes a + k (b - a)/n, k = 1..n, the
-    # last set to b exactly, as np.linspace(a, b, n + 1)[1:] gives them
-    a, b = th_nodes[:-1], th_nodes[1:]
-    n_sub = np.maximum(np.ceil((b - a) / h_target).astype(np.int64), 1)
-    ends = np.cumsum(n_sub)
-    k = np.arange(1, int(n_sub.sum()) + 1) - np.repeat(ends - n_sub, n_sub)
-    sub = k * np.repeat((b - a) / n_sub, n_sub) + np.repeat(a, n_sub)
-    sub[ends - 1] = b
-    theta = np.concatenate([th_nodes[:1], sub])
+    th = tr.theta[act]
+    keep = np.concatenate([[True], np.diff(th) > 0.0])
+    theta, bc = th[keep], bc_t[act][keep]
     if theta[0] > 0.0:
         theta = np.concatenate([[0.0], theta])
-    bc = interp_complex(theta, th_nodes, bc_nodes)
+        bc = np.concatenate([bc[:1], bc])
+    if theta.size < 3:
+        raise ResolutionError("the coupling windows cover too few grid "
+                              "samples for the march; refine the grid")
     return theta, bc
 
 
@@ -784,16 +774,15 @@ def _run_freespace(scn: Scenario):
                 FieldEnvelope(grid, np.where(act, in_samples, 0.0)))
         else:
             bc_t = np.zeros(t.size, dtype=complex)
-        n_theta = theta_nodes(theta_total, scn.theta_points)
         if scn.model == "freespace-numeric":
-            theta, bc = _active_theta_axis(tr, bc_t, act,
-                                           theta_total / (n_theta - 1))
+            theta, bc = _active_theta_axis(tr, bc_t, act)
             fields = numeric_evolution(bc, ic, theta, x,
                                        store_fields=scn.dump_fields)
         else:
             # the kernel solver needs a uniform axis
             th_act = tr.theta[act]
-            theta = np.linspace(0.0, theta_total, n_theta)
+            theta = np.linspace(0.0, theta_total,
+                                theta_nodes(theta_total, scn.theta_points))
             bc = interp_complex(theta, th_act, bc_t[act])
             fields = analytic_evolution(bc, ic, theta, x)
 
@@ -1168,9 +1157,9 @@ def _check_kernel_identity():
     return worst <= 1e-7, f"(max rel err = {worst:.2e} <= 1e-07)"
 
 
-def _propagation_case(n=301):
-    theta = np.linspace(0.0, 2.0, n)
-    x = np.linspace(0.0, 1.0, n)
+def _propagation_case():
+    theta = np.linspace(0.0, 2.0, 301)
+    x = np.linspace(0.0, 1.0, 301)
     bc = np.exp(-((theta - 0.9) ** 2) / 0.08) * np.exp(1j * 3.0 * theta)
     ic = 0.4 * np.exp(-((x - 0.55) ** 2) / 0.02).astype(complex)
     return bc, ic, theta, x

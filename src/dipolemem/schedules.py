@@ -553,9 +553,8 @@ def effective_fields(field: FieldEnvelope, g: Schedule,
     gv = g.eval(t)
     tau = _effective_time(gv, kappa, field.grid.dt)
     absval = np.abs(field.samples)
-    fmax = absval.max() if absval.size else 0.0
     on = gv > 0.0
-    bad = (~on) & (absval > ZERO_LEVEL * fmax)
+    bad = (~on) & (absval > ZERO_LEVEL * absval.max())
     if np.any(bad):
         k = int(np.argmax(bad))
         raise SingularTransformError(

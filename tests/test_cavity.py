@@ -291,9 +291,3 @@ def test_parameter_validation():
     with pytest.raises(ParameterError):
         simulate_adiabatic(None, Schedule.square(-1e5, 0.0, 1e-6), ZERO,
                            CavityParams(KAPPA), grid, sigma0=1.0)
-
-
-def test_pure_read_needs_grid():
-    with pytest.raises(ParameterError):
-        simulate_adiabatic(None, Schedule.square(1e5, 0.0, 1e-6), ZERO,
-                           CavityParams(KAPPA), sigma0=1.0)

@@ -23,7 +23,7 @@ from dipolemem.scenarios import (MODELS, SWEEP_AXES, build_input,
                                  design_couplings, load_scenario,
                                  run_scenario, run_sweep, scenario_from_dict,
                                  scenario_hash, write_artifacts)
-from dipolemem.schedules import effective_time
+from dipolemem.schedules import FieldEnvelope, effective_time
 from dipolemem.units import format_quantity, parse_quantity
 
 REPO = Path(__file__).resolve().parents[1]
@@ -477,30 +477,64 @@ def test_medium_is_transparent_outside_coupling_windows():
     np.testing.assert_array_equal(e_out[late], e_in[late])
 
 
-def test_active_theta_axis_matches_loop_reference():
-    scn = scenario_from_dict(freespace_cfg())
+@pytest.mark.parametrize("cfg, lead", [
+    (freespace_cfg(), 1),
+    (freespace_cfg(grid={"start": "-0.3 us", "stop": "2 us",
+                         "points": 2301}), 0),
+], ids=["window-inside-grid", "window-at-grid-start"])
+def test_march_nodes_are_the_active_samples(monkeypatch, cfg, lead):
+    seen = {}
+
+    def spy(bc, ic, theta, x, **kw):
+        seen["bc"], seen["theta"] = bc, theta
+        return solver(bc, ic, theta, x, **kw)
+    solver = scenarios.numeric_evolution
+    monkeypatch.setattr(scenarios, "numeric_evolution", spy)
+    scn = scenario_from_dict(cfg)
+    run_scenario(scn)
     tr = freespace.FreeSpaceTransform(scn.coupling, scn.detuning,
                                       scn.medium, scn.grid)
     act = tr.rho >= scenarios.RHO_CUT * tr.rho.max()
-    th_raw = tr.theta[act]
-    # the raw nodes cluster in the window tails; a target a quarter of
-    # the widest raw cell subdivides the centre and leaves the tails
-    h_target = 0.25 * np.diff(th_raw).max()
-    bc_t = np.exp(1j * tr.theta) * tr.rho / tr.rho.max()
-    theta, bc = scenarios._active_theta_axis(tr, bc_t, act, h_target)
+    # distinct active-sample thetas, with theta = 0 first when the
+    # coupling starts after the grid does
+    nodes, first = np.unique(tr.theta[act], return_index=True)
+    assert (nodes[0] > 0.0) == bool(lead)
+    np.testing.assert_array_equal(seen["theta"][lead:], nodes)
+    if lead:
+        assert seen["theta"][0] == 0.0 and seen["bc"][0] == seen["bc"][1]
+    # the boundary trace enters as sampled, with no resampling
+    in_act = np.where(act, build_input(scn).samples, 0.0)
+    bc_t = tr.boundary_to_reduced(FieldEnvelope(scn.grid, in_act))
+    np.testing.assert_array_equal(seen["bc"][lead:], bc_t[act][first])
 
-    nodes = [th_raw[0]] + [b for a, b in zip(th_raw[:-1], th_raw[1:])
-                           if b > a]
-    ref = [0.0] if nodes[0] > 0.0 else []
-    ref.append(nodes[0])
-    for a, b in zip(nodes[:-1], nodes[1:]):
-        n_sub = max(int(np.ceil((b - a) / h_target)), 1)
-        ref.extend(np.linspace(a, b, n_sub + 1)[1:])
-    np.testing.assert_array_equal(theta, ref)
-    assert np.isin(nodes, theta).all()
-    assert 0.0 < np.diff(theta).min()
-    assert np.diff(theta).max() <= h_target * (1.0 + 1e-12)
-    assert theta.size > len(nodes) and bc.shape == theta.shape
+
+def _preset_at(points):
+    cfg = yaml.safe_load(
+        (REPO / "presets" / "freespace_gaussian_sweep.yaml").read_text())
+    return dict(cfg, grid=dict(cfg["grid"], points=points))
+
+
+def test_march_converges_at_second_order_in_the_lab_step():
+    def eta_write(points):
+        scn = scenario_from_dict(_preset_at(points))
+        return run_scenario(scn).summary["eta_write"]
+    ref = eta_write(4801)
+    # halving the lab step cuts the error about 4x (4.2 measured)
+    ratio = abs(eta_write(601) - ref) / abs(eta_write(1201) - ref)
+    assert 3.0 < ratio < 5.0
+
+
+@pytest.mark.parametrize("points", [3, 41])
+def test_coarse_marching_grid_is_refused(tmp_path, points):
+    # 41 points: one lab step moves the kernel argument by 0.55 > 0.5;
+    # 3 points: two active samples give too few theta nodes
+    cfg = _preset_at(points)
+    with pytest.raises(ResolutionError):
+        run_scenario(scenario_from_dict(cfg))
+    proc = _cli(["run", str(_write_cfg(tmp_path, cfg)), "--outdir",
+                 str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stderr)["error"] == "ResolutionError"
 
 
 def test_freespace_run_closes_its_ledger():
@@ -625,7 +659,8 @@ def test_field_dump_matches_row_loop(tmp_path, monkeypatch, model):
 
 def test_field_dump_far_end_is_the_output(tmp_path):
     """fields.csv at z = L and e_out.csv come from one lab-frame map, so
-    at every grid-sample time they hold the same doubles.  In the second
+    at every grid-sample time they hold the same doubles.  The march's
+    nodes are lab samples, so every row falls on one.  In the second
     case the coupling starts after the grid does, and the theta = 0 node
     the march prepends has no lab time of its own."""
     preset = yaml.safe_load(
@@ -640,7 +675,7 @@ def test_field_dump_far_end_is_the_output(tmp_path):
         far = fields[fields[:, 0] == scn.medium.length]
         row_of = {t: k for k, t in enumerate(e_out[:, 0])}
         on_grid = np.array([t in row_of for t in far[:, 1]])
-        assert on_grid.sum() > least
+        assert on_grid.all() and on_grid.sum() > least
         want = e_out[[row_of[t] for t in far[on_grid, 1]], 1:]
         np.testing.assert_array_equal(far[on_grid, 2:], want)
 
