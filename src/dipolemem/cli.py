@@ -18,11 +18,11 @@ import json
 import sys
 from pathlib import Path
 
+from . import __version__
 from .errors import (ConfigError, DipolememError, ParameterError,
                      ResolutionError, SingularTransformError, StabilityError)
-from .scenarios import (TOOLKIT_VERSION, builtin_verify, design_couplings,
-                        load_scenario, run_scenario, run_sweep,
-                        write_artifacts)
+from .scenarios import (builtin_verify, design_couplings, load_scenario,
+                        run_scenario, run_sweep, write_artifacts)
 
 _USAGE_EXIT = 2
 _NUMERIC_EXIT = 3
@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate and design a quantum memory with a "
                     "time-controlled light-matter coupling.")
     parser.add_argument("--version", action="version",
-                        version=f"dipolemem {TOOLKIT_VERSION}")
+                        version=f"dipolemem {__version__}")
     sub = parser.add_subparsers(dest="op", required=True)
 
     p_run = sub.add_parser("run", help="integrate one scenario")

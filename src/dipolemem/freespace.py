@@ -56,6 +56,7 @@ writes all depths of one node count, and one more reads them all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -253,9 +254,10 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
 
 
 def _batch_rows(v, dtype, name) -> np.ndarray:
-    """v as an array, naming the first row of a ragged batch."""
+    """v as a C-ordered array (the march works along rows), naming the
+    first row of a ragged batch."""
     try:
-        return np.asarray(v, dtype=dtype)
+        return np.ascontiguousarray(v, dtype=dtype)
     except ValueError:
         n = [np.size(row) for row in v]
         bad = [i for i in range(len(n)) if n[i] != n[0]]
@@ -456,23 +458,47 @@ def theta_nodes(theta_total: float, theta_points: Optional[int] = None) -> int:
                int(np.ceil(theta_total / _AUTO_THETA_STEP)) + 1)
 
 
-def _window_theta_map(d: float, gamma: float, sigma: float, center: float,
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
+def _erfinv(y: np.ndarray) -> np.ndarray:
+    """Inverse error function of an array in (-1, 1): Newton's method on
+    math.erf from 0.  erf is concave on u > 0 (convex on u < 0), so the
+    iterates climb to the root without overshoot.  Near the window edge
+    erfinv's condition number is about 900, so the last steps cycle at a
+    few ulps instead of meeting a fixed tolerance: the iteration stops
+    once the largest step no longer shrinks (at most 14 steps on the
+    sweep's grids)."""
+    u = np.zeros_like(y)
+    last = np.inf
+    while True:
+        step = ((_erf(u).astype(float) - y)
+                * (0.5 * math.sqrt(math.pi)) * np.exp(u * u))
+        size = np.max(np.abs(step), initial=0.0)
+        if not size < last:
+            return u
+        u -= step
+        last = size
+
+
+def _window_theta_map(d, gamma: float, sigma: float, center: float,
                       n_theta: int):
-    """Uniform theta grid over one active coupling window.
+    """Uniform theta grids over one active coupling window.
 
     Returns (theta, t_of_theta, rho_of_theta).  For rho(t) =
     d*gamma*exp(-(t-center)^2/sigma^2) on |t - center| <= R the
     effective time is theta(t) = (full/2) (erf((t-center)/sigma) +
     erf(R/sigma)) with full = d*gamma*sigma*sqrt(pi), inverted exactly.
+    The times depend on the node count only, so a 1-d array of depths
+    shares them: theta and rho then hold one row per depth.
     """
-    from scipy import special
-
-    full = d * gamma * sigma * np.sqrt(np.pi)
-    edge = special.erf(_WINDOW_RADIUS)
-    theta = np.linspace(0.0, full * edge, n_theta)
-    t_of = center + sigma * special.erfinv(2.0 * theta / full - edge)
-    rho_of = d * gamma * np.exp(-((t_of - center) / sigma) ** 2)
-    return theta, t_of, rho_of
+    edge = math.erf(_WINDOW_RADIUS)
+    u = _erfinv(np.linspace(-edge, edge, n_theta))
+    d = np.asarray(d, dtype=float)
+    theta = np.linspace(0.0, d * gamma * sigma * math.sqrt(math.pi) * edge,
+                        n_theta, axis=-1)
+    rho_of = np.multiply.outer(d * gamma, np.exp(-u * u))
+    return theta, center + sigma * u, rho_of
 
 
 def storage_retrieval_sweep(d_values, medium: MediumParams,
@@ -528,33 +554,31 @@ def storage_retrieval_sweep(d_values, medium: MediumParams,
     # so the medium is transparent and its row stays zero
     for n_theta in np.unique(nodes[d_arr > 0.0]).tolist():
         idx = np.flatnonzero((nodes == n_theta) & (d_arr > 0.0))
-        theta, t_w, rho_w = (np.array(v) for v in zip(*(
-            _window_theta_map(d, gam, sigma, coupling.center, n_theta)
-            for d in d_arr[idx])))
+        theta, t_w, rho_w = _window_theta_map(d_arr[idx], gam, sigma,
+                                              coupling.center, n_theta)
         e_amp = norm * np.exp(-((t_w - input_center) ** 2)
                               / (2.0 * input_sigma ** 2))
         bc_w = e_amp * np.exp(gam * t_w) / (1j * np.sqrt(rho_w))
         if detuning is not None:
-            # detuning phase over each write window (against its uneven
+            # detuning phase over the write window (against its uneven
             # t_w); the source-free reads only gain an overall phase
-            bc_w = bc_w * np.exp(1j * np.array(
-                [cumtrapz0(detuning.eval(t), np.diff(t)) for t in t_w]))
+            bc_w = bc_w * np.exp(1j * cumtrapz0(detuning.eval(t_w),
+                                                np.diff(t_w)))
         wr = numeric_evolution(bc_w, np.zeros((idx.size, x.size), complex),
                                theta, x, store_fields=False)
-        rows[idx, 1] = np.exp(-2.0 * gam * t_w[:, -1]) * np.trapezoid(
+        rows[idx, 1] = np.exp(-2.0 * gam * t_w[-1]) * np.trapezoid(
             np.abs(wr.s_final) ** 2, x=x)
-        # read with the same pulse once the write window has passed: the
-        # spin waves as stored (forward) and mirrored (backward), together
-        theta_r, t_r, _rho = (np.array(v) for v in zip(*(
-            _window_theta_map(d, gam, sigma, t_end + read_gap
-                              + _WINDOW_RADIUS * sigma, n_theta)
-            for d, t_end in zip(d_arr[idx], t_w[:, -1]))))
-        theta_r = np.concatenate([theta_r, theta_r])
+        # read with the same pulse once the write window has passed (same
+        # theta grids, times shifted): the spin waves as stored (forward)
+        # and mirrored (backward), together
+        t_r = t_w + (t_w[-1] + read_gap + _WINDOW_RADIUS * sigma
+                     - coupling.center)
+        theta_r = np.concatenate([theta, theta])
         ic_r = np.concatenate([wr.s_final, wr.s_final[:, ::-1]])
         rd = numeric_evolution(np.zeros_like(theta_r, dtype=complex), ic_r,
                                theta_r, x, store_fields=False)
-        weight = np.tile(np.exp(-2.0 * gam * t_r), (2, 1))
-        rows[idx, 2:4] = np.trapezoid(np.abs(rd.e_end) ** 2 * weight,
+        rows[idx, 2:4] = np.trapezoid(np.abs(rd.e_end) ** 2
+                                      * np.exp(-2.0 * gam * t_r),
                                       x=theta_r).reshape(2, -1).T
         rows[idx, 4] = theta[:, -1]
     return rows

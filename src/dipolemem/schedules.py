@@ -486,16 +486,20 @@ class DipolePhysical:
             raise ParameterError("dipole moment table must be non-negative")
 
 
+# vacuum permittivity (F/m, CODATA 2022) and the reduced Planck constant
+# (J s, exact: h / 2 pi with the SI's exact h)
+_EPSILON_0 = 8.8541878188e-12
+_HBAR = 1.0545718176461565e-34
+
+
 def coupling_from_dipole(phys: DipolePhysical) -> Schedule:
     """Coupling-rate schedule g(t) = sqrt(N) sqrt(omega0/(2 eps0 hbar V)) * p(t).
 
     p(t) is the tabulated dipole moment; the returned schedule is
     tabulated on the same knots (PCHIP in between, zero outside).
     """
-    from scipy.constants import epsilon_0, hbar
-
     factor = np.sqrt(phys.atom_count) * np.sqrt(
-        phys.omega0 / (2.0 * epsilon_0 * hbar * phys.volume))
+        phys.omega0 / (2.0 * _EPSILON_0 * _HBAR * phys.volume))
     return Schedule.tabulated(phys.dipole_times, factor * phys.dipole_values)
 
 

@@ -11,11 +11,11 @@ from scipy import special
 from dipolemem import (FieldEnvelope, FreeSpaceTransform, GaussianSegment,
                        MediumParams, ParameterError, ResolutionError,
                        Schedule, SingularTransformError, TimeGrid,
-                       analytic_evolution, entire_bessel_kernel,
+                       analytic_evolution, entire_bessel_kernel, freespace,
                        numeric_evolution, reduced_continuity_residual,
                        storage_retrieval_sweep, thin_medium_cavity_coupling)
-from dipolemem.freespace import (_kernel_series, _window_theta_map,
-                                 theta_nodes)
+from dipolemem.freespace import (_WINDOW_RADIUS, _erfinv, _kernel_series,
+                                 _window_theta_map, theta_nodes)
 from dipolemem.schedules import cumtrapz0, effective_fields, effective_time
 
 GAMMA = 2 * np.pi * 5e4
@@ -416,6 +416,23 @@ def _sweep(d_values, gamma=GAMMA, **kw):
                 space_points=201)
     args.update(kw)
     return storage_retrieval_sweep(d_values, **args).T
+
+
+def test_erfinv_stops_at_round_off_and_matches_scipy(monkeypatch):
+    # near the window edge the last Newton steps cycle at a few ulps, so
+    # a fixed step tolerance (1e-15) would never stop on n = 688 or 1493
+    calls = []
+    erf = freespace._erf
+    monkeypatch.setattr(freespace, "_erf",
+                        lambda u: calls.append(None) or erf(u))
+    edge = math.erf(_WINDOW_RADIUS)
+    for n in [*range(2, 3000, 7), 688, 1493]:
+        y = np.linspace(-edge, edge, n)
+        calls.clear()
+        got = _erfinv(y)
+        assert len(calls) <= 15, (n, len(calls))     # 14 Newton steps
+        np.testing.assert_allclose(got, special.erfinv(y), rtol=0.0,
+                                   atol=5e-14, err_msg=f"n = {n}")
 
 
 def test_window_theta_map_inverts_the_depth_integral():

@@ -1073,6 +1073,51 @@ def test_cavity_run_loads_no_scipy(tmp_path):
     assert proc.stdout.strip() == "[]"
 
 
+def test_depth_sweep_and_verify_load_no_scipy(tmp_path):
+    # the depth sweep's erf map and verify's Bessel reference are numpy,
+    # and the version is a literal: neither command loads scipy or the
+    # package-metadata machinery
+    preset = REPO / "presets" / "freespace_gaussian_sweep.yaml"
+    code = ("import sys\n"
+            "from dipolemem.cli import main\n"
+            "assert main(['sweep', sys.argv[1], '--axis', 'd', '--values',\n"
+            "             '1,3,10,22,40,60,90,120,150',\n"
+            "             '--outdir', sys.argv[2]]) == 0\n"
+            "assert main(['verify']) == 0\n"
+            "print([m for m in sys.modules\n"
+            "       if m.startswith(('scipy', 'importlib.metadata'))])\n")
+    proc = _python(["-c", code, str(preset), str(tmp_path / "out")],
+                   cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_version_comes_from_one_literal(tmp_path):
+    version = dipolemem.__version__
+    proc = _cli(["--version"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == f"dipolemem {version}"
+    write_artifacts(run_scenario(scenario_from_dict(cavity_cfg())), tmp_path)
+    result = json.loads((tmp_path / "result.json").read_text())
+    assert result["version"] == version
+    # pyproject.toml reads the same literal instead of repeating it
+    text = (REPO / "pyproject.toml").read_text()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "dipolemem.__version__"}' in text
+
+
+def test_verify_bessel_reference_matches_scipy():
+    from scipy import special
+    x = 2.0 * np.sqrt(np.linspace(0.0, 30.0, 3001))     # |a| <= 30
+    for n, modified, ref in ((0, True, special.i0), (1, True, special.i1),
+                             (0, False, special.j0), (1, False, special.j1)):
+        want = ref(x)
+        got = np.array([scenarios._bessel_by_integral(n, v, modified)
+                        for v in x])
+        err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+        assert err.max() <= 1e-14, (n, modified, err.max())
+
+
 def test_cli_verify_passes(capsys):
     assert cli_main(["verify"]) == 0
     out = capsys.readouterr().out

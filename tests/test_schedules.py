@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from dipolemem import (FieldEnvelope, ParameterError, Schedule,
                        SingularTransformError, TimeGrid, effective_fields,
                        effective_time)
-from dipolemem.schedules import (ZERO_LEVEL, DipolePhysical, GaussianSegment,
+from dipolemem.schedules import (_EPSILON_0, _HBAR, ZERO_LEVEL,
+                                 DipolePhysical, GaussianSegment,
                                  PiecewiseLinearSegment, SquareSegment,
                                  TabulatedSegment, coupling_from_dipole,
                                  cumtrapz0)
@@ -355,6 +356,15 @@ def test_effective_fields_singular_off_support():
 # ---------------------------------------------------------------------------
 # physical dipole table
 # ---------------------------------------------------------------------------
+
+def test_physical_constants_match_scipy():
+    # scipy 1.13 still carries CODATA 2018's epsilon_0 (8.8541878128e-12),
+    # 6.8e-10 from the CODATA 2022 value
+    from scipy import constants
+    np.testing.assert_allclose([_EPSILON_0, _HBAR],
+                               [constants.epsilon_0, constants.hbar],
+                               rtol=1e-9)
+
 
 def test_coupling_from_dipole_scalings():
     tt = np.linspace(0.0, 1e-6, 11)
