@@ -1,5 +1,7 @@
 """Cavity memory dynamics: read/write efficiencies, continuity, decay."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from dipolemem import (CavityParams, FieldEnvelope, ParameterError, Schedule,
                        effective_fields, effective_time, optimal_write_input,
                        read_analytic, simulate_adiabatic, simulate_full,
                        square_pulse_efficiency)
-from dipolemem.cavity import _affine_scan
+from dipolemem.cavity import _affine_scan, _rk4_maps
 
 KAPPA = 1e6
 ZERO = Schedule.zero()
@@ -194,25 +196,80 @@ def _sequential_scan(D, v, x0):
     return np.concatenate(x, axis=1)
 
 
+def _random_complex(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("n", [1, 2, 31 * 31 - 1, 31 * 31, 31 * 31 + 1,
-                               100_003])
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 960, 961, 962,
+                               10 ** 3 - 1, 10 ** 3, 10 ** 3 + 1, 100_003])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1.0 + 1e-4])
 def test_affine_scan_matches_sequential_loop(d, n, scale):
-    """Blocked scan against the step-by-step recurrence; blocks are
-    about sqrt(n) long, so the sizes straddle block boundaries.  The
-    maps are scale times a random unitary: 1e-3 decays the running
-    products past underflow, 1 + 1e-4 grows the state by up to e^10."""
+    """Blocked scan against the step-by-step recurrence.  Below 64 steps
+    the scan is the step loop itself; above, blocks are about n^(1/3)
+    long and the block ends are scanned recursively.  So the sizes sit on
+    the base-case cutoff, on whole numbers of blocks (960 and 10^3) and
+    one step to either side of them, and at three recursion levels
+    (100,003).  The maps are scale times a random unitary: 1e-3 decays
+    the running products past underflow, 1 + 1e-4 grows the state by up
+    to e^10."""
     rng = np.random.default_rng(n + d)
-    z = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    z = _random_complex(rng, n, d, d)
     M = np.moveaxis(scale * np.linalg.qr(z)[0], 0, -1)
     D = M - np.eye(d)[:, :, None]
-    v = rng.normal(size=(d, 1, n)) + 1j * rng.normal(size=(d, 1, n))
-    x0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+    v = _random_complex(rng, d, 1, n)
+    x0 = _random_complex(rng, d)
     x = _affine_scan(D, v, x0)
     ref = _sequential_scan(D, v, x0)
     assert x.shape == (d, n + 1)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_rk4_maps_are_the_textbook_four_stage_step(d):
+    """The affine maps against classical RK4 written stage by stage: J
+    and f at t, t + h/2 (both middle stages) and t + h.  D is the step
+    of the homogeneous equation applied to I, minus I; v is the step of
+    the full equation applied to the zero state."""
+    rng = np.random.default_rng(d)
+    n, h = 50, 0.05
+    j, jm = _random_complex(rng, d, d, n + 1), _random_complex(rng, d, d, n)
+    f, fm = _random_complex(rng, d, 1, n + 1), _random_complex(rng, d, 1, n)
+    D, v = _rk4_maps(j, jm, f, fm, h)
+    assert D.shape == (d, d, n) and v.shape == (d, 1, n)
+
+    def step(x, k, src):                # x + h/6 (k1 + 2 k2 + 2 k3 + k4)
+        j1, jh, j4 = j[..., k], jm[..., k], j[..., k + 1]
+        f1, fh, f4 = src * f[..., k], src * fm[..., k], src * f[..., k + 1]
+        k1 = j1 @ x + f1
+        k2 = jh @ (x + 0.5 * h * k1) + fh
+        k3 = jh @ (x + 0.5 * h * k2) + fh
+        k4 = j4 @ (x + h * k3) + f4
+        return x + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    D_ref = np.stack([step(np.eye(d), k, 0.0) - np.eye(d) for k in range(n)],
+                     axis=-1)
+    v_ref = np.stack([step(np.zeros((d, 1)), k, 1.0) for k in range(n)],
+                     axis=-1)
+    assert np.abs(D - D_ref).max() <= 1e-14 * np.abs(D_ref).max()
+    assert np.abs(v - v_ref).max() <= 1e-14 * np.abs(v_ref).max()
+
+
+@pytest.mark.parametrize("d, n", [(1, 100_000), (2, 40_000)])
+def test_affine_scan_peak_memory_is_bounded(d, n):
+    """The scan holds one padded copy of the maps, the states and one
+    fix-up product: its traced peak stays within 1.75 times the maps it
+    is given."""
+    rng = np.random.default_rng(d)
+    D = 1e-3 * _random_complex(rng, d, d, n)
+    v = _random_complex(rng, d, 1, n)
+    tracemalloc.start()
+    try:
+        _affine_scan(D, v, np.ones(d))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * (D.nbytes + v.nbytes)
 
 
 # ---------------------------------------------------------------------------
