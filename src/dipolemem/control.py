@@ -34,13 +34,11 @@ from .errors import ParameterError
 from .schedules import FieldEnvelope, Schedule, TimeGrid, cumtrapz0
 
 
-def _write_exponent(g_w: Schedule, delta: Optional[Schedule],
-                    p: CavityParams, grid: TimeGrid
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The coupling samples g(t), the exponent R(t) = integral
-    (g^2/kappa + gamma + i Delta) dt' of the write kernel (real unless a
-    non-zero detuning is given) and the write end i, the last sample of
-    the first window of `Schedule.windows`."""
+def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
+                  grid: TimeGrid) -> np.ndarray:
+    """The write kernel's shape g(t) exp(R(t) - R(t_w)) on the grid, so
+    that k = i sqrt(2/kappa) times it; zero past the write end t_w, the
+    last sample of the first window of `Schedule.windows`."""
     t = grid.times()
     gv = g_w.eval(t)
     if np.any(gv < 0.0):
@@ -51,17 +49,12 @@ def _write_exponent(g_w: Schedule, delta: Optional[Schedule],
     rate = gv * gv / p.kappa + p.gamma
     if delta is not None and delta.max_abs() > 0.0:
         rate = rate + 1j * delta.eval(t)
-    return gv, cumtrapz0(rate, grid.dt), g_w.windows(grid)[0][1]
-
-
-def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
-                  grid: TimeGrid) -> np.ndarray:
-    """k(t) such that sigma(t_w) = integral k(t) E_in(t) dt for the
-    adiabatic model; zero past the write end t_w."""
-    gv, R, i = _write_exponent(g_w, delta, p, grid)
+    R = cumtrapz0(rate, grid.dt)
+    i = g_w.windows(grid)[0][1]
+    # past t_w the gamma term keeps growing, so the exponential is only
+    # evaluated up to the window end
     k = np.zeros(grid.n, dtype=complex)
-    k[:i + 1] = (1j * np.sqrt(2.0 / p.kappa) * gv[:i + 1]
-                 * np.exp(R[:i + 1] - R[i]))
+    k[:i + 1] = gv[:i + 1] * np.exp(R[:i + 1] - R[i])
     return k
 
 
@@ -78,8 +71,8 @@ def write_efficiency_of(e_in: FieldEnvelope, g_w: Schedule,
     if n2 <= 0.0:
         raise ParameterError("input envelope has zero norm")
     k = _write_kernel(g_w, None, p, e_in.grid)
-    sigma_end = np.trapezoid(k * e_in.samples, dx=e_in.grid.dt)
-    return float(abs(sigma_end) ** 2 / n2)
+    overlap = np.trapezoid(k * e_in.samples, dx=e_in.grid.dt)
+    return float(2.0 / p.kappa * abs(overlap) ** 2 / n2)
 
 
 def optimal_write_input(g_w: Schedule, p: CavityParams, grid: TimeGrid,
@@ -94,12 +87,8 @@ def optimal_write_input(g_w: Schedule, p: CavityParams, grid: TimeGrid,
     without detuning the envelope is real everywhere.  With
     gamma = Delta = 0 this is g(t) e^{tau(t) - tau_w}.
     """
-    gv, R, i = _write_exponent(g_w, delta, p, grid)
-    # past t_w the gamma term keeps growing, so the exponential is only
-    # evaluated up to the window end
-    raw = np.zeros(grid.n, dtype=complex)
-    raw[:i + 1] = gv[:i + 1] * np.exp(np.conj(R[:i + 1] - R[i]))
-    return FieldEnvelope(grid, raw).normalized()
+    k = _write_kernel(g_w, delta, p, grid)
+    return FieldEnvelope(grid, np.conj(k, out=k)).normalized()
 
 
 def variational_optimize(g_w: Schedule, delta: Optional[Schedule],

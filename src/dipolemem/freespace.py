@@ -17,7 +17,8 @@ kappa = c/L (Gorshkov, Andre, Lukin & Sorensen, PRA 76, 033805 (2007)):
 theta = tau*L (below) is the effective time integral g^2/kappa dt, and
 the boundary field sqrt(c/L) E e^{i chi} / (i g) is the effective field
 sqrt(kappa) E / g turned by e^{i chi} / i.  `FreeSpaceTransform` is
-`effective_time` and `effective_fields` at that kappa.
+`effective_time` and `effective_fields` at that kappa, with the inverse
+factor i g sqrt(L/c) e^{-i chi} held on the same lab grid.
 
 Its exact solution is a pair of causal convolutions against the entire
 kernels
@@ -64,8 +65,7 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .schedules import (FieldEnvelope, GaussianSegment, Schedule, TimeGrid,
-                        _effective_time, cumtrapz0, effective_fields,
-                        interp_complex)
+                        _effective_time, cumtrapz0, effective_fields)
 
 # Largest kernel-argument change across one grid cell before the
 # trapezoid quadrature of the kernel convolutions degrades.
@@ -364,10 +364,11 @@ class FreeSpaceTransform:
     complex exponent chi(t) = integral (Delta - i gamma) dt it converts
 
         boundary field  A(0, theta(t)) = sqrt(c/L) E~(t) e^{i chi} / (i g(t))
-        output field    E~(t) = i g(t) sqrt(L/c) A e^{-i chi}
+        output field    E~(t) = lab(t) A,  lab = i g(t) sqrt(L/c) e^{-i chi}
         spin wave       sigma(x,t) = S_hat(x, theta(t)) e^{-i chi} / sqrt(L)
 
-    E~ envelopes are the package-wide photon-flux-normalized fields
+    All tables, `lab` included, hold the grid samples of one g(t).  E~
+    envelopes are the package-wide photon-flux-normalized fields
     (FieldEnvelope).  theta stalls where g = 0; boundary samples there
     must be zero or the map is singular.
     """
@@ -386,6 +387,8 @@ class FreeSpaceTransform:
         self.theta = _effective_time(self.gv, self.kappa, self.grid.dt)
         self.chi = cumtrapz0(self.delta.eval(t), self.grid.dt) \
             - 1j * self.medium.gamma * (t - t[0])
+        scale = np.sqrt(self.medium.length / self.medium.c)
+        self.lab = 1j * self.gv * scale * np.exp(-1j * self.chi)
 
     @property
     def theta_total(self) -> float:
@@ -397,19 +400,6 @@ class FreeSpaceTransform:
             raise ParameterError("envelope grid differs from transform grid")
         values = effective_fields(e_in, self.g, self.kappa).values
         return -1j * np.exp(1j * self.chi) * values
-
-    def lab_factor(self, t) -> np.ndarray:
-        """i g(t) sqrt(L/c) e^{-i chi(t)} at lab times t: the factor
-        that turns reduced field samples into lab-frame envelopes."""
-        t = np.asarray(t, dtype=float)
-        chi = interp_complex(t, self.t, self.chi)
-        scale = np.sqrt(self.medium.length / self.medium.c)
-        return 1j * self.g.eval(t) * scale * np.exp(-1j * chi)
-
-    def field_from_reduced(self, values: np.ndarray) -> FieldEnvelope:
-        """Lab-frame envelope from reduced field samples on the grid."""
-        return FieldEnvelope(self.grid, self.lab_factor(self.t)
-                             * np.asarray(values, dtype=complex))
 
     def decay_weight(self) -> np.ndarray:
         """e^{-2 gamma (t - t0)}: photon-flux weight for reduced traces."""

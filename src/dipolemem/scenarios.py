@@ -61,7 +61,7 @@ from .freespace import (FreeSpaceTransform, MediumParams, analytic_evolution,
 from .schedules import (FieldEnvelope, GaussianSegment, Ledger,
                         PiecewiseLinearSegment, Schedule, SquareSegment,
                         TabulatedSegment, TimeGrid, effective_time,
-                        interp_complex, ledger)
+                        interp_rows, ledger)
 from .units import format_quantity, parse_quantity
 
 CAVITY_MODELS = ("cavity-full", "cavity-adiabatic")
@@ -779,13 +779,12 @@ def _run_freespace(scn: Scenario):
             th_act = tr.theta[act]
             theta = np.linspace(0.0, theta_total,
                                 theta_nodes(theta_total, scn.theta_points))
-            bc = interp_complex(theta, th_act, bc_t[act])
+            bc = interp_rows(theta, th_act, bc_t[act])
             fields = analytic_evolution(bc, ic, theta, x)
 
         # map the far-end field back to the lab frame; below the coupling
         # cut the medium is transparent and the input passes through
-        e_red_t = interp_complex(tr.theta, theta, fields.e_end)
-        out = tr.field_from_reduced(e_red_t).samples
+        out = tr.lab * interp_rows(tr.theta, theta, fields.e_end)
         out[~act] = in_samples[~act]
         s_final = fields.s_final
         n_t = np.interp(tr.theta, theta, fields.s_norm2) * tr.decay_weight()
@@ -810,15 +809,14 @@ def _run_freespace(scn: Scenario):
 
 
 def _field_dump_rows(tr: FreeSpaceTransform, fields, theta, x, act):
-    """Lab-frame field E(z, t) over the active evolution, one row per
-    (reduced-time node, position), positions varying fastest.  Nodes
-    below the theta of the first active sample have no lab time of
-    their own and are left out."""
-    keep = theta >= tr.theta[act][0]
-    t_of = np.interp(theta[keep], tr.theta[tr.rho > 0.0], tr.t[tr.rho > 0.0])
-    lab = tr.lab_factor(t_of)[:, None] * fields.e[keep]
-    return np.column_stack((np.tile(x * tr.medium.length, t_of.size),
-                            np.repeat(t_of, x.size),
+    """Lab-frame field E(z, t) at the active lab samples, one row per
+    (sample, position), positions varying fastest: the reduced field at
+    each sample's theta times the transform's lab factor, as for
+    e_out.csv, so the far-end rows are its active samples."""
+    t = tr.t[act]
+    lab = tr.lab[act, None] * interp_rows(tr.theta[act], theta, fields.e)
+    return np.column_stack((np.tile(x * tr.medium.length, t.size),
+                            np.repeat(t, x.size),
                             lab.real.ravel(), lab.imag.ravel()))
 
 
@@ -845,11 +843,11 @@ def design_couplings(scn: Scenario) -> RunRecord:
                           "envelope (gaussian, square or tabulated)")
     T = scn.storage_time
     span = scn.grid.t_end - scn.grid.t0
-    if T < span:
+    if not T > span:
         raise ConfigError(
-            f"storage_time ({T:g} s) must be at least the grid span "
+            f"storage_time ({T:g} s) must exceed the grid span "
             f"({span:g} s): the write coupling is tabulated on the whole "
-            "grid and must not overlap the read coupling")
+            "grid, and the read coupling must start after it ends")
     env = build_input(scn).normalized()
     eta_w = scn.design["eta_write"]
     eta_r = scn.design["eta_read"]
@@ -894,8 +892,9 @@ def _design_verification(env: FieldEnvelope, g_write: Schedule,
     sim = simulate_adiabatic(e_ext, combined, Schedule.zero(), p, ext)
 
     t_ext = ext.times()
-    ref = interp_complex(t_ext - T, grid.times(), env.samples,
-                         left=0.0, right=0.0)
+    t_in, t = t_ext - T, grid.times()
+    ref = np.where((t_in < t[0]) | (t_in > t[-1]), 0.0,
+                   interp_rows(t_in, t, env.samples))
     mask = t_ext >= grid.t0 + T - 0.5 * grid.dt
     a = sim.e_out.samples[mask]
     b = ref[mask]

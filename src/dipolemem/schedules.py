@@ -353,8 +353,9 @@ class Schedule:
     below ZERO_LEVEL * (schedule peak) are snapped to exactly zero so
     that the singular set of the effective-field transform is
     well-defined.  Segment supports are closed intervals; adjacent
-    segments may share an endpoint but should not both be nonzero
-    there (contributions add).
+    segments may meet (within `_Segment.bounds`) only where one of them
+    is zero, below ZERO_LEVEL * peak, since their values would add at a
+    shared sample.
     """
 
     segments: list
@@ -365,11 +366,18 @@ class Schedule:
             if not seg.end > seg.start:
                 raise ParameterError(
                     f"segment support [{seg.start}, {seg.end}] is empty")
+        level = ZERO_LEVEL * max((s.peak_abs() for s in segs), default=0.0)
         for a, b in zip(segs, segs[1:]):
             if b.start < a.end:
                 raise ParameterError(
                     f"segment supports overlap: [{a.start}, {a.end}] and "
                     f"[{b.start}, {b.end}]")
+            junction = min(abs(a.shape(a.end)), abs(b.shape(b.start)))
+            if b.bounds()[0] <= a.bounds()[1] and junction >= level > 0.0:
+                raise ParameterError(
+                    f"segments [{a.start}, {a.end}] and [{b.start}, {b.end}] "
+                    "meet where both are nonzero; their values would add "
+                    "at the shared sample")
         self.segments = segs
 
     # -- evaluation ---------------------------------------------------------
@@ -518,11 +526,14 @@ def cumtrapz0(y: np.ndarray, dx) -> np.ndarray:
     return out
 
 
-def interp_complex(x, xp, fp: np.ndarray, **kw) -> np.ndarray:
-    """`np.interp` of complex samples fp, real and imaginary parts apart
-    (keywords such as left/right go to both)."""
-    return (np.interp(x, xp, fp.real, **kw)
-            + 1j * np.interp(x, xp, fp.imag, **kw))
+def interp_rows(x, xp, rows) -> np.ndarray:
+    """Linear interpolation at x of data with one row per node of the
+    increasing axis xp (or of 1-d data): `np.interp` of each real and
+    imaginary column, so clamped to the end rows and exact at nodes."""
+    rows = np.asarray(rows)
+    cols = np.ascontiguousarray(rows).reshape(len(xp), -1).view(float)
+    out = np.stack([np.interp(x, xp, c) for c in cols.T], axis=-1)
+    return out.view(rows.dtype).reshape(np.shape(x) + rows.shape[1:])
 
 
 def effective_time(g: Schedule, kappa: float, grid: TimeGrid) -> np.ndarray:
@@ -582,8 +593,8 @@ class Ledger:
     |E_out|^2, the stored energy at the ends of the grid, and the decay
     loss.  eta_w is the excitation at the last grid sample of the first
     coupling window (the write window) over the input; eta_r is the
-    share of the excitation stored at the first sample of the second
-    window (the read window) that the read releases (see `ledger`);
+    share of the energy stored at the first sample of the second window
+    (the read window) that the read releases (see `ledger`);
     eta_tot is the output from there on over the input.  write_end and
     read_start are the times of those two samples.  Entries that do not
     apply to a run (e.g. eta_w for a pure read) are None.
@@ -621,8 +632,10 @@ def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
     stored (eta_w = eta_tot = 0) and the whole output is leakage.
     Without input, stored excitation makes a pure read from the grid
     start with zero leakage.  eta_r, for every model, is the drop of
-    total over the read less the decay of N there, over N at the read
-    start: energy continuity, smooth in t across coupling edges.
+    total over the read less the decay of N there, over total at the
+    read start: energy continuity, smooth in t across coupling edges,
+    and at most 1 even when the full model's cavity still holds light
+    there.
     """
     h = grid.dt
     total = n if total is None else total
@@ -650,9 +663,9 @@ def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
     elif n[0] > 0.0:
         read_start, i_r, leakage = grid.t0, 0, 0.0
     if i_r is not None:
-        if n[i_r] > 0.0:
+        if total[i_r] > 0.0:
             tail = 2.0 * gamma * np.trapezoid(n[i_r:], dx=h)
-            eta_r = float((total[i_r] - total[-1] - tail) / n[i_r])
+            eta_r = float((total[i_r] - total[-1] - tail) / total[i_r])
         if input_energy > 0.0:
             eta_tot = float(np.trapezoid(out2[i_r:], dx=h)) / input_energy
 

@@ -134,10 +134,11 @@ def test_continuity_residual_with_edges_between_samples():
 
 
 def _read_output_ratio(res):
-    """The read output over the excitation stored at the read start."""
+    """The read output over the energy stored at the read start, spin
+    and cavity field together."""
     i_r = round((res.read_start - res.grid.t0) / res.grid.dt)
     out = np.trapezoid(np.abs(res.e_out.samples[i_r:]) ** 2, dx=res.grid.dt)
-    return out / np.abs(res.sigma[i_r]) ** 2
+    return out / (np.abs(res.sigma[i_r]) ** 2 + np.abs(res.e_cav[i_r]) ** 2)
 
 
 @pytest.mark.parametrize("write, bound", [(False, 3e-9), (True, 1e-7)])
@@ -162,6 +163,22 @@ def test_full_model_read_continuity_matches_read_output(write, bound):
         diffs.append(abs(res.eta_r - _read_output_ratio(res)))
     assert diffs[0] < bound
     assert 3.5 < diffs[0] / diffs[1] < 4.5
+
+
+def test_full_model_eta_r_is_a_share_of_the_stored_energy():
+    """A slow cavity (kappa = 1e6) still holds 740 times |sigma|^2 of
+    light when the read starts 10 ns after the write; eta_r counts the
+    read's release against all of that stored energy, so it stays in
+    (0, 1]."""
+    p = CavityParams(KAPPA)
+    grid = TimeGrid.from_span(-2e-6, 2e-6, 40001)
+    g = Schedule([SquareSegment(-2e-6, 0.0, 1e5),
+                  SquareSegment(10e-9, 2e-6, 7.1e5)])
+    e_in = FieldEnvelope.gaussian(grid, -0.3e-6, 0.2e-6).normalized()
+    res = simulate_full(e_in, g, ZERO, p, grid)
+    i_r = round((res.read_start - grid.t0) / grid.dt)
+    assert abs(res.e_cav[i_r]) ** 2 > 100.0 * abs(res.sigma[i_r]) ** 2
+    assert 0.0 < res.eta_r <= 1.0
 
 
 def test_slaved_models_carry_no_cavity_field():

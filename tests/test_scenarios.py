@@ -23,7 +23,8 @@ from dipolemem.scenarios import (MODELS, SWEEP_AXES, build_input,
                                  design_couplings, load_scenario,
                                  run_scenario, run_sweep, scenario_from_dict,
                                  scenario_hash, write_artifacts)
-from dipolemem.schedules import FieldEnvelope, effective_time
+from dipolemem.schedules import (FieldEnvelope, Schedule, SquareSegment,
+                                 effective_time)
 from dipolemem.units import format_quantity, parse_quantity
 
 REPO = Path(__file__).resolve().parents[1]
@@ -555,16 +556,7 @@ def test_freespace_run_closes_its_ledger():
 
 @pytest.mark.parametrize("model", ["freespace-numeric",
                                    "freespace-analytic"])
-def test_freespace_field_dump_is_opt_in(tmp_path, monkeypatch, model):
-    thetas = []
-    for name in ("numeric_evolution", "analytic_evolution"):
-        solver = getattr(scenarios, name)
-
-        def spy(*args, _solver=solver, **kw):
-            fields = _solver(*args, **kw)
-            thetas.append(fields.tau)
-            return fields
-        monkeypatch.setattr(scenarios, name, spy)
+def test_freespace_field_dump_is_opt_in(tmp_path, model):
     cfg = freespace_cfg(model=model, space_points=16, theta_points=40)
     write_artifacts(run_scenario(scenario_from_dict(cfg)), tmp_path / "off")
     assert not (tmp_path / "off" / "fields.csv").exists()
@@ -574,32 +566,29 @@ def test_freespace_field_dump_is_opt_in(tmp_path, monkeypatch, model):
     with open(tmp_path / "on" / "fields.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert rows[0] == ["z_m", "time_s", "re", "im"]
-    # one row per position at each node from the first active sample on
+    # one row per position at each active lab sample, for both solvers
     tr = freespace.FreeSpaceTransform(scn.coupling, scn.detuning,
                                       scn.medium, scn.grid)
-    th_first = tr.theta[tr.rho >= scenarios.RHO_CUT * tr.rho.max()][0]
-    assert len(rows) - 1 == (thetas[-1] >= th_first).sum() * 16
+    act = tr.rho >= scenarios.RHO_CUT * tr.rho.max()
+    assert len(rows) - 1 == act.sum() * 16
 
 
-def _old_field_dump_rows(tr, fields, theta, x, med):
-    """Reference rows of fields.csv, one (node, position) at a time,
-    from the first node at or past the first active sample's theta."""
-    t_act = tr.t[tr.rho > 0.0]
-    th_act = tr.theta[tr.rho > 0.0]
-    t_of = np.interp(theta, th_act, t_act)
-    gv = tr.g.eval(t_of)
-    chi = (np.interp(t_of, tr.t, tr.chi.real)
-           + 1j * np.interp(t_of, tr.t, tr.chi.imag))
+def _field_dump_row_loop(tr, fields, theta, x, med):
+    """Reference rows of fields.csv, one (active lab sample, position)
+    at a time: np.interp of the reduced field's real and imaginary parts
+    at the sample's theta, times i g sqrt(L/c) e^{-i chi} there."""
     scale = np.sqrt(med.length / med.c)
     z = x * med.length
-    th_first = tr.theta[tr.rho >= scenarios.RHO_CUT * tr.rho.max()][0]
-    for m in range(theta.size):
-        if theta[m] < th_first:
-            continue
-        row_scale = 1j * gv[m] * scale * np.exp(-1j * chi[m])
-        lab = row_scale * fields.e[m]
+    act = tr.rho >= scenarios.RHO_CUT * tr.rho.max()
+    for k in np.flatnonzero(act):
+        row_scale = 1j * tr.gv[k] * scale * np.exp(-1j * tr.chi[k])
+        e_row = np.empty(x.size, dtype=complex)
         for j in range(x.size):
-            yield (z[j], t_of[m], lab[j].real, lab[j].imag)
+            e_row.real[j] = np.interp(tr.theta[k], theta, fields.e[:, j].real)
+            e_row.imag[j] = np.interp(tr.theta[k], theta, fields.e[:, j].imag)
+        lab = row_scale * e_row
+        for j in range(x.size):
+            yield (z[j], tr.t[k], lab[j].real, lab[j].imag)
 
 
 def _reference_csv(header, rows) -> bytes:
@@ -652,32 +641,59 @@ def test_field_dump_matches_row_loop(tmp_path, monkeypatch, model):
     write_artifacts(run_scenario(scn), tmp_path)
     tr = freespace.FreeSpaceTransform(scn.coupling, scn.detuning,
                                       scn.medium, scn.grid)
-    ref = _reference_csv(("z_m", "time_s", "re", "im"), _old_field_dump_rows(
+    ref = _reference_csv(("z_m", "time_s", "re", "im"), _field_dump_row_loop(
         tr, seen["fields"], seen["theta"], seen["x"], scn.medium))
     assert (tmp_path / "fields.csv").read_bytes() == ref
 
 
 def test_field_dump_far_end_is_the_output(tmp_path):
     """fields.csv at z = L and e_out.csv come from one lab-frame map, so
-    at every grid-sample time they hold the same doubles.  The march's
-    nodes are lab samples, so every row falls on one.  In the second
-    case the coupling starts after the grid does, and the theta = 0 node
-    the march prepends has no lab time of its own."""
+    at every grid-sample time they hold the same doubles.  Both solvers
+    write their rows at the active lab samples, so every row falls on
+    one.  In the second case the coupling starts after the grid does,
+    and the theta = 0 node the march prepends has no lab time of its
+    own."""
     preset = yaml.safe_load(
         (REPO / "presets" / "freespace_gaussian_sweep.yaml").read_text())
     cases = [(dict(preset, space_points=41, outputs={"fields": True}), 1000),
              (freespace_cfg(space_points=41, outputs={"fields": True}), 700)]
-    for case, (cfg, least) in enumerate(cases):
-        scn = scenario_from_dict(cfg)
-        out = write_artifacts(run_scenario(scn), tmp_path / str(case))
-        fields = np.loadtxt(out / "fields.csv", delimiter=",", skiprows=1)
-        e_out = np.loadtxt(out / "e_out.csv", delimiter=",", skiprows=1)
-        far = fields[fields[:, 0] == scn.medium.length]
-        row_of = {t: k for k, t in enumerate(e_out[:, 0])}
-        on_grid = np.array([t in row_of for t in far[:, 1]])
-        assert on_grid.all() and on_grid.sum() > least
-        want = e_out[[row_of[t] for t in far[on_grid, 1]], 1:]
-        np.testing.assert_array_equal(far[on_grid, 2:], want)
+    for model in ("freespace-numeric", "freespace-analytic"):
+        for case, (cfg, least) in enumerate(cases):
+            scn = scenario_from_dict(dict(cfg, model=model))
+            out = write_artifacts(run_scenario(scn),
+                                  tmp_path / f"{model}{case}")
+            fields = np.loadtxt(out / "fields.csv", delimiter=",",
+                                skiprows=1)
+            e_out = np.loadtxt(out / "e_out.csv", delimiter=",", skiprows=1)
+            far = fields[fields[:, 0] == scn.medium.length]
+            row_of = {t: k for k, t in enumerate(e_out[:, 0])}
+            on_grid = np.array([t in row_of for t in far[:, 1]])
+            assert on_grid.all() and on_grid.sum() > least
+            want = e_out[[row_of[t] for t in far[on_grid, 1]], 1:]
+            np.testing.assert_array_equal(far[on_grid, 2:], want)
+
+
+@pytest.mark.parametrize("model", ["freespace-numeric",
+                                   "freespace-analytic"])
+def test_freespace_run_evaluates_the_coupling_on_the_grid(monkeypatch,
+                                                          model):
+    """The transform holds every lab-grid table, so a run with the field
+    dump evaluates the coupling only at the grid times: once for the
+    transform and once for the boundary map."""
+    scn = scenario_from_dict(freespace_cfg(model=model, space_points=16,
+                                           outputs={"fields": True}))
+    seen = []
+    plain = Schedule.eval
+
+    def spy(self, t):
+        if self is scn.coupling:
+            seen.append(np.array(t, dtype=float))
+        return plain(self, t)
+    monkeypatch.setattr(Schedule, "eval", spy)
+    run_scenario(scn)
+    assert 1 <= len(seen) <= 2
+    for t in seen:
+        np.testing.assert_array_equal(t, scn.grid.times())
 
 
 def test_storage_followed_by_read_replays(tmp_path):
@@ -940,6 +956,19 @@ def test_design_refuses_overlapping_read():
         design_couplings(scn)
 
 
+def test_design_refuses_read_meeting_write_end():
+    # at storage_time = grid span the read coupling starts on the last
+    # sample of the write coupling, where both are nonzero
+    scn = scenario_from_dict(cavity_cfg(
+        grid={"start": "-1 us", "stop": "0 us", "points": 4001},
+        coupling=[],
+        input={"kind": "gaussian", "center": "-0.5 us", "sigma": "100 ns"},
+        storage_time="1 us",
+        design={"eta_write": 0.9, "eta_read": 0.9}))
+    with pytest.raises(ConfigError, match="storage_time"):
+        design_couplings(scn)
+
+
 def test_design_needs_its_inputs():
     with pytest.raises(ConfigError):
         design_couplings(scenario_from_dict(cavity_cfg(
@@ -1023,6 +1052,28 @@ def test_cli_design_refuses_spin_decay(tmp_path):
     assert err["error"] == "ConfigError"
     assert "cavity.gamma" in err["message"]
     assert not (tmp_path / "out").exists()
+
+
+def test_segments_meeting_while_nonzero_are_refused(tmp_path):
+    # [0, 1] us at 5e5 and [1, 2] us at 9e5 would add to 1.4e6 at 1 us
+    segs = [SquareSegment(0.0, 1e-6, 5e5), SquareSegment(1e-6, 2e-6, 9e5)]
+    with pytest.raises(ParameterError, match=r"\[0\.0, 1e-06\] and "
+                       r"\[1e-06, 2e-06\]"):
+        Schedule(segs)
+    # a junction that is zero on one side is kept
+    Schedule([SquareSegment(0.0, 1e-6, 0.0), segs[1]])
+    cfg = _write_cfg(tmp_path, cavity_cfg(
+        grid={"start": "0 us", "stop": "2 us", "points": 2001},
+        coupling=[{"kind": "square", "start": "0 us", "end": "1 us",
+                   "amplitude": "500 kHz_angular"},
+                  {"kind": "square", "start": "1 us", "end": "2 us",
+                   "amplitude": "900 kHz_angular"}]))
+    proc = _cli(["run", str(cfg), "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert "coupling" in err["message"] and "meet" in err["message"]
 
 
 def test_cli_sweep_and_value_parsing(tmp_path):

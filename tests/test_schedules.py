@@ -12,7 +12,7 @@ from dipolemem.schedules import (_EPSILON_0, _HBAR, ZERO_LEVEL,
                                  DipolePhysical, GaussianSegment,
                                  PiecewiseLinearSegment, SquareSegment,
                                  TabulatedSegment, coupling_from_dipole,
-                                 cumtrapz0)
+                                 cumtrapz0, interp_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +133,11 @@ def test_non_finite_segment_rejected(build):
 def test_windows_are_support_clipped_to_grid():
     # each window is the (first, last) grid-sample span of a merged
     # support: zero-amplitude segments make no window, touching segments
-    # merge, supports past the grid are clipped to its samples
+    # (zero on one side of the junction) merge, supports past the grid
+    # are clipped to its samples
+    ramp = PiecewiseLinearSegment(np.array([4.0, 5.0]), np.array([0.0, 1.0]))
     g = Schedule([SquareSegment(-1.0, 1.0, 1.0), SquareSegment(2.0, 3.0, 0.0),
-                  SquareSegment(3.0, 4.0, 2.0), SquareSegment(4.0, 5.0, 1.0),
+                  SquareSegment(3.0, 4.0, 2.0), ramp,
                   SquareSegment(9.0, 12.0, 1.0)])
     grid = TimeGrid.from_span(0.0, 10.0, 11)
     assert g.windows(grid) == [(0, 1), (3, 5), (9, 10)]
@@ -161,7 +163,8 @@ def test_eval_vanishes_outside_support(amp, c0, w):
 
 
 def test_support_intervals_merge_adjacent():
-    g = Schedule([SquareSegment(0.0, 1.0, 1.0), SquareSegment(1.0, 2.0, 2.0),
+    ramp = PiecewiseLinearSegment(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
+    g = Schedule([ramp, SquareSegment(1.0, 2.0, 2.0),
                   SquareSegment(3.0, 4.0, 1.0)])
     # touching supports make one window; a gap keeps them apart
     assert g.windows(TimeGrid.from_span(0.0, 4.0, 9)) == [(0, 4), (6, 8)]
@@ -189,9 +192,10 @@ def _segment_chain(draw):
     """One to three adjacent segments of random kinds with non-negative
     amplitudes or knots over many scales, exact zeros included, and
     sample times: random ones, the knots and their float neighbours, and
-    the widened window edges."""
+    the widened window edges.  Each junction is zero on one side, drawn
+    at random, as `Schedule` requires."""
     t0 = draw(st.floats(-1e-5, 1e-5))
-    segs, knots = [], []
+    specs, knots = [], []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["square", "gaussian", "linear", "pchip"]))
         n = 2 if kind in ("square", "gaussian") else draw(st.integers(2, 12))
@@ -201,18 +205,28 @@ def _segment_chain(draw):
         value = st.sampled_from([0.0, 1e-15, 1e-6, 1.0, 1e6]) \
             | st.floats(0.0, 1e6)
         vv = np.array(draw(st.lists(value, min_size=n, max_size=n)))
+        if specs and draw(st.booleans()):
+            vv[0] = 0.0                  # this segment's start (amplitude)
+        elif specs:
+            prev_kind, _, prev_vv, _ = specs[-1]
+            prev_vv[0 if prev_kind in ("square", "gaussian") else -1] = 0.0
+        extra = ()
+        if kind == "gaussian":
+            extra = (draw(st.floats(t0 - 1e-6, t0 + 2e-6)),
+                     draw(st.floats(1e-9, 1e-6)))
+        specs.append((kind, tt, vv, extra))
+        knots.append(tt)
+        t0 = tt[-1]
+    segs = []
+    for kind, tt, vv, extra in specs:
         if kind == "square":
             segs.append(SquareSegment(tt[0], tt[-1], vv[0]))
         elif kind == "gaussian":
-            segs.append(GaussianSegment(tt[0], tt[-1], vv[0],
-                                        draw(st.floats(t0 - 1e-6, t0 + 2e-6)),
-                                        draw(st.floats(1e-9, 1e-6))))
+            segs.append(GaussianSegment(tt[0], tt[-1], vv[0], *extra))
         elif kind == "linear":
             segs.append(PiecewiseLinearSegment(tt, vv))
         else:
             segs.append(TabulatedSegment(tt, vv))
-        knots.append(tt)
-        t0 = tt[-1]
     knots = np.concatenate(knots)
     lo, hi = knots[0], knots[-1]
     rand = np.array(draw(st.lists(st.floats(2 * lo - hi, 2 * hi - lo),
@@ -297,6 +311,32 @@ def test_unsorted_knots_rejected():
 # ---------------------------------------------------------------------------
 # effective time / effective fields
 # ---------------------------------------------------------------------------
+
+def test_interp_rows_is_np_interp_of_every_column(rng):
+    """interp_rows gives, bit for bit (signed zeros included), np.interp
+    of the real and imaginary parts of each column: clamped to the end
+    rows outside the nodes and exact on them."""
+    xp = np.cumsum(rng.uniform(0.1, 2.0, 30))
+    x = np.concatenate([rng.uniform(xp[0] - 3.0, xp[-1] + 3.0, 200), xp,
+                        [xp[0] - 1.0, xp[-1], xp[-1] + 1.0],
+                        np.nextafter(xp, -np.inf), np.nextafter(xp, np.inf)])
+    rows = (rng.standard_normal((30, 5))
+            + 1j * rng.standard_normal((30, 5)))
+    rows[3, 1] = complex(-0.0, -0.0)
+    rows[7] = 0.0
+    for data in (rows, rows[:, 2], rows.real.copy(), rows[:, 1].imag.copy()):
+        got = interp_rows(x, xp, data)
+        cols = data.reshape(30, -1)
+        want = np.empty((x.size, cols.shape[1]), dtype=data.dtype)
+        for j in range(cols.shape[1]):
+            if np.iscomplexobj(data):
+                want.real[:, j] = np.interp(x, xp, cols[:, j].real)
+                want.imag[:, j] = np.interp(x, xp, cols[:, j].imag)
+            else:
+                want[:, j] = np.interp(x, xp, cols[:, j])
+        assert got.shape == x.shape + data.shape[1:]
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+
 
 def test_effective_time_square_closed_form():
     kappa = 1e6
