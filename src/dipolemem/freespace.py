@@ -65,7 +65,7 @@ import numpy as np
 
 from .errors import ParameterError, ResolutionError
 from .schedules import (FieldEnvelope, GaussianSegment, Schedule, TimeGrid,
-                        _effective_time, cumtrapz0, effective_fields)
+                        _effective_time, _effective_values, cumtrapz0)
 
 # Largest kernel-argument change across one grid cell before the
 # trapezoid quadrature of the kernel convolutions degrades.
@@ -398,7 +398,7 @@ class FreeSpaceTransform:
         """A(0, theta(t_k)) on the time grid (zero where g = 0)."""
         if e_in.grid != self.grid:
             raise ParameterError("envelope grid differs from transform grid")
-        values = effective_fields(e_in, self.g, self.kappa).values
+        values = _effective_values(e_in.samples, self.gv, self.kappa, self.t)
         return -1j * np.exp(1j * self.chi) * values
 
     def decay_weight(self) -> np.ndarray:

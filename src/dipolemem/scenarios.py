@@ -40,6 +40,8 @@ import json
 import math
 import sys
 import time
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -632,19 +634,74 @@ def _record(operation: str, scn: Scenario, start: float, summary: dict,
                      config=scn.config)
 
 
-# rows formatted per write: keeps the Python float and string
-# temporaries of a multi-million-row table to a few MB
+# rows of each table formatted per write: every table of a record
+# advances one block at a time, so the Python floats of a
+# multi-million-row table and the strings of a shared column exist for
+# one block only (about 1 MB each)
 _CSV_BLOCK_ROWS = 1 << 14
 
 
+def _write_tables(tables) -> None:
+    """Write each (path, header, table) as CSV: the header, then every
+    row of the 2-D float `table` as %.17g cells, CRLF ends.
+
+    The tables are written together, `_CSV_BLOCK_ROWS` rows of each at
+    a time, and each distinct column is formatted once:
+    - a column whose doubles all share one bit pattern (so -0, nan and
+      inf stay exact) is a literal of its table's row template;
+    - a column bit-equal to another column of the record (the time axis
+      of two traces) is formatted once per block and reused through %s;
+    - every other column is a %.17g slot of the template.
+    Rows are formatted as bytes: the same digits as str formatting,
+    without the text encoder."""
+    tables = [(path, header, np.asarray(table, dtype=float))
+              for path, header, table in tables]
+    columns = []        # the distinct columns that are not constant
+    keys = []           # per table and column: a literal or a column number
+    for _, _, table in tables:
+        row = []
+        for col in table.T:
+            bits = col.view(np.int64)
+            if bits.size and (bits == bits[0]).all():
+                row.append(b"%.17g" % col[0])
+                continue
+            k = next((k for k, c in enumerate(columns)
+                      if np.array_equal(c.view(np.int64), bits)),
+                     len(columns))
+            if k == len(columns):
+                columns.append(col)
+            row.append(k)
+        keys.append(row)
+    slots = [[k for k in row if isinstance(k, int)] for row in keys]
+    uses = Counter(k for row in slots for k in row)
+    templates = [b",".join(k if isinstance(k, bytes) else
+                           b"%s" if uses[k] > 1 else b"%.17g" for k in row)
+                 + b"\r\n" for row in keys]
+    shared = [k for k, n in uses.items() if n > 1]
+    rows = [table.shape[0] for _, _, table in tables]
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb"))
+                 for path, _, _ in tables]
+        for f, (_, header, _) in zip(files, tables):
+            f.write(",".join(header).encode() + b"\r\n")
+        for i in range(0, max(rows, default=0), _CSV_BLOCK_ROWS):
+            j = i + _CSV_BLOCK_ROWS
+            block = {k: list(map(b"%.17g".__mod__, columns[k][i:j].tolist()))
+                     for k in shared if columns[k].size > i}
+            for f, template, ks, n in zip(files, templates, slots, rows):
+                if i >= n:
+                    continue
+                if not ks:
+                    f.write(template * (min(j, n) - i))
+                    continue
+                cols = [block[k] if k in block else columns[k][i:j].tolist()
+                        for k in ks]
+                f.write(b"".join(map(template.__mod__, zip(*cols))))
+
+
 def _write_csv(path: Path, header, table: np.ndarray) -> None:
-    """The header, then every row of `table` as %.17g cells, CRLF ends."""
-    row = ",".join(["%.17g"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
-        for i in range(0, table.shape[0], _CSV_BLOCK_ROWS):
-            cols = table[i:i + _CSV_BLOCK_ROWS].T.tolist()
-            f.write("".join(map(row.__mod__, zip(*cols))))
+    """One table through `_write_tables`."""
+    _write_tables([(path, header, table)])
 
 
 def write_artifacts(rec: RunRecord, outdir) -> Path:
@@ -662,8 +719,8 @@ def write_artifacts(rec: RunRecord, outdir) -> Path:
     with open(outdir / "result.json", "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
-    for name, header, table in rec.tables:
-        _write_csv(outdir / name, header, table)
+    _write_tables([(outdir / name, header, table)
+                   for name, header, table in rec.tables])
     return outdir
 
 
@@ -842,12 +899,17 @@ def design_couplings(scn: Scenario) -> RunRecord:
         raise ConfigError("the design operation needs a concrete input "
                           "envelope (gaussian, square or tabulated)")
     T = scn.storage_time
-    span = scn.grid.t_end - scn.grid.t0
-    if not T > span:
+    # the couplings are tabulated on the grid times t and on t + T; their
+    # supports, widened as `Schedule` widens every segment's, must not meet
+    t = scn.grid.times()
+    write_end = SquareSegment(t[0], t[-1], 1.0).bounds()[1]
+    read_start = SquareSegment(t[0] + T, t[-1] + T, 1.0).bounds()[0]
+    if not read_start > write_end:
         raise ConfigError(
             f"storage_time ({T:g} s) must exceed the grid span "
-            f"({span:g} s): the write coupling is tabulated on the whole "
-            "grid, and the read coupling must start after it ends")
+            f"({scn.grid.span:g} s) by more than the segment edge "
+            "tolerance: the write coupling is tabulated on the whole grid, "
+            "and the read coupling must start after it ends")
     env = build_input(scn).normalized()
     eta_w = scn.design["eta_write"]
     eta_r = scn.design["eta_read"]

@@ -567,7 +567,15 @@ def effective_fields(field: FieldEnvelope, g: Schedule,
     t = field.grid.times()
     gv = g.eval(t)
     tau = _effective_time(gv, kappa, field.grid.dt)
-    absval = np.abs(field.samples)
+    values = _effective_values(field.samples, gv, kappa, t)
+    return EffectiveField(tau=tau, t=t, values=values, grid=field.grid)
+
+
+def _effective_values(samples: np.ndarray, gv: np.ndarray, kappa: float,
+                      t: np.ndarray) -> np.ndarray:
+    """The samples at times t scaled by sqrt(kappa)/g, g sampled as gv;
+    zero where g = 0, where the samples must vanish too."""
+    absval = np.abs(samples)
     on = gv > 0.0
     bad = (~on) & (absval > ZERO_LEVEL * absval.max())
     if np.any(bad):
@@ -577,8 +585,7 @@ def effective_fields(field: FieldEnvelope, g: Schedule,
             "the effective-field map is singular there")
     factor = np.zeros_like(gv)
     factor[on] = np.sqrt(kappa) / gv[on]
-    values = np.where(on, field.samples * factor, 0.0 + 0.0j)
-    return EffectiveField(tau=tau, t=t, values=values, grid=field.grid)
+    return np.where(on, samples * factor, 0.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------
