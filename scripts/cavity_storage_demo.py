@@ -14,7 +14,7 @@ import numpy as np
 from dipolemem import (CavityParams, Schedule, TimeGrid, effective_time,
                        optimal_write_input, simulate_adiabatic, simulate_full,
                        total_efficiency)
-from dipolemem.scenarios import _write_csv
+from dipolemem.scenarios import _write_tables
 
 KAPPA = 2 * np.pi * 20e6  # cavity linewidth, rad/s
 
@@ -68,8 +68,9 @@ def main():
         table = np.column_stack((grid.times(), e_in.samples.real,
                                  e_in.samples.imag, sim.e_out.samples.real,
                                  sim.e_out.samples.imag, np.abs(sim.sigma)))
-        _write_csv(args.csv, ("time_s", "e_in_re", "e_in_im", "e_out_re",
-                              "e_out_im", "sigma_abs"), table)
+        _write_tables([(args.csv, ("time_s", "e_in_re", "e_in_im",
+                                   "e_out_re", "e_out_im", "sigma_abs"),
+                        table)])
         print(f"envelopes -> {args.csv}")
 
 

@@ -36,7 +36,8 @@ non-positive in the causal region):
                     - t int_0^z S(z',0) K1(t (z'-z)) dz'
 
 (with E for curly-E and t for tau).  `analytic_evolution` evaluates
-these on uniform grids by blocked FFT convolutions.  `numeric_evolution`
+these on uniform grids by blocked FFT convolutions, in tau slabs that
+keep t z <= 30 for the kernels' power series.  `numeric_evolution`
 is the cross-check and the workhorse for runs and sweeps: the system
 treats z and tau alike, so it marches a batch of systems along z, in
 n_z - 1 midpoint steps each on whole tau axes (any increasing ones).
@@ -113,32 +114,45 @@ def _kernel_series(a: np.ndarray, order: int) -> np.ndarray:
     return acc
 
 
+def _kernel_by_integral(a: np.ndarray, order: int) -> np.ndarray:
+    """K0 or K1 at the nonzero entries of a 1-d array, by the midpoint
+    rule on I_n(x) = (1/pi) int_0^pi e^{x cos t} cos nt dt (a > 0) or
+    J_n(x) = (1/pi) int_0^pi cos(nt - x sin t) dt, x = 2 sqrt|a| (over
+    sqrt|a| for K1): smooth periodic integrands, so ceil(x/2) + 40 nodes
+    reach round-off.  Entries of one node count go in blocks of about
+    2^16 integrand samples."""
+    r = np.sqrt(np.abs(a))
+    nodes = np.ceil(r).astype(int) + 40
+    out = np.empty(a.shape)
+    for m in sorted(set(nodes.tolist())):  # np.unique loads numpy.ma
+        t = (np.arange(m) + 0.5) * (np.pi / m)
+        idx = np.flatnonzero(nodes == m)
+        for sel in np.array_split(idx, idx.size * m // (1 << 16) + 1):
+            x = 2.0 * r[sel, None]
+            with np.errstate(over="ignore"):        # I_n beyond 1e308
+                f = np.where(a[sel, None] > 0.0,
+                             np.exp(x * np.cos(t)) * np.cos(order * t),
+                             np.cos(order * t - x * np.sin(t)))
+            out[sel] = f.mean(axis=1)
+    return out / r if order else out
+
+
 def entire_bessel_kernel(a, order: int = 0):
     """K0(a) = sum a^k/(k!)^2 or K1(a) = sum a^k/(k!(k+1)!), entire in a.
 
-    Power series on |a| <= 30; modified/ordinary Bessel forms
-    I_n(2 sqrt(a)), J_n(2 sqrt(-a)) outside, where the series would
-    lose digits to cancellation (a < 0) or cost extra terms (a > 0).
+    Power series on |a| <= 30, the solvers' only route.  Outside, where
+    the series would lose digits (a < 0) or cost terms (a > 0), the
+    forms I_n(2 sqrt(a)), J_n(2 sqrt(-a)) by `_kernel_by_integral`;
+    non-finite a gives NaN.
     """
     if order not in (0, 1):
         raise ParameterError(f"kernel order must be 0 or 1, got {order}")
     a_arr = np.asarray(a, dtype=float)
     out = np.full_like(a_arr, np.nan)      # NaN is in no branch below
     small = np.abs(a_arr) <= _SERIES_CUT
-    if np.any(small):
-        out[small] = _kernel_series(a_arr[small], order)
-    pos = a_arr > _SERIES_CUT
-    if np.any(pos):
-        from scipy import special
-        ap = a_arr[pos]
-        x = 2.0 * np.sqrt(ap)
-        out[pos] = special.i0(x) if order == 0 else special.i1(x) / np.sqrt(ap)
-    neg = a_arr < -_SERIES_CUT
-    if np.any(neg):
-        from scipy import special
-        an = -a_arr[neg]
-        x = 2.0 * np.sqrt(an)
-        out[neg] = special.j0(x) if order == 0 else special.j1(x) / np.sqrt(an)
+    out[small] = _kernel_series(a_arr[small], order)
+    big = np.isfinite(a_arr) & ~small
+    out[big] = _kernel_by_integral(a_arr[big], order)
     if np.isscalar(a) or a_arr.ndim == 0:
         return float(out)
     return out
@@ -224,29 +238,41 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
 
     bc: field at z = 0 sampled on the tau axis; ic: spin wave at tau = 0
     sampled on the z axis.  Both axes must be uniform and start at 0.
-    Quadrature is trapezoidal, so the overall accuracy is second order;
-    the kernels are exact (entire series / Bessel forms), and each
-    source term is one `_causal_conv` over a whole kernel table.
+    Quadrature is trapezoidal, so the overall accuracy is second order.
+    The system is causal in tau, so it is solved in slabs that share end
+    nodes, each as long as the longest prefix with tau*z[-1] <= 30 (the
+    shared kernel tables' series range): a slab starts from the last
+    one's final spin wave and takes its own piece of bc.
     """
     bc, ic, tau, z = _check_axes(bc, ic, tau, z)
     _check_resolution(tau, z)
     h_t = tau[1] - tau[0]
     h_z = z[1] - z[0]
 
-    # kernel tables; all causal arguments are <= 0.  On uniform axes from
-    # 0, tau_m z_j = (m h_t)(j h_z): row m is the kernel along z at tau_m,
-    # column j the kernel along tau at z_j
-    arg = -np.outer(tau, h_z * np.arange(z.size))   # (n_t, n_z)
+    # the first slab's kernel tables; all causal arguments are <= 0.  On
+    # uniform axes from 0, tau_m z_j = (m h_t)(j h_z): row m is the kernel
+    # along z at tau_m, column j along tau at z_j (>= 61 rows, by the guard)
+    z_steps = h_z * np.arange(z.size)
+    slab = np.count_nonzero(tau * z_steps[-1] <= _SERIES_CUT)
+    arg = -np.outer(tau[:slab], z_steps)    # (slab, n_z)
     k0 = entire_bessel_kernel(arg, 0)
     k1 = entire_bessel_kernel(arg, 1)
 
-    e = _causal_conv(ic, k0, h_z)            # spin-wave sources, along z
-    e += bc[:, None]
-    e -= z * _causal_conv(bc, k1.T, h_t).T   # boundary sources, along tau
-    s = _causal_conv(ic, k1, h_z)
-    s *= -tau[:, None]
-    s += ic
-    s -= _causal_conv(bc, k0.T, h_t).T
+    e, s = (np.empty((tau.size, z.size), dtype=complex) for _ in range(2))
+    s0 = ic
+    for lo in range(0, tau.size - 1, slab - 1):
+        n = min(slab, tau.size - lo)
+        b, e_k, s_k = bc[lo:lo + n], e[lo:lo + n], s[lo:lo + n]
+        e_k[:] = _causal_conv(s0, k0[:n], h_z)  # spin-wave sources, along z
+        e_k += b[:, None]
+        # boundary sources, along tau, staged in s_k before its own sources
+        np.multiply(z, _causal_conv(b, k1[:n].T, h_t).T, out=s_k)
+        e_k -= s_k
+        s_k[:] = _causal_conv(s0, k1[:n], h_z)
+        s_k *= -tau[:n, None]
+        s_k += s0
+        s_k -= _causal_conv(b, k0[:n].T, h_t).T
+        s0 = s_k[-1].copy()
 
     s_norm2 = np.trapezoid(np.abs(s) ** 2, x=z, axis=1)
     return FreeSpaceFields(tau=tau, z=z, e=e, s=s, e_end=e[:, -1].copy(),

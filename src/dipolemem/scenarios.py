@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import sys
 import time
 from collections import Counter
@@ -56,10 +55,11 @@ from .cavity import (CavityParams, SimResult, continuity_residual,
 from .control import optimal_write_input, synthesize_couplings, \
     variational_optimize
 from .errors import ConfigError, ParameterError, ResolutionError
-from .freespace import (FreeSpaceTransform, MediumParams, analytic_evolution,
-                        entire_bessel_kernel, numeric_evolution,
-                        reduced_continuity_residual, storage_retrieval_sweep,
-                        theta_nodes, thin_medium_cavity_coupling)
+from .freespace import (FreeSpaceTransform, MediumParams, _kernel_by_integral,
+                        analytic_evolution, entire_bessel_kernel,
+                        numeric_evolution, reduced_continuity_residual,
+                        storage_retrieval_sweep, theta_nodes,
+                        thin_medium_cavity_coupling)
 from .schedules import (FieldEnvelope, GaussianSegment, Ledger,
                         PiecewiseLinearSegment, Schedule, SquareSegment,
                         TabulatedSegment, TimeGrid, effective_time,
@@ -699,11 +699,6 @@ def _write_tables(tables) -> None:
                 f.write(b"".join(map(template.__mod__, zip(*cols))))
 
 
-def _write_csv(path: Path, header, table: np.ndarray) -> None:
-    """One table through `_write_tables`."""
-    _write_tables([(path, header, table)])
-
-
 def write_artifacts(rec: RunRecord, outdir) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -1181,46 +1176,24 @@ def _check_variational():
     return overlap >= 1.0 - 1e-9, f"(overlap = {overlap:.12f} >= 1 - 1e-09)"
 
 
-def _bessel_by_integral(n: int, x: float, modified: bool) -> float:
-    """I_n(x) = (1/pi) int_0^pi e^{x cos t} cos nt dt (modified) or
-    J_n(x) = (1/pi) int_0^pi cos(nt - x sin t) dt by the midpoint rule:
-    the integrands are smooth and periodic, so ceil(x/2) + 40 nodes
-    converge geometrically to round-off."""
-    m = math.ceil(x / 2.0) + 40
-    t = (np.arange(m) + 0.5) * (np.pi / m)
-    f = (np.exp(x * np.cos(t)) * np.cos(n * t) if modified
-         else np.cos(n * t - x * np.sin(t)))
-    return float(np.mean(f))
-
-
 def _check_kernel_routes():
     # power series against the Bessel integral forms of the same kernels
-    rng = np.random.default_rng(7)
-    a = rng.uniform(-30.0, 30.0, size=20)
-    worst = 0.0
-    for av in a:
-        r = np.sqrt(abs(av))
-        ref0 = _bessel_by_integral(0, 2 * r, av >= 0.0)
-        ref1 = _bessel_by_integral(1, 2 * r, av >= 0.0) / max(r, 1e-300)
-        got0 = entire_bessel_kernel(av, 0)
-        got1 = entire_bessel_kernel(av, 1)
-        worst = max(worst,
-                    abs(got0 - ref0) / max(abs(ref0), 1.0),
-                    abs(got1 - ref1) / max(abs(ref1), 1.0))
+    a = np.random.default_rng(7).uniform(-30.0, 30.0, size=20)
+    got = np.array([entire_bessel_kernel(a, n) for n in (0, 1)])
+    ref = np.array([_kernel_by_integral(a, n) for n in (0, 1)])
+    worst = float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1.0)))
     return worst <= 1e-10, f"(max rel err = {worst:.2e} <= 1e-10)"
 
 
 def _check_kernel_identity():
     # K1(b) + b K1'(b) = K0(b), with the derivative by central difference
-    rng = np.random.default_rng(8)
+    b = np.random.default_rng(8).uniform(-20.0, 20.0, size=10)
     hs = 1e-5
-    worst = 0.0
-    for b in rng.uniform(-20.0, 20.0, size=10):
-        d1 = (entire_bessel_kernel(b + hs, 1)
-              - entire_bessel_kernel(b - hs, 1)) / (2 * hs)
-        lhs = entire_bessel_kernel(b, 1) + b * d1
-        rhs = entire_bessel_kernel(b, 0)
-        worst = max(worst, abs(lhs - rhs) / max(abs(rhs), 1.0))
+    d1 = (entire_bessel_kernel(b + hs, 1)
+          - entire_bessel_kernel(b - hs, 1)) / (2 * hs)
+    rhs = entire_bessel_kernel(b, 0)
+    worst = float(np.max(np.abs(entire_bessel_kernel(b, 1) + b * d1 - rhs)
+                         / np.maximum(np.abs(rhs), 1.0)))
     return worst <= 1e-7, f"(max rel err = {worst:.2e} <= 1e-07)"
 
 

@@ -271,6 +271,8 @@ def test_canonical_hash_is_pinned(name):
 
 def test_preset_hashes_are_pinned():
     assert {p.name: scenario_hash(load_scenario(p)) for p in PRESETS} == {
+        "cavity_gaussian_design.yaml":
+        "eca23b0f0270da66b7c98803e504e304fd6f5de344562847275cec644c1c823c",
         "cavity_square_optimal.yaml":
         "a179e8480eb11cf5d8292a0b3e8dfb41e5889ab20eeca60c6cc4c640cf40b1f7",
         "freespace_gaussian_sweep.yaml":
@@ -1209,15 +1211,41 @@ def test_version_comes_from_one_literal(tmp_path):
 
 
 def test_verify_bessel_reference_matches_scipy():
+    # verify's reference is also the kernel's route for |a| > 30
     from scipy import special
-    x = 2.0 * np.sqrt(np.linspace(0.0, 30.0, 3001))     # |a| <= 30
-    for n, modified, ref in ((0, True, special.i0), (1, True, special.i1),
-                             (0, False, special.j0), (1, False, special.j1)):
-        want = ref(x)
-        got = np.array([scenarios._bessel_by_integral(n, v, modified)
-                        for v in x])
+    u = np.concatenate([np.linspace(0.0, 30.0, 3001)[1:],
+                        np.linspace(30.0, 2000.0, 19701)[1:]])
+    x = 2.0 * np.sqrt(u)
+    for n, a, want in ((0, u, special.i0(x)), (1, u, special.i1(x)),
+                       (0, -u, special.j0(x)), (1, -u, special.j1(x))):
+        got = freespace._kernel_by_integral(a, n) * np.sqrt(u) ** n
         err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
-        assert err.max() <= 1e-14, (n, modified, err.max())
+        assert err.max() <= 1e-14, (n, a[-1], err.max())
+
+
+def test_kernel_solver_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import failing, a
+    # freespace-analytic run past one theta slab and the kernel's Bessel
+    # forms beyond the series range still run
+    cfg = freespace_cfg(model="freespace-analytic", space_points=201)
+    cfg["coupling"][0]["amplitude"] = "2750 MHz_angular"
+    path = _write_cfg(tmp_path, cfg)
+    code = ("import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from dipolemem.freespace import entire_bessel_kernel\n"
+            "from dipolemem.scenarios import load_scenario, run_scenario\n"
+            "rec = run_scenario(load_scenario(sys.argv[1]))\n"
+            "print(json.dumps([rec.summary['theta_total'],\n"
+            "                  [entire_bessel_kernel(a, n)\n"
+            "                   for a in (-100.0, 100.0) for n in (0, 1)]]))\n")
+    proc = _python(["-c", code, str(path)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    theta_total, kernels = json.loads(proc.stdout)
+    assert theta_total > 30.0
+    from scipy import special
+    want = [special.j0(20.0), special.j1(20.0) / 10.0,
+            special.i0(20.0), special.i1(20.0) / 10.0]
+    np.testing.assert_allclose(kernels, want, rtol=1e-12)
 
 
 def test_cli_verify_passes(capsys):

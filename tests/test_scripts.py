@@ -1,4 +1,6 @@
-"""The example scripts run end to end at tiny sizes."""
+"""The example script runs end to end at a tiny size, and the CLI
+commands that replace the former design and depth-sweep scripts write
+the artifacts those scripts wrote."""
 
 import csv
 import os
@@ -17,11 +19,11 @@ _REPO = Path(__file__).resolve().parents[1]
 _SRC_ROOT = str(Path(dipolemem.__file__).resolve().parents[1])
 
 
-def _script(name, args, cwd):
+def _python(args, cwd):
     old = os.environ.get("PYTHONPATH")
     path = _SRC_ROOT + (os.pathsep + old if old else "")
-    return subprocess.run([sys.executable, str(_REPO / "scripts" / name),
-                           *args], cwd=cwd, capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], cwd=cwd,
+                          capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path},
                           timeout=300)
 
@@ -31,28 +33,44 @@ def _header(path):
         return next(csv.reader(f))
 
 
+def _assert_outputs(root, outputs):
+    for rel, header in outputs.items():
+        path = root / rel
+        assert path.exists(), rel
+        if header is not None:
+            assert _header(path) == header
+
+
 @pytest.mark.parametrize("name, args, outputs", [
     ("cavity_storage_demo.py", ["--points", "4001", "--csv", "env.csv"],
      {"env.csv": ["time_s", "e_in_re", "e_in_im", "e_out_re", "e_out_im",
                   "sigma_abs"]}),
-    ("design_couplings.py", ["--points", "2001"],
+])
+def test_script_runs(tmp_path, name, args, outputs):
+    proc = _python([str(_REPO / "scripts" / name), *args], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    _assert_outputs(tmp_path, outputs)
+    _assert_cells_round_trip(tmp_path / "env.csv", 4001)
+
+
+@pytest.mark.parametrize("args, outputs", [
+    (["design", "presets/cavity_gaussian_design.yaml",
+      "--outdir", "design_out"],
      {"design_out/g_write.csv": ["time_s", "value"],
       "design_out/g_read.csv": ["time_s", "value"],
       "design_out/result.json": None}),
-    ("depth_sweep.py", ["--num", "2"],
+    (["sweep", "presets/freespace_gaussian_sweep.yaml", "--axis", "d",
+      "--values", "1,150", "--outdir", "depth_sweep_out"],
      {"depth_sweep_out/sweep.csv": ["d", "eta_forward", "eta_backward"],
       "depth_sweep_out/result.json": None}),
-])
-def test_script_runs(tmp_path, name, args, outputs):
-    proc = _script(name, args, tmp_path)
+], ids=["design", "sweep-d"])
+def test_readme_cli_commands_write_artifacts(tmp_path, args, outputs):
+    # the README's design and depth-sweep commands, run from the checkout
+    command, preset, *rest = args
+    proc = _python(["-m", "dipolemem", command, str(_REPO / preset), *rest],
+                   tmp_path)
     assert proc.returncode == 0, proc.stderr
-    for rel, header in outputs.items():
-        path = tmp_path / rel
-        assert path.exists(), rel
-        if header is not None:
-            assert _header(path) == header
-    if name == "cavity_storage_demo.py":
-        _assert_cells_round_trip(tmp_path / "env.csv", 4001)
+    _assert_outputs(tmp_path, outputs)
 
 
 def _assert_cells_round_trip(path, points):
