@@ -16,12 +16,14 @@ Two models of one atom/ensemble dipole coupled to a one-sided cavity:
 
 Both are linear, x' = J(t) x + f(t) with x = sigma or (sigma, E), and
 use one classical fixed-step RK4 scheme on the TimeGrid (reproducible;
-no adaptivity).  `_rk4_maps` writes each step as an affine map
-x_{k+1} = x_k + D_k x_k + v_k from the stage values (schedules at the
-exact stage times, input samples linearly interpolated at the half
-step), and `_affine_scan` composes the maps with a blocked prefix scan
-that recurses on its block ends, so Python loops run O(n^(1/3)) times
-instead of once per step.
+no adaptivity).  `_solve` builds each step's affine map
+x_{k+1} = x_k + D_k x_k + v_k with `_rk4_maps` in cache-sized chunks
+of steps (schedules at the exact stage times, input samples linearly
+interpolated at the half step), writing D and v into tables allocated
+once; then one `_affine_scan` composes the maps in place with a blocked
+prefix scan that recurses on its block ends, so Python loops run
+O(n^(1/3)) times instead of once per step.  The chunks do not change
+the arithmetic of any step, so the states do not depend on them.
 
 Efficiencies are defined through the photon-number ledger
 (`schedules.ledger`): at any detuning the dynamics obey
@@ -134,50 +136,84 @@ def _rk4_maps(j, jm, f, fm, h):
             increment(f[..., :-1], fm, f[..., 1:]))
 
 
-def _affine_scan(D, v, x0) -> np.ndarray:
-    """States x_0 = x0, x_{k+1} = x_k + D_k x_k + v_k of the maps D
-    (d, d, n), v (d, 1, n); returns (d, n+1).
+# steps per chunk of the map build and of the scan's fix-up: the stage
+# tables of one chunk stay in cache
+_CHUNK = 8192
+
+
+def _affine_scan(D, x) -> np.ndarray:
+    """States of the maps x_{k+1} = x_k + D_k x_k + v_k, in place: x
+    (d, n+1) holds x_0 and then v (v_k in column k+1) and is overwritten
+    with x_0..x_n; D (d, d, n) is overwritten too.  Returns x.
 
     Recursive blocked prefix scan (Blelloch, CMU-CS-90-190, 1990): over
-    blocks of about n^(1/3) steps, running products (as increments
-    Q = P - I) and zero-start recurrences of all blocks at once; this
-    function again on the block-end maps for the state at each block
-    start; one in-place fix-up product.  Below 64 steps it is the step
-    loop.  Python loops run n^(1/3) + n^(2/9) + ... (+ under 64) times:
-    91 at n = 100,001, 217 at 4,000,001.  Nothing divides by a running
-    product, so strong decay cannot overflow.
+    blocks of about n^(1/3) steps (the last may be shorter), running
+    products (as increments Q = P - I, in place of D) and zero-start
+    recurrences w (in place of v) of all blocks at once; this function
+    again on copies of the block-end maps for the state c at each block
+    start; then x = w + c + Q c in place, about _CHUNK steps at a time.
+    Below 64 steps it is the step loop.  The step loops run n^(1/3) +
+    n^(2/9) + ... (+ under 64) times: 91 at n = 100,001, 217 at
+    4,000,001.  Nothing divides by a running product, so strong decay
+    cannot overflow.
     """
-    d, n = v.shape[0], v.shape[-1]
-    x0 = np.asarray(x0, dtype=complex).reshape(d)
+    d, n = D.shape[0], D.shape[-1]
     if n < 64:
-        x = [x0]
         for k in range(n):
-            x.append(x[-1] + _mul(D[..., k], x[-1][:, None])[:, 0]
-                     + v[:, 0, k])
-        return np.stack(x, axis=1)
+            x[:, k + 1] = (x[:, k] + _mul(D[..., k], x[:, k, None])[:, 0]
+                           + x[:, k + 1])
+        return x
     block = math.ceil(n ** (1.0 / 3.0))
-    nb = -(-n // block)
-    pad = nb * block - n
-    # pad with identity maps (zero increments); the copies are overwritten
-    Q = np.concatenate([D, np.zeros((d, d, pad))],
-                       axis=-1).reshape(d, d, nb, block)
-    w = np.concatenate([v, np.zeros((d, 1, pad))],
-                       axis=-1).reshape(d, 1, nb, block)
+    full = n // block * block
+    # whole blocks, then the steps left over as one shorter block
+    parts = [(D[..., a:b].reshape(d, d, -1, size),
+              x[:, None, 1 + a:1 + b].reshape(d, 1, -1, size))
+             for a, b, size in ((0, full, block), (full, n, n - full))
+             if b > a]
     for i in range(1, block):
-        w[..., i] += w[..., i - 1] + _mul(Q[..., i], w[..., i - 1])
-        Q[..., i] += Q[..., i - 1] + _mul(Q[..., i], Q[..., i - 1])
-    c = _affine_scan(Q[..., -1], w[..., -1], x0)[:, None, :-1, None]
-    w += c
-    w += _mul(Q, c)
-    return np.concatenate([x0[:, None], w.reshape(d, nb * block)[:, :n]],
-                          axis=1)
+        for Q, w in parts:
+            if i < w.shape[-1]:
+                w[..., i] += w[..., i - 1] + _mul(Q[..., i], w[..., i - 1])
+                Q[..., i] += Q[..., i - 1] + _mul(Q[..., i], Q[..., i - 1])
+    # the block-end maps are copied: the fix-up below still reads them
+    Q_end, w_end = (np.concatenate([part[k][..., -1] for part in parts],
+                                   axis=-1) for k in (0, 1))
+    c = _affine_scan(Q_end, np.concatenate([x[:, :1], w_end[:, 0]], axis=1))
+    step = -(-_CHUNK // block)
+    for Q, w in parts:
+        nb = w.shape[-2]
+        cb, c = c[:, None, :nb, None], c[:, nb:]
+        for s in range(0, nb, step):
+            blk = slice(s, s + step)
+            w[..., blk, :] += cb[..., blk, :]
+            w[..., blk, :] += _mul(Q[..., blk, :], cb[..., blk, :])
+    return x
+
+
+def _solve(n, d, h, coefficients, x0) -> np.ndarray:
+    """States (d, n+1) of x' = J(t) x + f(t) over n steps from x0.
+
+    The RK4 maps are built _CHUNK steps at a time into D and into the
+    state table, both allocated once; coefficients(a, b) gives J
+    (d, d, .) and f (d, 1, .) of the steps a..b-1 at the grid points
+    a..b and at the half steps, as `_rk4_maps` takes them.
+    """
+    D = np.empty((d, d, n), dtype=complex)
+    x = np.empty((d, n + 1), dtype=complex)
+    x[:, 0] = x0
+    for a in range(0, n, _CHUNK):
+        b = min(a + _CHUNK, n)
+        D[..., a:b], x[:, None, 1 + a:1 + b] = _rk4_maps(*coefficients(a, b),
+                                                        h)
+    return _affine_scan(D, x)
 
 
 def _stage_values(e_in: Optional[FieldEnvelope], g: Schedule,
                   delta: Schedule, grid: TimeGrid):
     """Checks shared by both models, then g and Delta at the grid points
-    and half steps and the input samples (the half-step input is the
-    midpoint of its neighbours, the best available with sampled data)."""
+    and half steps and the input samples (the half-step input, built per
+    chunk, is the midpoint of its neighbours, the best available with
+    sampled data)."""
     if e_in is not None and e_in.grid != grid:
         raise ParameterError("input envelope grid differs from the run grid")
     if not g.is_nonnegative():
@@ -186,8 +222,11 @@ def _stage_values(e_in: Optional[FieldEnvelope], g: Schedule,
     tm = t[:-1] + 0.5 * grid.dt
     s_in = (e_in.samples if e_in is not None
             else np.zeros(grid.n, dtype=complex))
-    return (g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm),
-            s_in, 0.5 * (s_in[:-1] + s_in[1:]))
+    return g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm), s_in
+
+
+def _midpoints(s):
+    return 0.5 * (s[:-1] + s[1:])
 
 
 def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
@@ -199,21 +238,33 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
     sigma0).  The step guard is dt * max(g^2/kappa + gamma + |Delta|)
     <= 0.1, the stiffest retained rate.
     """
-    gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
+    gv, gm, dv, dm, s_in = _stage_values(e_in, g, delta, grid)
     h = grid.dt
-    loss = p.gamma + gv * gv / p.kappa       # -Re J, also in the step guard
-    loss_m = p.gamma + gm * gm / p.kappa
-    rmax = max((loss + np.abs(dv)).max(), (loss_m + np.abs(dm)).max())
+
+    def loss(g):                        # -Re J, also in the step guard
+        return p.gamma + g * g / p.kappa
+
+    rmax = max((loss(gv) + np.abs(dv)).max(), (loss(gm) + np.abs(dm)).max())
     if h * rmax > MAX_RATE_STEP:
         raise StabilityError(
             f"dt*max(g^2/kappa+gamma+|Delta|) = {h * rmax:.3g} exceeds "
             f"{MAX_RATE_STEP}; refine the grid")
 
     drive = 1j * np.sqrt(2.0 / p.kappa)
-    D, v = _rk4_maps(*(x[None, None] for x in
-                       (-(1j * dv + loss), -(1j * dm + loss_m),
-                        drive * gv * s_in, drive * gm * s_m)), h)
-    sigma = _affine_scan(D, v, sigma0)[0]
+
+    def rates(g, d):                    # J = -loss - i Delta
+        j = np.empty((1, 1, g.size), dtype=complex)
+        j.real, j.imag = -loss(g), -d
+        return j
+
+    def coefficients(a, b):
+        g, gh, s = gv[a:b + 1], gm[a:b], s_in[a:b + 1]
+        return (rates(g, dv[a:b + 1]), rates(gh, dm[a:b]),
+                (drive * g * s)[None, None],
+                (drive * gh * _midpoints(s))[None, None])
+
+    sigma = _solve(grid.n - 1, 1, h, coefficients, sigma0)[0]
+    del gm, dv, dm                      # freed before the output and ledger
 
     e_out = FieldEnvelope(grid, s_in + drive * gv * sigma)
     tau = _effective_time(gv, p.kappa, h)
@@ -227,7 +278,7 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
 
     The step must resolve the cavity pole: dt * kappa <= 0.1 enforced.
     """
-    gv, gm, dv, dm, s_in, s_m = _stage_values(e_in, g, delta, grid)
+    gv, gm, dv, dm, s_in = _stage_values(e_in, g, delta, grid)
     h = grid.dt
     stiff = max(p.kappa, p.gamma + float(np.abs(dv).max(initial=0.0)),
                 float(gv.max(initial=0.0)))
@@ -240,14 +291,21 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
 
     def tables(g, d, s):                # J and f of x = (sigma, E)
         j = np.empty((2, 2) + g.shape, dtype=complex)
-        j[0, 0], j[1, 1] = -(1j * d + p.gamma), -p.kappa
+        j[0, 0].real, j[0, 0].imag = -p.gamma, -d
+        j[1, 1] = -p.kappa
         j[0, 1] = j[1, 0] = 1j * g
         f = np.zeros((2, 1) + s.shape, dtype=complex)
         f[1, 0] = root2k * s
         return j, f
 
-    (j, f), (jm, fm) = tables(gv, dv, s_in), tables(gm, dm, s_m)
-    sigma, ecav = _affine_scan(*_rk4_maps(j, jm, f, fm, h), [sigma0, 0.0])
+    def coefficients(a, b):
+        s = s_in[a:b + 1]
+        (j, f), (jm, fm) = (tables(gv[a:b + 1], dv[a:b + 1], s),
+                            tables(gm[a:b], dm[a:b], _midpoints(s)))
+        return j, jm, f, fm
+
+    sigma, ecav = _solve(grid.n - 1, 2, h, coefficients, [sigma0, 0.0])
+    del gm, dv, dm                      # freed before the output and ledger
 
     e_out = FieldEnvelope(grid, -s_in + root2k * ecav)
     tau = _effective_time(gv, p.kappa, h)

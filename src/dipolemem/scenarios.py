@@ -37,6 +37,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import sys
 import time
 from collections import Counter
@@ -978,8 +979,10 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
     segment), and ``d`` (peak optical depth of a Gaussian-pulse
     storage/retrieval experiment in the propagation models).  A
     ``tau_r`` row is a pure read; the other cavity axes write the input
-    ``run`` uses for ``input: optimal`` into the swept coupling.  Rows
-    are emitted in the order the values were given.
+    ``run`` uses for ``input: optimal`` into the swept coupling.  Cavity
+    rows run concurrently on the CPUs the process may use; rows are
+    emitted, and the first failing value's error is raised, in the order
+    the values were given.
     """
     start = time.perf_counter()
     axis = axis.replace("-", "_").strip()
@@ -1060,18 +1063,33 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
             bound = ">= 0" if axis == "tau_r" else "> 0"
             raise ParameterError(f"{axis} must be {bound}, got {v}")
     sigma0 = _cavity_sigma0(scn) or 1.0
-    rows = []
-    for v in vals:
+
+    def row(v):
         if v == 0.0:
-            rows.append((v, 0.0))
-        elif axis == "tau_r":
-            sim = _simulate(scn, None, coupling_at(v), sigma0=sigma0)
-            rows.append((v, float(sim.eta_r)))
-        else:
-            g_v = coupling_at(v)
-            sim = _simulate(scn, _optimal_input(scn, g_v), g_v)
-            rows.append((v, float(sim.eta_w)))
+            return v, 0.0
+        if axis == "tau_r":
+            return v, float(_simulate(scn, None, coupling_at(v),
+                                      sigma0=sigma0).eta_r)
+        g_v = coupling_at(v)
+        return v, float(_simulate(scn, _optimal_input(scn, g_v), g_v).eta_w)
+
+    # rows run concurrently (numpy releases the GIL in its array work);
+    # map yields them in value order and raises the first failing value's
+    # error, cancelling the rows not yet started.  Imported here: only a
+    # cavity sweep pays for it.
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(min(len(vals), _usable_cpus())) as pool:
+        rows = list(pool.map(row, vals))
     return _CAVITY_HEADERS[axis], np.array(rows, dtype=float)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (all of them where the platform
+    cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _sweep_depth(scn: Scenario, vals):

@@ -12,7 +12,7 @@ from dipolemem import (CavityParams, FieldEnvelope, ParameterError, Schedule,
                        effective_fields, effective_time, optimal_write_input,
                        read_analytic, simulate_adiabatic, simulate_full,
                        square_pulse_efficiency)
-from dipolemem.cavity import _affine_scan, _rk4_maps
+from dipolemem.cavity import _CHUNK, _affine_scan, _rk4_maps
 
 KAPPA = 1e6
 ZERO = Schedule.zero()
@@ -213,6 +213,13 @@ def _sequential_scan(D, v, x0):
     return np.concatenate(x, axis=1)
 
 
+def _scan(D, v, x0):
+    """The states of the maps D, v from x0 by `_affine_scan`, which works
+    in place on D and on a table holding x0 and then v."""
+    x0 = np.asarray(x0, dtype=complex).reshape(-1, 1)
+    return _affine_scan(D, np.concatenate([x0, v[:, 0]], axis=1))
+
+
 def _random_complex(rng, *shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
@@ -229,15 +236,15 @@ def test_affine_scan_matches_sequential_loop(d, n, scale):
     one step to either side of them, and at three recursion levels
     (100,003).  The maps are scale times a random unitary: 1e-3 decays
     the running products past underflow, 1 + 1e-4 grows the state by up
-    to e^10."""
+    to e^10.  The reference runs first: the scan overwrites D."""
     rng = np.random.default_rng(n + d)
     z = _random_complex(rng, n, d, d)
     M = np.moveaxis(scale * np.linalg.qr(z)[0], 0, -1)
     D = M - np.eye(d)[:, :, None]
     v = _random_complex(rng, d, 1, n)
     x0 = _random_complex(rng, d)
-    x = _affine_scan(D, v, x0)
     ref = _sequential_scan(D, v, x0)
+    x = _scan(D, v, x0)
     assert x.shape == (d, n + 1)
     assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -274,19 +281,87 @@ def test_rk4_maps_are_the_textbook_four_stage_step(d):
 
 @pytest.mark.parametrize("d, n", [(1, 100_000), (2, 40_000)])
 def test_affine_scan_peak_memory_is_bounded(d, n):
-    """The scan holds one padded copy of the maps, the states and one
-    fix-up product: its traced peak stays within 1.75 times the maps it
-    is given."""
+    """The scan works in place on the maps and the state table: its
+    traced peak (the block-end copies and chunk-sized fix-up products)
+    stays within a quarter of the tables it is given."""
     rng = np.random.default_rng(d)
     D = 1e-3 * _random_complex(rng, d, d, n)
-    v = _random_complex(rng, d, 1, n)
+    x = _random_complex(rng, d, n + 1)
     tracemalloc.start()
     try:
-        _affine_scan(D, v, np.ones(d))
+        _affine_scan(D, x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.75 * (D.nbytes + v.nbytes)
+    assert peak <= 0.25 * (D.nbytes + x.nbytes)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                               2 * _CHUNK + 1])
+def test_chunked_map_build_matches_one_whole_array_scan(d, n):
+    """simulate_adiabatic (d = 1) and simulate_full (d = 2) build their
+    RK4 maps _CHUNK steps at a time.  Their states equal, bit for bit,
+    one scan of maps built from whole-array tables, written here as the
+    models define J and f, for step counts on either side of one and
+    two chunks.  The write has an input, decay and a detuning that
+    covers part of the grid."""
+    p = CavityParams(KAPPA, 1e4)
+    grid = TimeGrid(0.0, 5e-8, n + 1)
+    span = grid.t_end
+    g = Schedule.gaussian(3e5, 0.5 * span, 0.2 * span)
+    delta = Schedule.square(2e5, 0.3 * span, 0.7 * span)
+    rng = np.random.default_rng(n + d)
+    e_in = FieldEnvelope(grid, _random_complex(rng, grid.n))
+    t = grid.times()
+    tm = t[:-1] + 0.5 * grid.dt
+    gv, gm, dv, dm = g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm)
+    s = e_in.samples
+    s_m = 0.5 * (s[:-1] + s[1:])
+    if d == 1:
+        drive = 1j * np.sqrt(2.0 / p.kappa)
+        loss, loss_m = (p.gamma + gv * gv / p.kappa,
+                        p.gamma + gm * gm / p.kappa)
+        tables = [x[None, None] for x in (-(1j * dv + loss),
+                                          -(1j * dm + loss_m),
+                                          drive * gv * s, drive * gm * s_m)]
+        x0 = 0.3 - 0.2j
+        res = simulate_adiabatic(e_in, g, delta, p, grid, sigma0=x0)
+        states = res.sigma[None]
+    else:
+        def model(gg, dd, ss):
+            j = np.empty((2, 2) + gg.shape, dtype=complex)
+            j[0, 0], j[1, 1] = -(1j * dd + p.gamma), -p.kappa
+            j[0, 1] = j[1, 0] = 1j * gg
+            f = np.zeros((2, 1) + ss.shape, dtype=complex)
+            f[1, 0] = np.sqrt(2.0 * p.kappa) * ss
+            return j, f
+
+        (j, f), (jm, fm) = model(gv, dv, s), model(gm, dm, s_m)
+        tables = [j, jm, f, fm]
+        x0 = [0.3 - 0.2j, 0.0]
+        res = simulate_full(e_in, g, delta, p, grid, sigma0=x0[0])
+        states = np.stack([res.sigma, res.e_cav])
+    ref = _scan(*_rk4_maps(*tables, grid.dt), x0)
+    assert states.tobytes() == ref.tobytes()
+
+
+def test_adiabatic_solve_holds_at_most_eight_grid_arrays():
+    """A 100,001-point detuned write with decay, output and ledger
+    included, peaks at no more than 8 complex arrays of the grid: the
+    maps are built in chunks and the scan works in place."""
+    grid = TimeGrid.from_span(-2e-6, 0.0, 100_001)
+    g = Schedule.square(np.sqrt(KAPPA / 2e-6), -2e-6, 0.0)
+    delta = Schedule.square(1e5, -1.5e-6, -0.5e-6)
+    p = CavityParams(KAPPA, 1e3)
+    e_in = optimal_write_input(g, p, grid, delta)
+    tracemalloc.start()
+    try:
+        simulate_adiabatic(e_in, g, delta, p, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * grid.n
 
 
 # ---------------------------------------------------------------------------

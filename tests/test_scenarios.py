@@ -16,8 +16,8 @@ import yaml
 
 import dipolemem
 from dipolemem import (ConfigError, ParameterError, ResolutionError,
-                       freespace, optimal_write_input, scenarios,
-                       write_efficiency_of)
+                       StabilityError, freespace, optimal_write_input,
+                       scenarios, write_efficiency_of)
 from dipolemem.cli import main as cli_main
 from dipolemem.scenarios import (MODELS, SWEEP_AXES, build_input,
                                  design_couplings, load_scenario,
@@ -885,6 +885,74 @@ def test_duration_sweep_grows_with_window():
     rec = run_sweep(scn, "duration", [0.5e-6, 1.0e-6, 2.0e-6])
     etas = [eta for _, eta in rec.tables[0][2]]
     assert etas[0] < etas[1] < etas[2] < 1.0
+
+
+_SWEEP_CASES = {
+    "tau_w": ([0.5, 1.0, 1.5, 2.0, 2.5], {}),
+    "cooperativity": ([1.0, 5.0, 20.0, 50.0],
+                      {"cavity": {"kappa": "1 MHz_angular",
+                                  "gamma": "2 kHz_angular"}}),
+    "tau_r": ([0.25, 0.5, 1.0, 2.0],
+              {"model": "cavity-full", "input": None,
+               "initial_excitation": {"sigma_re": 1.0},
+               "grid": {"start": "-2 us", "stop": "0 us", "points": 4001},
+               "cavity": {"kappa": "100 MHz_angular"}}),
+}
+
+
+@pytest.mark.parametrize("axis", sorted(_SWEEP_CASES))
+def test_concurrent_sweep_rows_match_a_sequential_loop(tmp_path, monkeypatch,
+                                                       axis):
+    # three workers, so rows overlap on any machine; the reference runs
+    # the rows one after another through _simulate
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 3)
+    values, over = _SWEEP_CASES[axis]
+    scn = scenario_from_dict(cavity_cfg(**over))
+    write_artifacts(run_sweep(scn, axis, values), tmp_path)
+    g, p, grid = scn.coupling, scn.cavity, scn.grid
+    tau = float(effective_time(g, p.kappa, grid)[-1])
+    rows = []
+    for v in values:
+        if axis == "cooperativity":
+            g_v = g.scaled(np.sqrt(v * p.gamma * p.kappa) / g.max_abs())
+        else:                   # one window up to the grid end
+            g_v = g.scaled(np.sqrt(v / tau))
+        if axis == "tau_r":
+            eta = scenarios._simulate(scn, None, g_v, sigma0=1.0).eta_r
+        else:
+            e_in = scenarios._optimal_input(scn, g_v)
+            eta = scenarios._simulate(scn, e_in, g_v).eta_w
+        rows.append((v, eta))
+    header = (axis, "eta_r" if axis == "tau_r" else "eta_w")
+    assert (tmp_path / "sweep.csv").read_bytes() == _reference_csv(header,
+                                                                   rows)
+
+
+def test_sweep_raises_the_first_failing_value_error(tmp_path, monkeypatch):
+    # the 2nd and 4th values both trip the step guard (dt*rate = 0.25 and
+    # 0.45); whichever row fails first, the 2nd value's error is raised
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 3)
+    cfg = cavity_cfg()
+    scn = scenario_from_dict(cfg)
+    tau = float(effective_time(scn.coupling, scn.cavity.kappa,
+                               scn.grid)[-1])
+    values = [1.0, 500.0, 2.0, 900.0]
+    messages = []
+    for v in values[1::2]:
+        g_v = scn.coupling.scaled(np.sqrt(v / tau))
+        with pytest.raises(StabilityError) as exc:
+            scenarios._simulate(scn, scenarios._optimal_input(scn, g_v), g_v)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(StabilityError) as exc:
+        run_sweep(scn, "tau_w", values)
+    assert str(exc.value) == messages[0]
+    proc = _cli(["sweep", str(_write_cfg(tmp_path, cfg)), "--axis", "tau_w",
+                 "--values", ",".join(map(str, values)),
+                 "--outdir", str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(proc.stderr) == {"error": "StabilityError",
+                                       "message": messages[0]}
 
 
 def test_duration_sweep_checks_every_value_first(monkeypatch):
