@@ -40,7 +40,6 @@ import json
 import os
 import sys
 import time
-from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
@@ -636,68 +635,68 @@ def _record(operation: str, scn: Scenario, start: float, summary: dict,
 
 
 # rows of each table formatted per write: every table of a record
-# advances one block at a time, so the Python floats of a
-# multi-million-row table and the strings of a shared column exist for
-# one block only (about 1 MB each)
-_CSV_BLOCK_ROWS = 1 << 14
+# advances one block at a time, so a multi-million-row table exists as
+# text for one block only, and the formatter's temporaries (a few
+# dozen arrays of one block's column) stay in the CPU caches
+_CSV_BLOCK_ROWS = 1 << 12
 
 
 def _write_tables(tables) -> None:
     """Write each (path, header, table) as CSV: the header, then every
     row of the 2-D float `table` as %.17g cells, CRLF ends.
 
-    The tables are written together, `_CSV_BLOCK_ROWS` rows of each at
-    a time, and each distinct column is formatted once:
+    `_csvcells.cells` formats a column in numpy, separator included,
+    as `S32` cells (Python's own %.17g takes the few cells it cannot
+    decide).  The tables are written together, `_CSV_BLOCK_ROWS` rows
+    of each at a time:
     - a column whose doubles all share one bit pattern (so -0, nan and
-      inf stay exact) is a literal of its table's row template;
+      inf stay exact) is one cell, repeated;
     - a column bit-equal to another column of the record (the time axis
-      of two traces) is formatted once per block and reused through %s;
-    - every other column is a %.17g slot of the template.
-    Rows are formatted as bytes: the same digits as str formatting,
-    without the text encoder."""
+      of two traces) is formatted once per block and separator;
+    - each block of a table is a grid of cells, written as its bytes in
+      row order without the NUL padding (no cell holds a NUL)."""
+    from . import _csvcells
     tables = [(path, header, np.asarray(table, dtype=float))
               for path, header, table in tables]
     columns = []        # the distinct columns that are not constant
-    keys = []           # per table and column: a literal or a column number
+    keys = []           # per table and column: a cell or (column, end)
     for _, _, table in tables:
         row = []
-        for col in table.T:
+        for c, col in enumerate(table.T):
+            end = b"\r\n" if c == table.shape[1] - 1 else b","
             bits = col.view(np.int64)
             if bits.size and (bits == bits[0]).all():
-                row.append(b"%.17g" % col[0])
+                row.append(_csvcells.cells(col[:1], end)[0])
                 continue
-            k = next((k for k, c in enumerate(columns)
-                      if np.array_equal(c.view(np.int64), bits)),
+            k = next((k for k, other in enumerate(columns)
+                      if np.array_equal(other.view(np.int64), bits)),
                      len(columns))
             if k == len(columns):
                 columns.append(col)
-            row.append(k)
+            row.append((k, end))
         keys.append(row)
-    slots = [[k for k in row if isinstance(k, int)] for row in keys]
-    uses = Counter(k for row in slots for k in row)
-    templates = [b",".join(k if isinstance(k, bytes) else
-                           b"%s" if uses[k] > 1 else b"%.17g" for k in row)
-                 + b"\r\n" for row in keys]
-    shared = [k for k, n in uses.items() if n > 1]
-    rows = [table.shape[0] for _, _, table in tables]
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb"))
                  for path, _, _ in tables]
         for f, (_, header, _) in zip(files, tables):
             f.write(",".join(header).encode() + b"\r\n")
-        for i in range(0, max(rows, default=0), _CSV_BLOCK_ROWS):
+        for i in range(0, max((t.shape[0] for _, _, t in tables),
+                              default=0), _CSV_BLOCK_ROWS):
             j = i + _CSV_BLOCK_ROWS
-            block = {k: list(map(b"%.17g".__mod__, columns[k][i:j].tolist()))
-                     for k in shared if columns[k].size > i}
-            for f, template, ks, n in zip(files, templates, slots, rows):
-                if i >= n:
+            block = {}
+            for f, row, (_, _, table) in zip(files, keys, tables):
+                if i >= table.shape[0]:
                     continue
-                if not ks:
-                    f.write(template * (min(j, n) - i))
-                    continue
-                cols = [block[k] if k in block else columns[k][i:j].tolist()
-                        for k in ks]
-                f.write(b"".join(map(template.__mod__, zip(*cols))))
+                grid = np.empty((min(j, table.shape[0]) - i, len(row)),
+                                "S32")
+                for c, key in enumerate(row):
+                    if isinstance(key, tuple):
+                        if key not in block:
+                            block[key] = _csvcells.cells(
+                                columns[key[0]][i:j], key[1])
+                        key = block[key]
+                    grid[:, c] = key
+                f.write(grid.tobytes().translate(None, b"\0"))
 
 
 def write_artifacts(rec: RunRecord, outdir) -> Path:

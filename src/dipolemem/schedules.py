@@ -30,6 +30,7 @@ normalization drift of a run, measured against its coupling windows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -78,6 +79,24 @@ class TimeGrid:
         if not t1 > t0:
             raise ParameterError(f"need t1 > t0, got [{t0}, {t1}]")
         return cls(t0, (t1 - t0) / (n - 1), n)
+
+
+def _samples_before(grid: TimeGrid, t: float, closed: bool) -> int:
+    """The number of samples of `grid` below t, or at or below t when
+    `closed`: `np.searchsorted(grid.times(), t, "right" if closed else
+    "left")` without the array.  The estimate ceil((t - t0)/dt) is
+    stepped while the sample t0 + dt*i, formed by the same IEEE
+    operations as `TimeGrid.times`, is on the wrong side of t."""
+    def below(i):
+        s = grid.t0 + grid.dt * i
+        return s <= t if closed else s < t
+    q = (t - grid.t0) / grid.dt
+    i = grid.n if not q < grid.n else math.ceil(q) if q > 0.0 else 0
+    while i < grid.n and below(i):
+        i += 1
+    while i > 0 and not below(i - 1):
+        i -= 1
+    return i
 
 
 def _check_point_count(n) -> None:
@@ -414,9 +433,8 @@ class Schedule:
                 merged[-1][1] = max(b, merged[-1][1])
             else:
                 merged.append([a, b])
-        t = grid.times()
-        spans = [(int(np.searchsorted(t, a, "left")),
-                  int(np.searchsorted(t, b, "right")) - 1) for a, b in merged]
+        spans = [(_samples_before(grid, a, False),
+                  _samples_before(grid, b, True) - 1) for a, b in merged]
         return [(i, j) for i, j in spans if i <= j]
 
     def scaled(self, s: float) -> "Schedule":

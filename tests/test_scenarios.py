@@ -610,16 +610,39 @@ def _record_of(tables):
         config={})
 
 
+def _awkward_doubles() -> np.ndarray:
+    """Doubles whose %.17g is easy to get wrong: every power of ten in
+    range, one ulp either side, and times 0.5 and 9.5; dyadic ties
+    (9000000000000001/4 is 2250000000000000.25, which rounds to even);
+    the %g switch points 1e-5, 1e-4, 1e16, 1e17 and their neighbours;
+    subnormals; signed zeros, nan of either sign, infinities and the
+    extremes."""
+    rng = np.random.default_rng(5)
+    powers = 10.0 ** np.arange(-300, 301)
+    switch = np.array([1e-5, 1e-4, 1e16, 1e17])
+    edges = np.concatenate([powers, switch])
+    ties = (2 * rng.integers(2 * 10 ** 15, 2 ** 52, 200) + 1) / 4.0
+    subnormal = rng.integers(1, 2 ** 52, 50).view(float)
+    family = np.concatenate([
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        powers * 0.5, powers * 9.5, [9000000000000001 / 4], ties,
+        subnormal, [5e-324, 2.2250738585072009e-308, 1.7976931348623157e308,
+                    0.1, 1.0 / 3.0]])
+    special = [0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+               float("-inf")]
+    return np.concatenate([family, -family, special])
+
+
 def test_one_writer_formats_every_double(tmp_path):
-    special = [0.0, -0.0, 5e-324, -5e-324, 1.797e308, -1.797e308,
-               float("nan"), float("inf"), float("-inf"), 0.1, 1.0 / 3.0]
+    awkward = _awkward_doubles()
+    assert np.signbit(awkward[-3])          # the nan with its sign bit set
     # more rows than one write block, so a block boundary is crossed
-    n = scenarios._CSV_BLOCK_ROWS + 5
+    n = max(scenarios._CSV_BLOCK_ROWS + 5, awkward.size)
     rng = np.random.default_rng(3)
     table = rng.standard_normal((n, 3)) * 10.0 ** rng.integers(-300, 300,
                                                                (n, 3))
-    table[:len(special), 0] = special
-    table[-len(special):, 2] = special
+    table[:awkward.size, 0] = awkward
+    table[-awkward.size:, 2] = awkward[::-1]
     write_artifacts(_record_of([("t.csv", ("a", "b", "c"), table),
                                 ("one.csv", ("x",), table[:7, 1:2])]),
                     tmp_path)
@@ -629,10 +652,54 @@ def test_one_writer_formats_every_double(tmp_path):
         == _reference_csv(("x",), table[:7, 1:2].tolist())
 
 
+def test_cell_kernel_matches_python_on_random_doubles():
+    """The numpy formatter against Python's %.17g on 2^20 doubles with
+    random bit patterns (every exponent, nan payloads, subnormals)."""
+    from dipolemem import _csvcells
+    rng = np.random.default_rng(7)
+    for _ in range(8):
+        x = rng.integers(0, 2 ** 64, 1 << 17, dtype=np.uint64).view(float)
+        got = _csvcells.cells(x, b"\r\n").tolist()
+        assert got == [b"%.17g\r\n" % v for v in x.tolist()]
+
+
+def test_fast_path_formats_nearly_every_trace_cell(tmp_path, monkeypatch):
+    """At most 1e-5 of a cavity run's cells reach the Python fallback:
+    a formatter that sends every cell there would also write the right
+    bytes."""
+    from dipolemem import _csvcells
+    slow = []
+    python_cells = _csvcells._python_cells
+
+    def counted(values, sep):
+        slow.extend(values)
+        return python_cells(values, sep)
+
+    monkeypatch.setattr(_csvcells, "_python_cells", counted)
+    # the square-pulse preset's layout on a coarser grid
+    cfg = yaml.safe_load(
+        (REPO / "presets" / "cavity_square_optimal.yaml").read_text())
+    cfg["grid"]["points"] = 40001
+    rec = run_scenario(scenario_from_dict(cfg))
+    write_artifacts(rec, tmp_path)
+    cells = sum(table.size for _, _, table in rec.tables)
+    assert cells > 200000
+    assert len(slow) <= 1e-5 * cells
+    # next to a power of ten, log10 can land a decade off; such cells
+    # are recomputed a decade over, and only cells on a decade edge
+    # (the exact powers 1 to 1e22), ties and cells outside the fast
+    # path's range reach Python: 26 of these 1683
+    slow.clear()
+    powers = 10.0 ** np.arange(-280, 281)
+    _csvcells.cells(np.concatenate([np.nextafter(powers, 0.0), powers,
+                                    np.nextafter(powers, np.inf)]), b",")
+    assert len(slow) < 40
+
+
 def test_writer_formats_shared_and_constant_columns_exactly(tmp_path):
-    """Tables of one record are written in lockstep blocks, with constant
-    columns as literals and shared columns formatted once; every file
-    is still the reference writer's bytes."""
+    """Tables of one record are written in lockstep blocks, with each
+    constant column one repeated cell and shared columns formatted once
+    per block; every file is still the reference writer's bytes."""
     n = scenarios._CSV_BLOCK_ROWS + 7
     rng = np.random.default_rng(11)
     t = np.linspace(-2e-6, 2e-6, n)
@@ -1243,6 +1310,30 @@ def test_cavity_run_loads_no_scipy(tmp_path):
     proc = _python(["-c", code, str(cfg)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_formatter_loads_with_the_first_write(tmp_path):
+    # `import dipolemem` does not load the CSV formatter; writing loads
+    # it, and neither pulls in fractions or decimal
+    code = ("import sys, dipolemem\n"
+            "names = ('dipolemem._csvcells', 'fractions', 'decimal')\n"
+            "print([m for m in names if m in sys.modules])\n"
+            "from dipolemem.scenarios import run_scenario, \\\n"
+            "    scenario_from_dict, write_artifacts\n"
+            "cfg = {'model': 'cavity-adiabatic',\n"
+            "       'cavity': {'kappa': '1 MHz_angular'},\n"
+            "       'grid': {'start': '0 us', 'stop': '2 us',\n"
+            "                'points': 201},\n"
+            "       'coupling': [{'kind': 'square', 'start': '0 us',\n"
+            "                     'end': '2 us',\n"
+            "                     'amplitude': '1 MHz_angular'}],\n"
+            "       'initial_excitation': 1.0}\n"
+            "rec = run_scenario(scenario_from_dict(cfg))\n"
+            "write_artifacts(rec, sys.argv[1])\n"
+            "print([m for m in names if m in sys.modules])\n")
+    proc = _python(["-c", code, str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "['dipolemem._csvcells']"]
 
 
 def test_depth_sweep_and_verify_load_no_scipy(tmp_path):

@@ -11,8 +11,9 @@ from dipolemem import (FieldEnvelope, ParameterError, Schedule,
 from dipolemem.schedules import (_EPSILON_0, _HBAR, ZERO_LEVEL,
                                  DipolePhysical, GaussianSegment,
                                  PiecewiseLinearSegment, SquareSegment,
-                                 TabulatedSegment, coupling_from_dipole,
-                                 cumtrapz0, interp_rows)
+                                 TabulatedSegment, _samples_before,
+                                 coupling_from_dipole, cumtrapz0,
+                                 interp_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +152,35 @@ def test_windows_are_support_clipped_to_grid():
     on = np.flatnonzero(h.eval(fine.times()))
     assert h.windows(fine) == [(on[0], on[-1])] == [(3, 7)]
     assert Schedule.square(1.0, 0.25, 0.75).windows(fine) == [(3, 7)]
+
+
+@settings(max_examples=300)
+@given(st.floats(-1e3, 1e3), st.floats(1e-9, 10.0), st.integers(2, 3000),
+       st.lists(st.tuples(st.floats(-0.2, 1.2), st.sampled_from(
+           ["near", "on", "below", "above"])), min_size=2, max_size=8))
+def test_window_edges_match_searchsorted(t0, dt, n, marks):
+    """Window edges come from the grid's closed form; they are the
+    indices `np.searchsorted` gives on `TimeGrid.times`, bit for bit,
+    for edges between samples, on samples and one ulp either side."""
+    grid = TimeGrid(t0, dt, n)
+    t = grid.times()
+    edges = []
+    for frac, kind in marks:
+        s = t[min(max(int(frac * (n - 1)), 0), n - 1)]
+        edges.append({"near": t0 + frac * (n - 1) * dt, "on": s,
+                      "below": np.nextafter(s, -np.inf),
+                      "above": np.nextafter(s, np.inf)}[kind])
+    for edge in edges:
+        for closed, side in ((False, "left"), (True, "right")):
+            assert _samples_before(grid, float(edge), closed) \
+                == np.searchsorted(t, edge, side)
+    a, b = sorted(float(x) for x in edges[:2])
+    if b > a:
+        g = Schedule([SquareSegment(a, b, 1.0)])
+        lo, hi = g.segments[0].bounds()
+        i = int(np.searchsorted(t, lo, "left"))
+        j = int(np.searchsorted(t, hi, "right")) - 1
+        assert g.windows(grid) == ([(i, j)] if i <= j else [])
 
 
 @given(st.floats(0.1, 10.0), st.floats(-5.0, 5.0), st.floats(0.05, 0.5))
