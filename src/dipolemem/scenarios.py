@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import yaml
 
 from . import __version__
 from .cavity import (CavityParams, SimResult, continuity_residual,
@@ -526,6 +525,7 @@ def load_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    import yaml     # imported here: only loading a file pays for it
     with open(path) as f:
         try:
             raw = yaml.safe_load(f)
@@ -880,14 +880,21 @@ def design_couplings(scn: Scenario) -> RunRecord:
     """Synthesize write/read couplings that store the scenario's input
     and replay it after `storage_time`, then verify by simulation."""
     start = time.perf_counter()
-    if scn.model not in CAVITY_MODELS:
-        raise ConfigError("the design operation works in the cavity models")
+    if scn.model != "cavity-adiabatic":
+        raise ConfigError("model: the design operation works in the "
+                          f"cavity-adiabatic model only, not {scn.model}")
     if scn.design is None:
         raise ConfigError("the design operation needs a design block "
                           "(eta_write, eta_read)")
     if scn.cavity.gamma > 0.0:
         raise ConfigError("the design operation needs cavity.gamma = 0: "
                           "the coupling synthesis has no spin decay")
+    if scn.detuning.max_abs() > 0.0:
+        raise ConfigError("the design operation needs no detuning: the "
+                          "coupling synthesis has none")
+    if scn.coupling.segments:
+        raise ConfigError("the design operation needs coupling: []: it "
+                          "synthesizes both couplings")
     if scn.storage_time is None:
         raise ConfigError("the design operation needs storage_time")
     if scn.input_spec["kind"] in ("none", "optimal"):

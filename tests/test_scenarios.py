@@ -271,6 +271,8 @@ def test_canonical_hash_is_pinned(name):
 
 def test_preset_hashes_are_pinned():
     assert {p.name: scenario_hash(load_scenario(p)) for p in PRESETS} == {
+        "cavity_gaussian_cycle.yaml":
+        "69c21e6c3898d6977997c8c415daead69ad14279f96bff214406a353f89ac0fb",
         "cavity_gaussian_design.yaml":
         "eca23b0f0270da66b7c98803e504e304fd6f5de344562847275cec644c1c823c",
         "cavity_square_optimal.yaml":
@@ -1115,14 +1117,17 @@ def test_depth_sweep_through_scenario():
 # design
 # ---------------------------------------------------------------------------
 
+def design_cfg(**over):
+    return cavity_cfg(**{
+        "grid": {"start": "-1 us", "stop": "0 us", "points": 4001},
+        "coupling": [],
+        "input": {"kind": "gaussian", "center": "-0.5 us", "sigma": "100 ns"},
+        "storage_time": "3 us",
+        "design": {"eta_write": 0.9, "eta_read": 0.9}, **over})
+
+
 def test_design_synthesizes_and_verifies():
-    scn = scenario_from_dict(cavity_cfg(
-        grid={"start": "-1 us", "stop": "0 us", "points": 4001},
-        coupling=[],
-        input={"kind": "gaussian", "center": "-0.5 us", "sigma": "100 ns"},
-        storage_time="3 us",
-        design={"eta_write": 0.9, "eta_read": 0.9}))
-    rec = design_couplings(scn)
+    rec = design_couplings(scenario_from_dict(design_cfg()))
     assert rec.summary["replay_overlap"] > 1.0 - 1e-6
     assert abs(rec.summary["energy_ratio"] - 0.81) < 1e-3
     names = {name: header for name, header, _ in rec.tables}
@@ -1158,9 +1163,9 @@ def test_design_refuses_read_meeting_write_end():
 
 
 def test_design_needs_its_inputs():
-    with pytest.raises(ConfigError):
-        design_couplings(scenario_from_dict(cavity_cfg(
-            storage_time="3 us", design={"eta_write": 0.9, "eta_read": 0.9})))
+    with pytest.raises(ConfigError, match="concrete input"):
+        design_couplings(scenario_from_dict(design_cfg(
+            input={"kind": "optimal"})))
     with pytest.raises(ConfigError):
         design_couplings(scenario_from_dict(cavity_cfg()))
 
@@ -1226,19 +1231,35 @@ def test_cli_reports_numeric_refusals(tmp_path):
 def test_cli_design_refuses_spin_decay(tmp_path):
     # the synthesis has no decay: at gamma = 2e5 rad/s its replay would
     # reach an energy ratio of about 0.24 against the 0.81 target
-    cfg = _write_cfg(tmp_path, cavity_cfg(
-        grid={"start": "-1 us", "stop": "0 us", "points": 4001},
-        coupling=[],
-        input={"kind": "gaussian", "center": "-0.5 us", "sigma": "100 ns"},
-        storage_time="3 us",
-        design={"eta_write": 0.9, "eta_read": 0.9},
-        cavity={"kappa": "1 MHz_angular", "gamma": "200 kHz_angular"}))
+    _assert_design_refused(tmp_path, "cavity.gamma", cavity={
+        "kappa": "1 MHz_angular", "gamma": "200 kHz_angular"})
+
+
+@pytest.mark.parametrize("key, over", [
+    # the synthesis and its replay are adiabatic, with no detuning, and
+    # they make both couplings: each of these would be ignored, and the
+    # run would report the plain preset's numbers
+    ("model", {"model": "cavity-full"}),
+    ("detuning", {"detuning": [{"kind": "square", "start": "-1 us",
+                                "end": "0 us", "amplitude": "3 MHz"}]}),
+    ("coupling", {"coupling": [{"kind": "square", "start": "-1 us",
+                                "end": "0 us",
+                                "amplitude": "1 MHz_angular"}]}),
+])
+def test_cli_design_refuses_what_it_would_ignore(tmp_path, key, over):
+    _assert_design_refused(tmp_path, key, **over)
+
+
+def _assert_design_refused(tmp_path, key, **over):
+    """`design` on `design_cfg(**over)` exits 2 with a ConfigError naming
+    `key`, and writes nothing."""
+    cfg = _write_cfg(tmp_path, design_cfg(**over))
     proc = _cli(["design", str(cfg), "--outdir", str(tmp_path / "out")],
                 cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError"
-    assert "cavity.gamma" in err["message"]
+    assert key in err["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -1334,6 +1355,17 @@ def test_formatter_loads_with_the_first_write(tmp_path):
     proc = _python(["-c", code, str(tmp_path / "out")], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "['dipolemem._csvcells']"]
+
+
+def test_verify_loads_no_yaml(tmp_path):
+    # only `load_scenario` parses YAML, and `verify` reads no file
+    code = ("import sys\n"
+            "from dipolemem.cli import main\n"
+            "assert main(['verify']) == 0\n"
+            "print('yaml' in sys.modules)\n")
+    proc = _python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_depth_sweep_and_verify_load_no_scipy(tmp_path):

@@ -1,8 +1,9 @@
-"""The example script runs end to end at a tiny size, and the CLI
-commands that replace the former design and depth-sweep scripts write
-the artifacts those scripts wrote."""
+"""The README's CLI commands on the presets write the artifacts they
+name, and the Gaussian write/hold/read preset holds the effective-time
+laws and equals the README's Python example."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 import dipolemem
+from dipolemem import effective_time, total_efficiency
+from dipolemem.scenarios import load_scenario, run_scenario
 
 _REPO = Path(__file__).resolve().parents[1]
 # The source root of the dipolemem this process imported.  A relative
@@ -41,47 +44,56 @@ def _assert_outputs(root, outputs):
             assert _header(path) == header
 
 
-@pytest.mark.parametrize("name, args, outputs", [
-    ("cavity_storage_demo.py", ["--points", "4001", "--csv", "env.csv"],
-     {"env.csv": ["time_s", "e_in_re", "e_in_im", "e_out_re", "e_out_im",
-                  "sigma_abs"]}),
-])
-def test_script_runs(tmp_path, name, args, outputs):
-    proc = _python([str(_REPO / "scripts" / name), *args], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    _assert_outputs(tmp_path, outputs)
-    _assert_cells_round_trip(tmp_path / "env.csv", 4001)
-
-
-@pytest.mark.parametrize("args, outputs", [
+@pytest.mark.parametrize("args, outputs, summary", [
     (["design", "presets/cavity_gaussian_design.yaml",
       "--outdir", "design_out"],
      {"design_out/g_write.csv": ["time_s", "value"],
       "design_out/g_read.csv": ["time_s", "value"],
-      "design_out/result.json": None}),
+      "design_out/result.json": None},
+     # the preset's stated outcome: the input replayed, scaled by
+     # sqrt(0.81)
+     {"replay_overlap": (1.0, 1e-6), "energy_ratio": (0.81, 1e-3)}),
     (["sweep", "presets/freespace_gaussian_sweep.yaml", "--axis", "d",
       "--values", "1,150", "--outdir", "depth_sweep_out"],
      {"depth_sweep_out/sweep.csv": ["d", "eta_forward", "eta_backward"],
-      "depth_sweep_out/result.json": None}),
-], ids=["design", "sweep-d"])
-def test_readme_cli_commands_write_artifacts(tmp_path, args, outputs):
-    # the README's design and depth-sweep commands, run from the checkout
+      "depth_sweep_out/result.json": None}, {}),
+    (["run", "presets/cavity_gaussian_cycle.yaml", "--outdir", "cycle_out"],
+     {"cycle_out/e_out.csv": ["time_s", "re", "im"],
+      "cycle_out/spinwave.csv": ["time_s", "re", "im"],
+      "cycle_out/result.json": None}, {}),
+], ids=["design", "sweep-d", "run-cycle"])
+def test_readme_cli_commands_write_artifacts(tmp_path, args, outputs,
+                                             summary):
+    # the README's commands, run from the checkout
     command, preset, *rest = args
     proc = _python(["-m", "dipolemem", command, str(_REPO / preset), *rest],
                    tmp_path)
     assert proc.returncode == 0, proc.stderr
     _assert_outputs(tmp_path, outputs)
+    result = tmp_path / rest[-1] / "result.json"
+    got = json.loads(result.read_text())["summary"]
+    for key, (want, tol) in summary.items():
+        assert abs(got[key] - want) <= tol, (key, got[key])
 
 
-def _assert_cells_round_trip(path, points):
-    # the demo writes through the package's CSV writer: every cell is the
-    # %.17g text of a double, which parses back to that double, and the
-    # time column is the grid's own samples
-    with open(path, newline="") as f:
-        rows = list(csv.reader(f))[1:]
-    assert len(rows) == points
-    for row in rows:
-        assert all(format(float(c), ".17g") == c for c in row), row
-    t = np.array([float(row[0]) for row in rows])
-    assert np.array_equal(
-        t, dipolemem.TimeGrid.from_span(-2e-6, 2e-6, points).times())
+def test_cycle_preset_holds_the_laws_and_matches_the_readme_example():
+    scn = load_scenario(_REPO / "presets" / "cavity_gaussian_cycle.yaml")
+    s = run_scenario(scn).summary
+    # tau_w runs to the write end, the last sample of the first window
+    tau = effective_time(scn.coupling, scn.cavity.kappa, scn.grid)
+    tau_w = tau[scn.coupling.windows(scn.grid)[0][1]]
+    tau_r = tau[-1] - tau_w
+    # the Gaussians are smooth: the errors are second order in the step,
+    # -1.7e-8 (write, total) and -5e-11 (read) at 40,001 points
+    assert abs(s["eta_write"] - (1 - np.exp(-2 * tau_w))) < 1e-7
+    assert abs(s["eta_read"] - (1 - np.exp(-2 * tau_r))) < 1e-9
+    assert abs(s["eta_total"] - total_efficiency(tau_w, tau_r)) < 1e-7
+    # the README's Python example builds the same cycle through the API;
+    # its kappa is 1 ulp away from the preset's parsed "20 MHz"
+    text = (_REPO / "README.md").read_text()
+    namespace = {}
+    exec(text.split("```python\n")[1].split("```")[0], namespace)
+    sim = namespace["sim"]
+    for name, value in (("eta_write", sim.eta_w), ("eta_read", sim.eta_r),
+                        ("eta_total", sim.eta_tot)):
+        assert abs(value - s[name]) < 1e-12, name
