@@ -36,9 +36,12 @@ non-positive in the causal region):
                     - t int_0^z S(z',0) K1(t (z'-z)) dz'
 
 (with E for curly-E and t for tau).  `analytic_evolution` evaluates
-these on uniform grids by blocked FFT convolutions, in tau slabs that
-keep t z <= 30 for the kernels' power series.  `numeric_evolution`
-is the cross-check and the workhorse for runs and sweeps: the system
+these on uniform grids, in tau slabs that keep t z <= 30 for the
+kernels' power series.  Each series term is separable, as in
+(t (z'-z))^k = (-t)^k (z-z')^k, so FFTs convolve the sources with the
+monomials t^k and z^k, and matrix products with the series
+coefficients sum them: no kernel is tabulated.  `numeric_evolution` is
+the cross-check and the workhorse for runs and sweeps: the system
 treats z and tau alike, so it marches a batch of systems along z, in
 n_z - 1 midpoint steps each on whole tau axes (any increasing ones).
 
@@ -74,9 +77,6 @@ MAX_CELL_ARG = 0.5
 
 _SERIES_CUT = 30.0
 _SERIES_TERMS = 48          # cap; |a| <= 30 stops at 29 terms
-# kernel lines per FFT block in `_causal_conv`: padded to 2,048 samples
-# (an 801-node axis), one block's transforms are a cache-sized 512 KiB
-_FFT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -101,14 +101,23 @@ class MediumParams:
 # entire kernels
 # ---------------------------------------------------------------------------
 
+def _series_terms(amax: float, order: int) -> int:
+    """Terms the kernel series sums for |a| <= amax: k = 0, 1, ... up to
+    the first whose size at amax, amax^k / (k! (k+order)!), is below
+    2^-60 (at most _SERIES_TERMS + 1)."""
+    bound = 1.0
+    for k in range(1, _SERIES_TERMS + 1):
+        bound *= amax / (k * (k + order))
+        if bound < 2.0 ** -60:
+            return k
+    return _SERIES_TERMS + 1
+
+
 def _kernel_series(a: np.ndarray, order: int) -> np.ndarray:
-    amax, bound = float(np.max(np.abs(a), initial=0.0)), 1.0
+    terms = _series_terms(float(np.max(np.abs(a), initial=0.0)), order)
     acc = np.ones_like(a)
     term = np.ones_like(a)
-    for k in range(1, _SERIES_TERMS + 1):
-        bound *= amax / (k * (k + order))      # next term's size at max |a|
-        if bound < 2.0 ** -60:
-            break
+    for k in range(1, terms):
         term = term * (a / (k * (k + order)))
         acc += term
     return acc
@@ -140,7 +149,8 @@ def _kernel_by_integral(a: np.ndarray, order: int) -> np.ndarray:
 def entire_bessel_kernel(a, order: int = 0):
     """K0(a) = sum a^k/(k!)^2 or K1(a) = sum a^k/(k!(k+1)!), entire in a.
 
-    Power series on |a| <= 30, the solvers' only route.  Outside, where
+    Power series on |a| <= 30, the range the kernel solver's separable
+    sums of the same series cover (`analytic_evolution`).  Outside, where
     the series would lose digits (a < 0) or cost terms (a > 0), the
     forms I_n(2 sqrt(a)), J_n(2 sqrt(-a)) by `_kernel_by_integral`;
     non-finite a gives NaN.
@@ -215,21 +225,18 @@ def _check_resolution(tau, z):
 
 def _causal_conv(f: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
     """Running trapezoid integrals int_0^{x_j} f(x') k(x'-x_j) dx' for all
-    j, along every row of the real kernel table k (k[:, i] = k(-i h)):
-    real numpy.fft products of Re f and Im f, _FFT_BLOCK rows at a time,
-    padded to a power of two >= 2n - 1, as prime lengths take Bluestein."""
+    j, along every row of the real table k (k[:, i] = k(-i h)): real
+    numpy.fft products of Re f and Im f in one block, padded to a power
+    of two >= 2n - 1, as prime lengths take Bluestein."""
     n = f.size
     size = 1 << (2 * n - 2).bit_length()
     parts = np.stack([f.real, f.imag])[:, None, :]      # (2, 1, n)
-    parts_hat = np.fft.rfft(parts, size)
+    full = np.fft.irfft(np.fft.rfft(k, size) * np.fft.rfft(parts, size),
+                        size)[..., :n]
+    full -= 0.5 * parts[..., :1] * k + 0.5 * parts * k[:, :1]
+    full[..., 0] = 0.0                   # empty integral, not round-off
     out = np.empty(k.shape, dtype=complex)
-    for lo in range(0, k.shape[0], _FFT_BLOCK):
-        rows = slice(lo, lo + _FFT_BLOCK)
-        full = np.fft.irfft(np.fft.rfft(k[rows], size) * parts_hat,
-                            size)[..., :n]
-        full -= 0.5 * parts[..., :1] * k[rows] + 0.5 * parts * k[rows, :1]
-        full[..., 0] = 0.0               # empty integral, not round-off
-        out.real[rows], out.imag[rows] = h * full
+    out.real, out.imag = h * full
     return out
 
 
@@ -241,37 +248,53 @@ def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
     Quadrature is trapezoidal, so the overall accuracy is second order.
     The system is causal in tau, so it is solved in slabs that share end
     nodes, each as long as the longest prefix with tau*z[-1] <= 30 (the
-    shared kernel tables' series range): a slab starts from the last
-    one's final spin wave and takes its own piece of bc.
+    series range): a slab starts from the last one's final spin wave and
+    takes its own piece of bc.
+
+    No kernel is tabulated.  In a slab every argument is -tau_m zeta_l
+    (tau_m = tau[m], zeta_l = l h_z), so the P-term series makes each
+    kernel a sum of P separable terms c_p (-tau_m)^p zeta_l^p, P being
+    the term count `_kernel_series` takes at the slab's largest |a|.
+    The convolutions then run on the P monomial rows zeta^p (against the
+    spin wave, along z) and tau^p (against bc, along tau), and matrix
+    products with the coefficients assemble the fields.
     """
     bc, ic, tau, z = _check_axes(bc, ic, tau, z)
     _check_resolution(tau, z)
     h_t = tau[1] - tau[0]
     h_z = z[1] - z[0]
 
-    # the first slab's kernel tables; all causal arguments are <= 0.  On
-    # uniform axes from 0, tau_m z_j = (m h_t)(j h_z): row m is the kernel
-    # along z at tau_m, column j along tau at z_j (>= 61 rows, by the guard)
+    # the first slab serves them all: on uniform axes from 0 each slab's
+    # arguments are a = -tau_m zeta_l.  With u = tau/tau_s and v =
+    # zeta/zeta_s in [0, 1] (s: the slab's last nodes) and amax =
+    # tau_s zeta_s, K_o(a) = sum_p coef[o, p] u_m^p v_l^p
     z_steps = h_z * np.arange(z.size)
     slab = np.count_nonzero(tau * z_steps[-1] <= _SERIES_CUT)
-    arg = -np.outer(tau[:slab], z_steps)    # (slab, n_z)
-    k0 = entire_bessel_kernel(arg, 0)
-    k1 = entire_bessel_kernel(arg, 1)
+    amax = tau[slab - 1] * z_steps[-1]
+    p = np.arange(_series_terms(amax, 0))
+    fact = np.array([math.factorial(k) for k in range(p.size + 1)], float)
+    coef = (-amax) ** p / (fact[p] * fact[np.stack([p, p + 1])])   # (2, P)
+    u = (tau[:slab] / tau[slab - 1]) ** p[:, None]          # (P, slab)
+    v = (z_steps / z_steps[-1]) ** p[:, None]               # (P, n_z)
+    # with G, H the sources convolved with the rows of v and u, a slab
+    # is e = b + [u^T coef0 | H^T] [G; -z coef1 v] and
+    #      s = s0 + [-tau u^T coef1 | H^T] [G; -coef0 v]
+    a_e = u.T * coef[0]
+    a_s = -tau[:slab, None] * u.T * coef[1]
+    b_e = -z * v * coef[1, :, None]
+    b_s = -v * coef[0, :, None]
 
     e, s = (np.empty((tau.size, z.size), dtype=complex) for _ in range(2))
     s0 = ic
     for lo in range(0, tau.size - 1, slab - 1):
         n = min(slab, tau.size - lo)
         b, e_k, s_k = bc[lo:lo + n], e[lo:lo + n], s[lo:lo + n]
-        e_k[:] = _causal_conv(s0, k0[:n], h_z)  # spin-wave sources, along z
+        g = _causal_conv(s0, v, h_z)           # spin-wave sources, along z
+        h = _causal_conv(b, u[:, :n], h_t).T   # boundary sources, along tau
+        np.matmul(np.hstack([a_e[:n], h]), np.vstack([g, b_e]), out=e_k)
         e_k += b[:, None]
-        # boundary sources, along tau, staged in s_k before its own sources
-        np.multiply(z, _causal_conv(b, k1[:n].T, h_t).T, out=s_k)
-        e_k -= s_k
-        s_k[:] = _causal_conv(s0, k1[:n], h_z)
-        s_k *= -tau[:n, None]
+        np.matmul(np.hstack([a_s[:n], h]), np.vstack([g, b_s]), out=s_k)
         s_k += s0
-        s_k -= _causal_conv(b, k0[:n].T, h_t).T
         s0 = s_k[-1].copy()
 
     s_norm2 = np.trapezoid(np.abs(s) ** 2, x=z, axis=1)

@@ -137,13 +137,22 @@ def _loop_conv(f, krow, h):
     return h * full
 
 
-def _loop_analytic(bc, ic, tau, z):
+def _scipy_kernel(a, order):
+    """K0 or K1 at a <= 0 from scipy's J0 and J1, which do not depend on
+    the power series."""
+    r = np.sqrt(-a)
+    with np.errstate(invalid="ignore"):
+        k = special.j0(2 * r) if order == 0 else special.j1(2 * r) / r
+    return np.where(r > 0.0, k, 1.0)
+
+
+def _loop_analytic(bc, ic, tau, z, kernel=entire_bessel_kernel):
     """The kernel solution as one np.convolve per table line: the
     reference for the FFT convolutions of analytic_evolution."""
     h_t, h_z = tau[1] - tau[0], z[1] - z[0]
     arg = -np.outer(tau, h_z * np.arange(z.size))
-    k0 = entire_bessel_kernel(arg, 0)
-    k1 = entire_bessel_kernel(arg, 1)
+    k0 = kernel(arg, 0)
+    k1 = kernel(arg, 1)
     e = np.empty(arg.shape, dtype=complex)
     s = np.empty(arg.shape, dtype=complex)
     for m in range(tau.size):
@@ -155,21 +164,44 @@ def _loop_analytic(bc, ic, tau, z):
     return e, s
 
 
-@pytest.mark.parametrize("n_t,n_z", [(801, 201), (2, 2), (7, 5), (33, 17),
-                                     (5, 40)])
-def test_fft_convolutions_match_the_line_loop(n_t, n_z, rng):
+@pytest.mark.parametrize("n_t, n_z, theta_max, kernel, bound", [
+    pytest.param(n_t, n_z, 8.0, entire_bessel_kernel, 1e-13,
+                 id=f"{n_t}-{n_z}")
+    for n_t, n_z in ((801, 201), (2, 2), (7, 5), (33, 17), (5, 40))] + [
+    # the slab limit, |a| = 30, against kernels that are not the series:
+    # the separable sum cancels terms up to 1.7e3 there (max 30^k/(k!)^2)
+    # and reads 1.9e-13
+    pytest.param(801, 201, 30.0, _scipy_kernel, 1e-12,
+                 id="801-201-theta30")])
+def test_fft_convolutions_match_the_line_loop(n_t, n_z, theta_max, kernel,
+                                              bound, rng):
     # extents at the resolution guard's limit, theta_total h_z = 0.5
-    tau = np.linspace(0.0, min(8.0, 0.5 * (n_z - 1)), n_t)
+    tau = np.linspace(0.0, min(theta_max, 0.5 * (n_z - 1)), n_t)
     z = np.linspace(0.0, min(1.0, 0.5 * (n_t - 1) / tau[-1]), n_z)
     bc = rng.normal(size=n_t) + 1j * rng.normal(size=n_t)
     ic = rng.normal(size=n_z) + 1j * rng.normal(size=n_z)
     got = analytic_evolution(bc, ic, tau, z)
-    e, s = _loop_analytic(bc, ic, tau, z)
+    e, s = _loop_analytic(bc, ic, tau, z, kernel)
     for name, field, want in (("e", got.e, e), ("s", got.s, s)):
-        assert np.abs(field - want).max() <= 1e-13 * np.abs(want).max(), name
+        assert np.abs(field - want).max() <= bound * np.abs(want).max(), name
     # a real boundary trace and spin wave stay exactly real
     real = analytic_evolution(bc.real, ic.real, tau, z)
     assert not real.e.imag.any() and not real.s.imag.any()
+
+
+def test_kernel_solver_tabulates_no_kernel(monkeypatch):
+    """analytic_evolution convolves with monomials and sums the series
+    coefficients itself, so it solves with the public kernel unusable."""
+    bc, ic, tau, z = _fixed_case()
+    want = analytic_evolution(bc, ic, tau, z)
+
+    def refuse(a, order=0):
+        raise AssertionError("entire_bessel_kernel called")
+
+    monkeypatch.setattr(freespace, "entire_bessel_kernel", refuse)
+    got = analytic_evolution(bc, ic, tau, z)
+    np.testing.assert_array_equal(got.e, want.e)
+    np.testing.assert_array_equal(got.s, want.s)
 
 
 @pytest.mark.parametrize("theta_total, n_theta, n_x", [

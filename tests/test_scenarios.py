@@ -1245,6 +1245,8 @@ def test_cli_design_refuses_spin_decay(tmp_path):
     ("coupling", {"coupling": [{"kind": "square", "start": "-1 us",
                                 "end": "0 us",
                                 "amplitude": "1 MHz_angular"}]}),
+    # the replay starts from sigma = 0
+    ("initial_excitation", {"initial_excitation": {"sigma_re": 0.5}}),
 ])
 def test_cli_design_refuses_what_it_would_ignore(tmp_path, key, over):
     _assert_design_refused(tmp_path, key, **over)
