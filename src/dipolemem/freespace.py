@@ -36,14 +36,15 @@ non-positive in the causal region):
                     - t int_0^z S(z',0) K1(t (z'-z)) dz'
 
 (with E for curly-E and t for tau).  `analytic_evolution` evaluates
-these on uniform grids, in tau slabs that keep t z <= 30 for the
-kernels' power series.  Each series term is separable, as in
-(t (z'-z))^k = (-t)^k (z-z')^k, so FFTs convolve the sources with the
-monomials t^k and z^k, and matrix products with the series
-coefficients sum them: no kernel is tabulated.  `numeric_evolution` is
-the cross-check and the workhorse for runs and sweeps: the system
-treats z and tau alike, so it marches a batch of systems along z, in
-n_z - 1 midpoint steps each on whole tau axes (any increasing ones).
+these by the trapezoid rule on any increasing tau axis, in tau slabs
+that keep t z <= 30 for the kernels' power series.  Each series term
+is separable, as in (t (z'-z))^k = (-t)^k (z-z')^k, so running
+trapezoid moments convolve the sources with the monomials t^k and z^k,
+and matrix products with the series coefficients sum them: no kernel
+is tabulated.  `numeric_evolution` is the cross-check and the
+workhorse for runs and sweeps: the system treats z and tau alike, so
+it marches a batch of systems along z, in n_z - 1 midpoint steps each
+on whole tau axes (any increasing ones).
 
 Scaled variables: for a medium of length L, x = z/L, theta = tau*L,
 A = curly-E/sqrt(L) and S_hat = sqrt(L)*S satisfy the same system on
@@ -191,16 +192,16 @@ class FreeSpaceFields:
     s_norm2: np.ndarray
 
 
-def _check_axes(bc, ic, tau, z, *, uniform_tau=True):
+def _check_axes(bc, ic, tau, z):
     tau = np.asarray(tau, dtype=float)
     z = np.asarray(z, dtype=float)
-    for name, ax, need_uniform in (("tau", tau, uniform_tau), ("z", z, True)):
+    for name, ax in (("tau", tau), ("z", z)):
         if ax.ndim != 1 or ax.size < 2:
             raise ParameterError(f"{name} axis must be 1-d with >= 2 points")
         d = np.diff(ax)
         if not np.all(d > 0):
             raise ParameterError(f"{name} axis must be strictly increasing")
-        if need_uniform and not np.allclose(d, d[0], rtol=1e-9):
+        if name == "z" and not np.allclose(d, d[0], rtol=1e-9):
             raise ParameterError(f"{name} axis must be uniform")
         if abs(ax[0]) > 1e-12 * ax[-1]:
             raise ParameterError(f"{name} axis must start at 0")
@@ -223,81 +224,73 @@ def _check_resolution(tau, z):
             f"(limit {MAX_CELL_ARG}); refine the tau/z grids")
 
 
-def _causal_conv(f: np.ndarray, k: np.ndarray, h: float) -> np.ndarray:
-    """Running trapezoid integrals int_0^{x_j} f(x') k(x'-x_j) dx' for all
-    j, along every row of the real table k (k[:, i] = k(-i h)): real
-    numpy.fft products of Re f and Im f in one block, padded to a power
-    of two >= 2n - 1, as prime lengths take Bluestein."""
-    n = f.size
-    size = 1 << (2 * n - 2).bit_length()
-    parts = np.stack([f.real, f.imag])[:, None, :]      # (2, 1, n)
-    full = np.fft.irfft(np.fft.rfft(k, size) * np.fft.rfft(parts, size),
-                        size)[..., :n]
-    full -= 0.5 * parts[..., :1] * k + 0.5 * parts * k[:, :1]
-    full[..., 0] = 0.0                   # empty integral, not round-off
-    out = np.empty(k.shape, dtype=complex)
-    out.real, out.imag = h * full
+def _moments(f: np.ndarray, x: np.ndarray, terms: int) -> np.ndarray:
+    """Running trapezoid moments int_0^{x_l} f(x') ((x_l - x')/x_s)^p dx'
+    at every node l of the increasing axis x, for p < terms (x_s = x[-1]
+    - x[0]), as a (terms, x.size) array.  With w = (x - x_0)/x_s - 1/2
+    in [-1/2, 1/2] the monomial is (w_l - w')^p, so the moments are sums
+    of C(p, j) w_l^(p-j) (-1)^j times the running trapezoid of f w^j,
+    and no term exceeds the monomial's own bound of 1."""
+    w = (x - x[0]) / (x[-1] - x[0]) - 0.5
+    wp = w ** np.arange(terms)[:, None]                     # (P, n)
+    fw = f * wp
+    run = np.zeros(fw.shape, dtype=complex)
+    np.cumsum(0.5 * np.diff(x) * (fw[:, 1:] + fw[:, :-1]), axis=1,
+              out=run[:, 1:])
+    out = np.zeros_like(run)
+    for j in range(terms):
+        c = [(-1) ** j * math.comb(p, j) for p in range(j, terms)]
+        out[j:] += np.array(c, dtype=float)[:, None] * wp[:terms - j] * run[j]
     return out
 
 
 def analytic_evolution(bc, ic, tau, z) -> FreeSpaceFields:
     """Exact kernel-convolution solution of the reduced system.
 
-    bc: field at z = 0 sampled on the tau axis; ic: spin wave at tau = 0
-    sampled on the z axis.  Both axes must be uniform and start at 0.
-    Quadrature is trapezoidal, so the overall accuracy is second order.
-    The system is causal in tau, so it is solved in slabs that share end
-    nodes, each as long as the longest prefix with tau*z[-1] <= 30 (the
-    series range): a slab starts from the last one's final spin wave and
-    takes its own piece of bc.
-
-    No kernel is tabulated.  In a slab every argument is -tau_m zeta_l
-    (tau_m = tau[m], zeta_l = l h_z), so the P-term series makes each
-    kernel a sum of P separable terms c_p (-tau_m)^p zeta_l^p, P being
-    the term count `_kernel_series` takes at the slab's largest |a|.
-    The convolutions then run on the P monomial rows zeta^p (against the
-    spin wave, along z) and tau^p (against bc, along tau), and matrix
-    products with the coefficients assemble the fields.
+    bc: field at z = 0 on the tau axis (any increasing one); ic: spin
+    wave at tau = 0 on the uniform z axis; both axes start at 0.  The
+    trapezoid rule on the given nodes makes it second order.  Causal in
+    tau, it is solved in slabs that share end nodes, each the longest
+    run with (tau - tau_0) z[-1] <= 30: there each kernel is a sum of P
+    separable series terms c_p u^p v^p (u = tau/tau_s, v = z/z_s in
+    [0, 1], s the slab's last nodes), so `_moments` convolves bc and the
+    slab's initial spin wave with the monomials, and matrix products
+    with the coefficients assemble the fields.  No kernel is tabulated.
     """
     bc, ic, tau, z = _check_axes(bc, ic, tau, z)
     _check_resolution(tau, z)
-    h_t = tau[1] - tau[0]
-    h_z = z[1] - z[0]
-
-    # the first slab serves them all: on uniform axes from 0 each slab's
-    # arguments are a = -tau_m zeta_l.  With u = tau/tau_s and v =
-    # zeta/zeta_s in [0, 1] (s: the slab's last nodes) and amax =
-    # tau_s zeta_s, K_o(a) = sum_p coef[o, p] u_m^p v_l^p
-    z_steps = h_z * np.arange(z.size)
-    slab = np.count_nonzero(tau * z_steps[-1] <= _SERIES_CUT)
-    amax = tau[slab - 1] * z_steps[-1]
-    p = np.arange(_series_terms(amax, 0))
-    fact = np.array([math.factorial(k) for k in range(p.size + 1)], float)
-    coef = (-amax) ** p / (fact[p] * fact[np.stack([p, p + 1])])   # (2, P)
-    u = (tau[:slab] / tau[slab - 1]) ** p[:, None]          # (P, slab)
-    v = (z_steps / z_steps[-1]) ** p[:, None]               # (P, n_z)
-    # with G, H the sources convolved with the rows of v and u, a slab
-    # is e = b + [u^T coef0 | H^T] [G; -z coef1 v] and
-    #      s = s0 + [-tau u^T coef1 | H^T] [G; -coef0 v]
-    a_e = u.T * coef[0]
-    a_s = -tau[:slab, None] * u.T * coef[1]
-    b_e = -z * v * coef[1, :, None]
-    b_s = -v * coef[0, :, None]
 
     e, s = (np.empty((tau.size, z.size), dtype=complex) for _ in range(2))
     s0 = ic
-    for lo in range(0, tau.size - 1, slab - 1):
-        n = min(slab, tau.size - lo)
+    lo = 0
+    while lo < tau.size - 1:
+        t = tau[lo:] - tau[lo]
+        n = np.count_nonzero(t * z[-1] <= _SERIES_CUT)
+        t = t[:n]
+        # K_o(a) = sum_p coef[o, p] u_m^p v_l^p at a = -t_m (z_l - z')
+        amax = t[-1] * z[-1]
+        p = np.arange(_series_terms(amax, 0))
+        fact = np.array([math.factorial(k) for k in range(p.size + 1)], float)
+        coef = (-amax) ** p / (fact[p] * fact[np.stack([p, p + 1])])  # (2, P)
+        u = (t / t[-1]) ** p[:, None]                       # (P, n)
+        v = (z / z[-1]) ** p[:, None]                       # (P, n_z)
         b, e_k, s_k = bc[lo:lo + n], e[lo:lo + n], s[lo:lo + n]
-        g = _causal_conv(s0, v, h_z)           # spin-wave sources, along z
-        h = _causal_conv(b, u[:, :n], h_t).T   # boundary sources, along tau
-        np.matmul(np.hstack([a_e[:n], h]), np.vstack([g, b_e]), out=e_k)
+        g = _moments(s0, z, p.size)                # spin-wave sources, along z
+        h = _moments(b, tau[lo:lo + n], p.size).T  # boundary sources, along tau
+        # e = b + [u^T coef0 | H^T] [G; -z coef1 v] and
+        # s = s0 + [-t u^T coef1 | H^T] [G; -coef0 v]
+        np.matmul(np.hstack([u.T * coef[0], h]),
+                  np.vstack([g, -z * v * coef[1, :, None]]), out=e_k)
         e_k += b[:, None]
-        np.matmul(np.hstack([a_s[:n], h]), np.vstack([g, b_s]), out=s_k)
+        np.matmul(np.hstack([-t[:, None] * u.T * coef[1], h]),
+                  np.vstack([g, -v * coef[0, :, None]]), out=s_k)
         s_k += s0
         s0 = s_k[-1].copy()
+        lo += n - 1
 
-    s_norm2 = np.trapezoid(np.abs(s) ** 2, x=z, axis=1)
+    # trapezoid of |s|^2 over z, read as (re, im) pairs: no grid temporary
+    wz = np.repeat(np.diff(z, prepend=z[0]) + np.diff(z, append=z[-1]), 2)
+    s_norm2 = np.einsum("ij,ij,j->i", s.view(float), s.view(float), 0.5 * wz)
     return FreeSpaceFields(tau=tau, z=z, e=e, s=s, e_end=e[:, -1].copy(),
                            s_final=s[-1].copy(), s_norm2=s_norm2)
 
@@ -339,7 +332,7 @@ def numeric_evolution(bc, ic, tau, z, *,
     if not len(bc) == len(ic) == len(tau):
         raise ParameterError("bc, ic and tau need one row per system")
     for row in zip(bc, ic, tau):
-        z = _check_axes(*row, z, uniform_tau=False)[3]
+        z = _check_axes(*row, z)[3]
         _check_resolution(row[2], z)
     k, n_t = tau.shape
     n_z = z.size

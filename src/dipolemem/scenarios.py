@@ -57,8 +57,7 @@ from .errors import ConfigError, ParameterError, ResolutionError
 from .freespace import (FreeSpaceTransform, MediumParams, _kernel_by_integral,
                         analytic_evolution, entire_bessel_kernel,
                         numeric_evolution, reduced_continuity_residual,
-                        storage_retrieval_sweep, theta_nodes,
-                        thin_medium_cavity_coupling)
+                        storage_retrieval_sweep, thin_medium_cavity_coupling)
 from .schedules import (FieldEnvelope, GaussianSegment, Ledger,
                         PiecewiseLinearSegment, Schedule, SquareSegment,
                         TabulatedSegment, TimeGrid, effective_time,
@@ -476,6 +475,11 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
     theta_points = raw.get("theta_points")
     if theta_points is not None:
         _count(theta_points, "theta_points", 16, " (or null)")
+    # the canonical form carries the defaults for every model
+    for key, value, default in (("space_points", space_points, 201),
+                                ("theta_points", theta_points, None)):
+        if model in CAVITY_MODELS and value != default:
+            raise ConfigError(f"{key} applies to propagation models only")
 
     onode = raw.get("outputs") or {}
     onode = _require_mapping(onode, "outputs")
@@ -775,12 +779,12 @@ def _run_cavity(scn: Scenario):
 
 
 def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act):
-    """Theta nodes of the reduced z-march and the boundary trace on them.
+    """Theta nodes of both free-space solvers and the trace on them.
 
     The nodes are the effective times of the active lab samples
     themselves, each distinct value once (theta stalls where g ~ 0),
     with a leading 0 when the first is positive; the trace at that 0
-    repeats the first sample.  Every node is a lab sample, so the march
+    repeats the first sample.  Every node is a lab sample, so a solver
     sees the data as sampled and maps back to the lab frame exactly.
     """
     th = tr.theta[act]
@@ -791,7 +795,7 @@ def _active_theta_axis(tr: FreeSpaceTransform, bc_t, act):
         bc = np.concatenate([bc[:1], bc])
     if theta.size < 3:
         raise ResolutionError("the coupling windows cover too few grid "
-                              "samples for the march; refine the grid")
+                              "samples for the solver; refine the grid")
     return theta, bc
 
 
@@ -822,16 +826,11 @@ def _run_freespace(scn: Scenario):
                 FieldEnvelope(grid, np.where(act, in_samples, 0.0)))
         else:
             bc_t = np.zeros(t.size, dtype=complex)
+        theta, bc = _active_theta_axis(tr, bc_t, act)
         if scn.model == "freespace-numeric":
-            theta, bc = _active_theta_axis(tr, bc_t, act)
             fields = numeric_evolution(bc, ic, theta, x,
                                        store_fields=scn.dump_fields)
         else:
-            # the kernel solver needs a uniform axis
-            th_act = tr.theta[act]
-            theta = np.linspace(0.0, theta_total,
-                                theta_nodes(theta_total, scn.theta_points))
-            bc = interp_rows(theta, th_act, bc_t[act])
             fields = analytic_evolution(bc, ic, theta, x)
 
         # map the far-end field back to the lab frame; below the coupling
@@ -988,10 +987,10 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
     segment), and ``d`` (peak optical depth of a Gaussian-pulse
     storage/retrieval experiment in the propagation models).  A
     ``tau_r`` row is a pure read; the other cavity axes write the input
-    ``run`` uses for ``input: optimal`` into the swept coupling.  Cavity
-    rows run concurrently on the CPUs the process may use; rows are
-    emitted, and the first failing value's error is raised, in the order
-    the values were given.
+    ``run`` uses for ``input: optimal`` into the swept coupling, so they
+    refuse any other input.  Cavity rows run concurrently on the CPUs
+    the process may use; rows are emitted, and the first failing value's
+    error is raised, in the order the values were given.
     """
     start = time.perf_counter()
     axis = axis.replace("-", "_").strip()
@@ -1071,6 +1070,10 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
         if v < 0.0 or (v == 0.0 and axis != "tau_r"):
             bound = ">= 0" if axis == "tau_r" else "> 0"
             raise ParameterError(f"{axis} must be {bound}, got {v}")
+    if axis != "tau_r" and scn.input_spec["kind"] != "optimal":
+        raise ConfigError(f"input: sweep axis {axis!r} stores the swept "
+                          "coupling's optimal input, so it needs input: "
+                          f"optimal, not {scn.input_spec['kind']}")
     sigma0 = _cavity_sigma0(scn) or 1.0
 
     def row(v):

@@ -148,7 +148,7 @@ def _scipy_kernel(a, order):
 
 def _loop_analytic(bc, ic, tau, z, kernel=entire_bessel_kernel):
     """The kernel solution as one np.convolve per table line: the
-    reference for the FFT convolutions of analytic_evolution."""
+    reference for the moment sums of analytic_evolution."""
     h_t, h_z = tau[1] - tau[0], z[1] - z[0]
     arg = -np.outer(tau, h_z * np.arange(z.size))
     k0 = kernel(arg, 0)
@@ -237,6 +237,29 @@ def _clustered_case():
     return bc_nu, ic, tau_nu, z
 
 
+def test_kernel_solver_sums_trapezoids_on_clustered_tau():
+    """On a non-uniform tau axis the kernel solution is the trapezoid
+    quadrature of its kernel convolutions on the given nodes, summed
+    here one (tau_m, z_j) at a time, to 1e-13 of the peak."""
+    bc, ic, tau, z = _clustered_case()
+    bc, tau, ic, z = bc[::10], tau[::10], ic[::7], z[::7]    # 61 x 29
+    got = analytic_evolution(bc, ic, tau, z)
+    e = np.empty((tau.size, z.size), dtype=complex)
+    s = np.empty_like(e)
+    for m in range(tau.size):
+        for j in range(z.size):
+            k_z = [entire_bessel_kernel(-tau[m] * (z[j] - z[:j + 1]), o)
+                   for o in (0, 1)]
+            k_t = [entire_bessel_kernel(-(tau[m] - tau[:m + 1]) * z[j], o)
+                   for o in (0, 1)]
+            ic_k = [np.trapezoid(ic[:j + 1] * k, z[:j + 1]) for k in k_z]
+            bc_k = [np.trapezoid(bc[:m + 1] * k, tau[:m + 1]) for k in k_t]
+            e[m, j] = bc[m] + ic_k[0] - z[j] * bc_k[1]
+            s[m, j] = ic[j] - bc_k[0] - tau[m] * ic_k[1]
+    for name, field, want in (("e", got.e, e), ("s", got.s, s)):
+        assert np.abs(field - want).max() <= 1e-13 * np.abs(want).max(), name
+
+
 def test_march_accepts_clustered_tau():
     bc, ic, tau, z = _fixed_case()
     bc_nu, _ic, tau_nu, _z = _clustered_case()
@@ -295,12 +318,15 @@ def test_axis_validation():
         analytic_evolution(bc, ic, tau[::-1], z)
     with pytest.raises(ParameterError):
         analytic_evolution(bc[:-5], ic, tau, z)        # length mismatch
+    z_nu = z.copy()
+    z_nu[100] += 1e-3
+    with pytest.raises(ParameterError):
+        analytic_evolution(bc, ic, tau, z_nu)          # z: uniform
     tau_nu = tau.copy()
     tau_nu[300] += 1e-3
-    with pytest.raises(ParameterError):
-        analytic_evolution(bc, ic, tau_nu, z)          # kernel route: uniform
-    numeric_evolution(np.interp(tau_nu, tau, bc.real).astype(complex),
-                      ic, tau_nu, z)                   # march: allowed
+    bc_nu = np.interp(tau_nu, tau, bc.real).astype(complex)
+    for solve in (analytic_evolution, numeric_evolution):
+        solve(bc_nu, ic, tau_nu, z)                    # tau: any increasing
 
 
 def test_coarse_grid_is_refused():

@@ -263,6 +263,16 @@ _PINNED_HASHES = {
 }
 
 
+@pytest.mark.parametrize("key, value", [("space_points", 50),
+                                        ("theta_points", 99)])
+def test_cavity_models_refuse_propagation_grid_keys(key, value):
+    # the defaults, which the canonical form carries, load
+    scenario_from_dict(cavity_cfg(space_points=201, theta_points=None))
+    for model in ("cavity-adiabatic", "cavity-full"):
+        with pytest.raises(ConfigError, match=key):
+            scenario_from_dict(cavity_cfg(model=model, **{key: value}))
+
+
 @pytest.mark.parametrize("name", sorted(_PINNED_HASHES))
 def test_canonical_hash_is_pinned(name):
     want, raw = _PINNED_HASHES[name]
@@ -542,8 +552,11 @@ def test_coarse_marching_grid_is_refused(tmp_path, points):
     assert json.loads(proc.stderr)["error"] == "ResolutionError"
 
 
-def test_freespace_run_closes_its_ledger():
-    scn = scenario_from_dict(freespace_cfg())
+@pytest.mark.parametrize("model", ["freespace-numeric",
+                                   "freespace-analytic"])
+def test_freespace_run_closes_its_ledger(model):
+    # both solvers run on the active lab samples' own theta
+    scn = scenario_from_dict(freespace_cfg(model=model))
     rec = run_scenario(scn)
     s = rec.summary
     assert s["theta_total"] > 1.0
@@ -1066,6 +1079,31 @@ def test_sweep_rejections():
         for v in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(ConfigError, match=f"'{axis}'.*{v}"):
                 run_sweep(scn, axis, [1.0, v])
+
+
+@pytest.mark.parametrize("axis, value", [("tau_w", 1.0),
+                                         ("cooperativity", 10.0),
+                                         ("duration", 1e-6)])
+def test_write_sweeps_refuse_an_input_they_would_ignore(tmp_path, axis,
+                                                        value):
+    """A write-axis row stores the swept coupling's optimal input, so a
+    scenario with another input is refused (exit 2) by a ConfigError
+    naming `input`, after the per-value checks."""
+    cfg = cavity_cfg(input={"kind": "gaussian", "center": "-0.5 us",
+                            "sigma": "200 ns"},
+                     cavity={"kappa": "1 MHz_angular", "gamma": "1 kHz"})
+    scn = scenario_from_dict(cfg)
+    with pytest.raises(ParameterError):
+        run_sweep(scn, axis, [-value])
+    with pytest.raises(ConfigError, match="input"):
+        run_sweep(scn, axis, [value])
+    proc = _cli(["sweep", str(_write_cfg(tmp_path, cfg)), "--axis", axis,
+                 "--values", str(value), "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError" and "input" in err["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_depth_sweep_obeys_theta_points(monkeypatch):
