@@ -44,7 +44,10 @@ and matrix products with the series coefficients sum them: no kernel
 is tabulated.  `numeric_evolution` is the cross-check and the
 workhorse for runs and sweeps: the system treats z and tau alike, so
 it marches a batch of systems along z, in n_z - 1 midpoint steps each
-on whole tau axes (any increasing ones).
+on whole tau axes (any increasing ones).  Its coefficients are real,
+so each complex row is two real systems; the march packs them two per
+complex lane and drops those with all-zero data, whose solution is
+zero.
 
 Scaled variables: for a medium of length L, x = z/L, theta = tau*L,
 A = curly-E/sqrt(L) and S_hat = sqrt(L)*S satisfy the same system on
@@ -58,6 +61,8 @@ efficiency against the peak optical depth of a scenario's Gaussian
 coupling pulse, for forward and backward retrieval, on each window's
 uniform theta grid (theta(t) is an erf): one `numeric_evolution` march
 writes all depths of one node count, and one more reads them all.
+Without detuning their boundary traces and spin waves are imaginary,
+so each lane of those marches carries two of them.
 """
 
 from __future__ import annotations
@@ -309,6 +314,37 @@ def _batch_rows(v, dtype, name) -> np.ndarray:
                              f"but row 0 has {n[0]}") from None
 
 
+def _parts(a: np.ndarray) -> np.ndarray:
+    """The float view of a C-ordered complex array, with (real,
+    imaginary) as a trailing axis of two."""
+    return a.view(float).reshape(a.shape + (2,))
+
+
+def _lanes(bc: np.ndarray, ic: np.ndarray):
+    """Pair the real systems of a batch into complex march lanes.
+
+    The reduced system has real coefficients, so row i of a batch is
+    two independent real systems: its real parts (part 0) and its
+    imaginary parts (part 1).  A system whose bc and ic parts are all
+    zero has the zero solution and is dropped.  A row with both systems
+    live keeps a lane of its own; the lone systems of the other rows
+    share lanes two by two in row order, the last with a zero partner
+    when they are odd in number.  Returns the number w of whole-row
+    lanes, which come first, and the row and part each lane component
+    marches, as arrays in lane order (entry 2l + c is lane l's
+    component c); a zero partner has part -1 and its partner's row.
+    """
+    live = np.column_stack([bc.real.any(axis=1) | ic.real.any(axis=1),
+                            bc.imag.any(axis=1) | ic.imag.any(axis=1)])
+    both = live.all(axis=1)
+    whole = np.flatnonzero(both)
+    rows, parts = np.nonzero(live & ~both[:, None])
+    if rows.size % 2:
+        rows, parts = np.append(rows, rows[-1]), np.append(parts, -1)
+    return whole.size, (np.concatenate([np.repeat(whole, 2), rows]),
+                        np.concatenate([np.tile([0, 1], whole.size), parts]))
+
+
 def numeric_evolution(bc, ic, tau, z, *,
                       store_fields: bool = True) -> FreeSpaceFields:
     """March the reduced system along z (midpoint rule, second order),
@@ -317,12 +353,21 @@ def numeric_evolution(bc, ic, tau, z, *,
 
     bc and tau (k, n_tau) and ic (k, n_z) are k systems on one z axis,
     each row checked as if alone; results gain that leading batch axis
-    (a 1-d call is a batch of one).  The n_z - 1 steps reuse (k, n_tau)
-    work buffers, so the Python step count grows with neither k nor
-    n_tau.  Independent of the kernel solution; store_fields=False keeps
-    only the boundary traces and the final spin wave, as the sweeps
-    need.  The tau axes may be any increasing ones (the trapezoid takes
-    the cell widths), to cluster nodes where the trace has structure.
+    (a 1-d call is a batch of one).  The coefficients are real, so each
+    row is two real systems, its real and its imaginary parts, and the
+    march runs on complex lanes that hold two of them (`_lanes`): a row
+    with both parts live keeps its own lane, the systems of rows with
+    one live part share lanes two by two, and a system with all-zero
+    data is not marched (its parts stay exactly zero).  Each lane
+    component integrates on its own tau axis, and every real
+    coefficient multiplies the lanes' float view, so no system's
+    arithmetic depends on its partner: a row gives the same bits in any
+    batch.  The n_z - 1 steps reuse (lanes, n_tau) work buffers, so the
+    Python step count grows with neither k nor n_tau.  Independent of
+    the kernel solution; store_fields=False keeps only the boundary
+    traces and the final spin wave, as the sweeps need.  The tau axes
+    may be any increasing ones (the trapezoid takes the cell widths),
+    to cluster nodes where the trace has structure.
     """
     bc, ic, tau = (_batch_rows(v, t, name) for v, t, name in
                    ((bc, complex, "bc"), (ic, complex, "ic"),
@@ -337,44 +382,70 @@ def numeric_evolution(bc, ic, tau, z, *,
     k, n_t = tau.shape
     n_z = z.size
     h_z = z[1] - z[0]
-    half_dtau = 0.5 * np.diff(tau)
 
-    e_mat, s_mat = (np.empty((k, n_t, n_z), dtype=complex) if store_fields
+    w, (row, part) = _lanes(bc, ic)
+    m = row.size // 2
+    live = np.flatnonzero(part >= 0)
+    lane, side = np.divmod(live, 2)           # lane side of each system
+    row_l, part_l = row[live], part[live]     # batch side
+    bc_l, ic_l = np.zeros((m, n_t), complex), np.zeros((m, n_z), complex)
+    _parts(bc_l)[lane, :, side] = _parts(bc)[row_l, :, part_l]
+    _parts(ic_l)[lane, :, side] = _parts(ic)[row_l, :, part_l]
+    half_dtau = np.ascontiguousarray(
+        (0.5 * np.diff(tau))[row].reshape(m, 2, n_t - 1).transpose(0, 2, 1))
+
+    e_mat, s_mat = (np.zeros((k, n_t, n_z), dtype=complex) if store_fields
                     else None for _ in range(2))
-    s_final = np.empty((k, n_z), dtype=complex)
-    s_norm2 = np.zeros((k, n_t))
-    e_now = bc.copy()
-    s_now, e_half, s_half = (np.empty_like(bc) for _ in range(3))
-    cells = np.empty((k, n_t - 1), dtype=complex)
+    s_final = np.empty((m, n_z), dtype=complex)
+    norm_whole = np.zeros((w, n_t))          # |S|^2 of whole-row lanes
+    norm_lone = np.zeros((m - w, n_t, 2))    # S^2 of each lone system
+    e_now = bc_l
+    s_now, e_half, s_half = (np.empty_like(bc_l) for _ in range(3))
+    cells = np.empty((m, n_t - 1), dtype=complex)
+    s_whole, s_lone = s_now[:w], _parts(s_now[w:])
+    cells_f, e_now_f, s_now_f, e_half_f, s_half_f = (
+        _parts(a) for a in (cells, e_now, s_now, e_half, s_half))
 
     def spin(e, s0, out):
-        # out = s0 - running trapezoid of e, row by row
-        np.multiply(half_dtau, np.add(e[:, 1:], e[:, :-1], out=cells),
-                    out=cells)
+        # out = s0 - running trapezoid of e, component by component
+        np.add(e[:, 1:], e[:, :-1], out=cells)
+        np.multiply(cells_f, half_dtau, out=cells_f)
         out[:, 0] = s0
         np.subtract(s0[:, None], np.cumsum(cells, axis=1, out=cells),
                     out=out[:, 1:])
 
     for j in range(n_z):
-        spin(e_now, ic[:, j], s_now)
+        spin(e_now, ic_l[:, j], s_now)
         s_final[:, j] = s_now[:, -1]
         weight = 0.5 * h_z if j in (0, n_z - 1) else h_z
-        s_norm2 += weight * np.abs(s_now) ** 2
+        norm_whole += weight * np.abs(s_whole) ** 2
+        norm_lone += weight * s_lone ** 2
         if store_fields:
-            e_mat[:, :, j] = e_now
-            s_mat[:, :, j] = s_now
+            _parts(e_mat)[row_l, :, j, part_l] = e_now_f[lane, :, side]
+            _parts(s_mat)[row_l, :, j, part_l] = s_now_f[lane, :, side]
         if j == n_z - 1:
             break
-        np.multiply(0.5 * h_z, s_now, out=e_half)
+        np.multiply(0.5 * h_z, s_now_f, out=e_half_f)
         e_half += e_now
-        spin(e_half, 0.5 * (ic[:, j] + ic[:, j + 1]), s_half)
-        s_half *= h_z
+        spin(e_half, 0.5 * (ic_l[:, j] + ic_l[:, j + 1]), s_half)
+        s_half_f *= h_z
         e_now += s_half
 
+    def unpack(lanes, n):
+        out = np.zeros((k, n), dtype=complex)
+        _parts(out)[row_l, :, part_l] = _parts(lanes)[lane, :, side]
+        return out
+
+    s_norm2 = np.zeros((k, n_t))
+    s_norm2[row[:2 * w:2]] = norm_whole
+    lone = live[live >= 2 * w]
+    s_norm2[row[lone]] = norm_lone[lone // 2 - w, :, lone % 2]
     r = 0 if single else slice(None)
-    e_mat, s_mat = (m if m is None else m[r] for m in (e_mat, s_mat))
-    return FreeSpaceFields(tau=tau[r], z=z, e=e_mat, s=s_mat, e_end=e_now[r],
-                           s_final=s_final[r], s_norm2=s_norm2[r])
+    e_mat, s_mat = (f if f is None else f[r] for f in (e_mat, s_mat))
+    return FreeSpaceFields(tau=tau[r], z=z, e=e_mat, s=s_mat,
+                           e_end=unpack(e_now, n_t)[r],
+                           s_final=unpack(s_final, n_z)[r],
+                           s_norm2=s_norm2[r])
 
 
 def reduced_continuity_residual(fields: FreeSpaceFields, bc) -> float:

@@ -35,6 +35,7 @@ and CRLF line ends, so reruns reproduce byte-identically.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -986,11 +987,12 @@ def run_sweep(scn: Scenario, axis: str, values) -> RunRecord:
     sqrt(C kappa gamma)), ``duration`` (stretch a single square coupling
     segment), and ``d`` (peak optical depth of a Gaussian-pulse
     storage/retrieval experiment in the propagation models).  A
-    ``tau_r`` row is a pure read; the other cavity axes write the input
-    ``run`` uses for ``input: optimal`` into the swept coupling, so they
-    refuse any other input.  Cavity rows run concurrently on the CPUs
-    the process may use; rows are emitted, and the first failing value's
-    error is raised, in the order the values were given.
+    ``tau_r`` row is a pure read, so it refuses any input but ``none``;
+    the other cavity axes write the input ``run`` uses for ``input:
+    optimal`` into the swept coupling, so they refuse any other input.
+    Cavity rows run concurrently on the CPUs the process may use; rows
+    are emitted, and the first failing value's error is raised, in the
+    order the values were given.
     """
     start = time.perf_counter()
     axis = axis.replace("-", "_").strip()
@@ -1070,10 +1072,12 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
         if v < 0.0 or (v == 0.0 and axis != "tau_r"):
             bound = ">= 0" if axis == "tau_r" else "> 0"
             raise ParameterError(f"{axis} must be {bound}, got {v}")
-    if axis != "tau_r" and scn.input_spec["kind"] != "optimal":
-        raise ConfigError(f"input: sweep axis {axis!r} stores the swept "
-                          "coupling's optimal input, so it needs input: "
-                          f"optimal, not {scn.input_spec['kind']}")
+    need = "none" if axis == "tau_r" else "optimal"
+    if scn.input_spec["kind"] != need:
+        does = ("reads the initial excitation" if axis == "tau_r" else
+                "stores the swept coupling's optimal input")
+        raise ConfigError(f"input: sweep axis {axis!r} {does}, so it needs "
+                          f"input: {need}, not {scn.input_spec['kind']}")
     sigma0 = _cavity_sigma0(scn) or 1.0
 
     def row(v):
@@ -1129,6 +1133,9 @@ def builtin_verify(stream=None) -> bool:
     """Run the fast end-to-end invariant checks and print one PASS/FAIL
     line per check.  Returns True when everything passed."""
     stream = stream if stream is not None else sys.stdout
+    # one march of the propagation case serves both propagation checks;
+    # it is made by the first that runs, and a crash fails both
+    propagation = functools.cache(_propagation_case)
     checks = [
         ("retrieval decay law", _check_read_law),
         ("optimal write envelope", _check_optimal_write),
@@ -1136,8 +1143,10 @@ def builtin_verify(stream=None) -> bool:
         ("variational optimizer", _check_variational),
         ("kernel series vs Bessel routes", _check_kernel_routes),
         ("kernel derivative identity", _check_kernel_identity),
-        ("analytic vs marching propagation", _check_two_solvers),
-        ("propagation continuity", _check_reduced_continuity),
+        ("analytic vs marching propagation",
+         lambda: _check_two_solvers(*propagation())),
+        ("propagation continuity",
+         lambda: _check_reduced_continuity(*propagation())),
         ("cavity continuity (both models)", _check_cavity_continuity),
         ("write-read synthesis replay", _check_synthesis),
         ("thin-medium correspondence", _check_thin_medium),
@@ -1228,27 +1237,26 @@ def _check_kernel_identity():
 
 
 def _propagation_case():
+    """A boundary pulse entering a medium that holds a spin wave: the
+    data (bc, ic, theta, x) and their march."""
     theta = np.linspace(0.0, 2.0, 301)
     x = np.linspace(0.0, 1.0, 301)
     bc = np.exp(-((theta - 0.9) ** 2) / 0.08) * np.exp(1j * 3.0 * theta)
     ic = 0.4 * np.exp(-((x - 0.55) ** 2) / 0.02).astype(complex)
-    return bc, ic, theta, x
+    return ((bc, ic, theta, x),
+            numeric_evolution(bc, ic, theta, x, store_fields=False))
 
 
-def _check_two_solvers():
-    bc, ic, theta, x = _propagation_case()
-    fa = analytic_evolution(bc, ic, theta, x)
-    fn = numeric_evolution(bc, ic, theta, x, store_fields=False)
+def _check_two_solvers(case, fn):
+    fa = analytic_evolution(*case)
     scale = max(np.abs(fa.e_end).max(), np.abs(fa.s_final).max())
     diff = max(np.abs(fa.e_end - fn.e_end).max(),
                np.abs(fa.s_final - fn.s_final).max()) / scale
     return diff <= 1e-3, f"(max rel diff = {diff:.2e} <= 1e-03)"
 
 
-def _check_reduced_continuity():
-    bc, ic, theta, x = _propagation_case()
-    fields = numeric_evolution(bc, ic, theta, x, store_fields=False)
-    res = reduced_continuity_residual(fields, bc)
+def _check_reduced_continuity(case, fields):
+    res = reduced_continuity_residual(fields, case[0])
     return res <= 1e-3, f"(residual = {res:.2e} <= 1e-03)"
 
 

@@ -358,6 +358,88 @@ def test_batched_march_equals_single_rows(rng):
                                           getattr(one, name), err_msg=name)
 
 
+def _reference_march(bc, ic, tau, z):
+    """The march of one system in plain complex arithmetic: midpoint
+    steps along z, running trapezoid of E along tau at each stage."""
+    h_z, half = z[1] - z[0], 0.5 * np.diff(tau)
+
+    def spin(e, s0):
+        return s0 - np.concatenate([[0.0], np.cumsum(half * (e[1:] + e[:-1]))])
+
+    e, s = (np.empty((tau.size, z.size), dtype=complex) for _ in range(2))
+    s_norm2 = np.zeros(tau.size)
+    e_now = np.asarray(bc, dtype=complex)
+    for j in range(z.size):
+        s[:, j] = s_now = spin(e_now, ic[j])
+        e[:, j] = e_now
+        s_norm2 += (0.5 * h_z if j in (0, z.size - 1) else h_z) \
+            * np.abs(s_now) ** 2
+        if j == z.size - 1:
+            break
+        s_half = spin(e_now + 0.5 * h_z * s_now, 0.5 * (ic[j] + ic[j + 1]))
+        e_now = e_now + h_z * s_half
+    return {"e_end": e[:, -1], "s_final": s[-1], "s_norm2": s_norm2,
+            "e": e, "s": s}
+
+
+def test_march_lanes_equal_single_rows_and_complex_arithmetic(rng):
+    """Real systems march two per complex lane: imaginary-only and
+    real-only rows share lanes (five lone systems, so one has a zero
+    partner), rows with both parts live keep their own, and an all-zero
+    row is not marched.  Every row, each on its own non-uniform theta
+    axis, equals itself marched alone and the complex reference march
+    bit for bit."""
+    z = np.linspace(0.0, 1.0, 41)
+    kinds = ["imag", "real", "complex", "zero", "imag", "bc imag, ic real",
+             "real", "imag"]
+    taus, bcs, ics = [], [], []
+    for kind in kinds:
+        u = np.sort(rng.uniform(0.0, 1.0, 161))
+        tau = rng.uniform(1.0, 3.0) * (u - u[0]) / (u[-1] - u[0])
+        bc = np.exp(-((tau - rng.uniform(0.3, 1.0)) / 0.4) ** 2) \
+            * np.exp(1j * rng.uniform(0.0, 3.0) * tau)
+        ic = rng.normal(size=z.size) + 1j * rng.normal(size=z.size)
+        if kind == "imag":
+            bc, ic = 1j * bc.imag, 1j * ic.imag
+        elif kind == "real":
+            bc, ic = bc.real + 0j, ic.real + 0j
+        elif kind == "zero":
+            bc, ic = 0 * bc, 0 * ic
+        elif kind != "complex":
+            bc, ic = 1j * bc.imag, ic.real + 0j
+        taus.append(tau)
+        bcs.append(bc)
+        ics.append(ic)
+    w, (row, part) = freespace._lanes(np.array(bcs), np.array(ics))
+    assert (w, row.size // 2) == (2, 5)
+    batch = numeric_evolution(bcs, ics, taus, z)
+    names = ("e_end", "s_final", "s_norm2", "e", "s")
+    for i, kind in enumerate(kinds):
+        one = numeric_evolution(bcs[i], ics[i], taus[i], z)
+        ref = _reference_march(bcs[i], ics[i], taus[i], z)
+        for name in names:
+            got = getattr(batch, name)[i]
+            np.testing.assert_array_equal(got, getattr(one, name),
+                                          err_msg=f"{kind}: {name}")
+            np.testing.assert_array_equal(got, ref[name],
+                                          err_msg=f"{kind}: {name}")
+        if kind == "zero":
+            assert not batch.e[i].any() and not batch.s_norm2[i].any()
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_lanes_pair_single_part_rows(k):
+    bc = np.exp(-np.linspace(-2.0, 2.0, 7 * k).reshape(k, 7) ** 2)
+    ic = np.zeros((k, 5), dtype=complex)
+    w, (row, part) = freespace._lanes(1j * bc, ic)
+    assert w == 0 and row.size == 2 * math.ceil(k / 2)
+    assert list(row[part >= 0]) == list(range(k))     # in row order
+    w, (row, _part) = freespace._lanes(bc * (1.0 + 1j), ic)
+    assert w == k and row.size == 2 * k
+    w, (row, _part) = freespace._lanes(0j * bc, ic)
+    assert w == 0 and row.size == 0
+
+
 def test_batched_march_checks_every_row():
     bc, ic, tau, z = _fixed_case()
     coarse = np.linspace(0.0, 150.0, tau.size)         # too coarse in z

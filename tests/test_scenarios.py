@@ -1106,6 +1106,28 @@ def test_write_sweeps_refuse_an_input_they_would_ignore(tmp_path, axis,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("given", [
+    {"kind": "gaussian", "center": "-0.5 us", "sigma": "200 ns"},
+    {"kind": "optimal"}])
+def test_read_sweep_refuses_an_input_it_would_ignore(tmp_path, given):
+    """A tau_r row reads the initial excitation, so a scenario with any
+    input but none is refused (exit 2) by a ConfigError naming `input`,
+    after the per-value checks."""
+    cfg = cavity_cfg(input=given, initial_excitation={"sigma_re": 1.0})
+    scn = scenario_from_dict(cfg)
+    with pytest.raises(ParameterError):
+        run_sweep(scn, "tau_r", [-1.0])
+    with pytest.raises(ConfigError, match="input"):
+        run_sweep(scn, "tau_r", [1.0])
+    proc = _cli(["sweep", str(_write_cfg(tmp_path, cfg)), "--axis", "tau_r",
+                 "--values", "1.0", "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError" and "input" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_depth_sweep_obeys_theta_points(monkeypatch):
     # one entry per march, holding each batch row's theta node count
     marches = []
@@ -1503,3 +1525,19 @@ def test_verify_text_passes_the_benchmark_checks(monkeypatch):
     assert sum(ln.startswith("PASS") for ln in text.splitlines()) == 12
     assert all(ratio <= 1.0 for _n, ratio, _ok in ck.results
                if ratio is not None)
+
+
+def test_verify_marches_the_propagation_case_once(monkeypatch):
+    # the continuity check reuses the two-solver check's march; the
+    # thin-medium check marches its own case, and no march outlives a call
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return solver(*args, **kw)
+    solver = scenarios.numeric_evolution
+    monkeypatch.setattr(scenarios, "numeric_evolution", spy)
+    assert scenarios.builtin_verify(io.StringIO())
+    assert len(calls) == 2
+    assert scenarios.builtin_verify(io.StringIO())
+    assert len(calls) == 4
