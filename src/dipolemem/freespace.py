@@ -628,7 +628,8 @@ def storage_retrieval_sweep(d_values, medium: MediumParams,
     The sweep's windows are its own: each ends where the depth profile
     falls to `_WINDOW_CUT` of its peak, and eta_write is read there, not
     at the last sample of the coupling support as in `run`; between the
-    two ends the spin wave only decays, by exp(-2 gamma dt).
+    two ends the spin wave only decays, by exp(-2 gamma dt).  eta_write
+    is the write march's own norm, its `s_norm2` at the window end.
 
     Returns one row (d, eta_write, eta_forward, eta_backward,
     theta_total) per depth; efficiencies are photon-number fractions.
@@ -669,8 +670,7 @@ def storage_retrieval_sweep(d_values, medium: MediumParams,
                                                 np.diff(t_w)))
         wr = numeric_evolution(bc_w, np.zeros((idx.size, x.size), complex),
                                theta, x, store_fields=False)
-        rows[idx, 1] = np.exp(-2.0 * gam * t_w[-1]) * np.trapezoid(
-            np.abs(wr.s_final) ** 2, x=x)
+        rows[idx, 1] = np.exp(-2.0 * gam * t_w[-1]) * wr.s_norm2[:, -1]
         # read with the same pulse once the write window has passed (same
         # theta grids, times shifted): the spin waves as stored (forward)
         # and mirrored (backward), together

@@ -311,19 +311,23 @@ def _input_from_config(node, base_dir: Path, model: str) -> dict:
         _check_keys(node, ("kind", "photons"), (), where)
         return {"kind": "optimal", "photons": _photons(node, where)}
     if kind == "tabulated":
-        _check_keys(node, ("kind", "csv", "time_s", "re", "im", "photons"),
-                    (), where)
-        t, re, im = _table(node, base_dir, where, ("time_s", "re", "im"),
-                           optional=("im",))
-        return {"kind": "tabulated",
-                "time_s": [float(x) for x in t],
-                "re": [float(x) for x in re],
-                "im": [float(x) for x in im],
+        return {**_complex_table(node, base_dir, where, "time_s",
+                                 ("photons",)),
                 "photons": None if node.get("photons") is None
                 else _photons(node, where)}
     raise ConfigError(
         f"unknown input kind {kind!r}; expected none, gaussian, square, "
         "optimal or tabulated")
+
+
+def _complex_table(node: dict, base_dir: Path, where: str, key: str,
+                   extra=()) -> dict:
+    """The spec {kind, key, re, im} of a tabulated complex form."""
+    names = (key, "re", "im")
+    _check_keys(node, ("kind", "csv", *names, *extra), (), where)
+    cols = _table(node, base_dir, where, names, optional=("im",))
+    return {"kind": "tabulated",
+            **{n: c.tolist() for n, c in zip(names, cols)}}
 
 
 def _input_to_config(spec: dict) -> dict:
@@ -365,16 +369,11 @@ def _initial_from_config(node, base_dir: Path, model: str) -> Optional[dict]:
             raise ConfigError(f"{where}: sigma_frac and excitation must be > 0")
         return {"kind": "gaussian", **q}
     if kind == "tabulated":
-        _check_keys(node, ("kind", "csv", "x", "re", "im"), (), where)
-        x, re, im = _table(node, base_dir, where, ("x", "re", "im"),
-                           optional=("im",))
-        if x[0] < 0.0 or x[-1] > 1.0:
+        spec = _complex_table(node, base_dir, where, "x")
+        if spec["x"][0] < 0.0 or spec["x"][-1] > 1.0:
             raise ConfigError(f"{where}: positions are fractions of the "
                               "medium length, within [0, 1]")
-        return {"kind": "tabulated",
-                "x": [float(v) for v in x],
-                "re": [float(v) for v in re],
-                "im": [float(v) for v in im]}
+        return spec
     raise ConfigError(
         f"unknown initial_excitation kind {kind!r} for {model}; "
         "expected gaussian or tabulated")
@@ -804,10 +803,7 @@ def _run_freespace(scn: Scenario):
     grid = scn.grid
     med = scn.medium
     tr = FreeSpaceTransform(scn.coupling, scn.detuning, med, grid)
-    e_in = build_input(scn)
-    t = grid.times()
-    in_samples = e_in.samples if e_in is not None else np.zeros(t.size,
-                                                                dtype=complex)
+    e_in = build_input(scn) or FieldEnvelope.zero(grid)
     x = np.linspace(0.0, 1.0, scn.space_points)
     ic = _initial_spinwave(scn, x)
     theta_total = tr.theta_total
@@ -816,17 +812,14 @@ def _run_freespace(scn: Scenario):
     if theta_total <= 0.0:
         # transparent medium: the input passes straight through and any
         # stored excitation just dephases/decays in place
-        out = in_samples
+        out = e_in.samples
         s_final = ic
         n_t = float(np.trapezoid(np.abs(ic) ** 2, x=x)) * tr.decay_weight()
         residual = 0.0
     else:
         act = tr.rho >= RHO_CUT * tr.rho.max()
-        if e_in is not None:
-            bc_t = tr.boundary_to_reduced(
-                FieldEnvelope(grid, np.where(act, in_samples, 0.0)))
-        else:
-            bc_t = np.zeros(t.size, dtype=complex)
+        bc_t = tr.boundary_to_reduced(
+            FieldEnvelope(grid, np.where(act, e_in.samples, 0.0)))
         theta, bc = _active_theta_axis(tr, bc_t, act)
         if scn.model == "freespace-numeric":
             fields = numeric_evolution(bc, ic, theta, x,
@@ -837,20 +830,20 @@ def _run_freespace(scn: Scenario):
         # map the far-end field back to the lab frame; below the coupling
         # cut the medium is transparent and the input passes through
         out = tr.lab * interp_rows(tr.theta, theta, fields.e_end)
-        out[~act] = in_samples[~act]
+        out[~act] = e_in.samples[~act]
         s_final = fields.s_final
         n_t = np.interp(tr.theta, theta, fields.s_norm2) * tr.decay_weight()
         residual = reduced_continuity_residual(fields, bc)
 
     led = ledger(grid, scn.coupling.windows(grid), n_t, np.abs(out) ** 2,
-                 e_in.norm2() if e_in is not None else 0.0, med.gamma)
+                 e_in.norm2(), med.gamma)
     summary = {"model": scn.model, "theta_total": theta_total,
                **_ledger_summary(led)}
     diagnostics = {"normalization_drift": led.normalization_drift,
                    "continuity_residual": residual}
     sigma_final = s_final * np.exp(-1j * tr.chi[-1]) / np.sqrt(med.length)
     tables = [
-        ("e_out.csv", ("time_s", "re", "im"), _envelope_rows(t, out)),
+        ("e_out.csv", ("time_s", "re", "im"), _envelope_rows(tr.t, out)),
         ("spinwave.csv", ("z_m", "re", "im"),
          _envelope_rows(x * med.length, sigma_final)),
     ]
@@ -920,21 +913,20 @@ def design_couplings(scn: Scenario) -> RunRecord:
     eta_r = scn.design["eta_read"]
     g_write, g_read = synthesize_couplings(env, T, eta_w, eta_r, scn.cavity)
 
-    sim, overlap, energy_ratio = _design_verification(
-        env, g_write, g_read, T, scn.cavity)
+    sim, overlap = _design_verification(env, g_write, g_read, T, scn.cavity)
     summary = {
         "target_eta_write": eta_w,
         "target_eta_read": eta_r,
         "target_energy_ratio": eta_w * eta_r,
         "delay_s": T,
         "replay_overlap": overlap,
-        "energy_ratio": energy_ratio,
+        "energy_ratio": sim.eta_tot,
         "peak_g_write": g_write.max_abs(),
         "peak_g_read": g_read.max_abs(),
     }
     diagnostics = {
         "overlap_shortfall": 1.0 - overlap,
-        "energy_ratio_error": abs(energy_ratio - eta_w * eta_r),
+        "energy_ratio_error": abs(sim.eta_tot - eta_w * eta_r),
     }
     tables = [(f"{name}.csv", ("time_s", "value"),
                np.column_stack((seg.times, seg.values)))
@@ -947,8 +939,9 @@ def design_couplings(scn: Scenario) -> RunRecord:
 
 def _design_verification(env: FieldEnvelope, g_write: Schedule,
                          g_read: Schedule, T: float, p: CavityParams):
-    """Simulate write + delayed read with the synthesized couplings and
-    measure how faithfully the output replays the input."""
+    """Simulate write + delayed read with the synthesized couplings.
+    Returns the replay, whose ledger's eta_tot is the energy ratio, and
+    the overlap of its output with the delayed input."""
     grid = env.grid
     n_ext = grid.n + int(np.ceil(T / grid.dt))
     ext = TimeGrid(grid.t0, grid.dt, n_ext)
@@ -969,9 +962,7 @@ def _design_verification(env: FieldEnvelope, g_write: Schedule,
     overlap = 0.0
     if denom > 0.0:
         overlap = float(abs(np.sum(np.conj(a) * b)) ** 2 / denom)
-    energy_ratio = float(np.trapezoid(np.abs(a) ** 2, dx=grid.dt)
-                         / env.norm2())
-    return sim, overlap, energy_ratio
+    return sim, overlap
 
 
 # ---------------------------------------------------------------------------
@@ -1078,7 +1069,10 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
                 "stores the swept coupling's optimal input")
         raise ConfigError(f"input: sweep axis {axis!r} {does}, so it needs "
                           f"input: {need}, not {scn.input_spec['kind']}")
-    sigma0 = _cavity_sigma0(scn) or 1.0
+    sigma0 = 1.0 if scn.initial_excitation is None else _cavity_sigma0(scn)
+    if axis == "tau_r" and sigma0 == 0.0:
+        raise ConfigError("initial_excitation: a tau_r row reads it, so it "
+                          "must not be zero (leave it out to read sigma = 1)")
 
     def row(v):
         if v == 0.0:
@@ -1109,9 +1103,9 @@ def _usable_cpus() -> int:
 
 
 def _sweep_depth(scn: Scenario, vals):
-    if scn.model not in FREESPACE_MODELS:
-        raise ConfigError(f"sweep axis 'd' needs a propagation model, "
-                          f"not {scn.model}")
+    if scn.model != "freespace-numeric":
+        raise ConfigError(f"model: sweep axis 'd' marches its rows, so it "
+                          f"needs freespace-numeric, not {scn.model}")
     segs = [s for s in scn.coupling.segments if s.peak_abs() > 0.0]
     if len(segs) != 1 or not isinstance(segs[0], GaussianSegment):
         raise ConfigError("a depth sweep needs a single Gaussian coupling "
@@ -1279,9 +1273,9 @@ def _check_synthesis():
     env = FieldEnvelope.gaussian(grid, 0.0, 1e-7).normalized()
     T = 1.5e-6
     g_w, g_r = synthesize_couplings(env, T, 0.9, 0.9, p)
-    _sim, overlap, ratio = _design_verification(env, g_w, g_r, T, p)
-    ok = overlap >= 0.999 and abs(ratio - 0.81) <= 2e-3
-    return ok, f"(overlap = {overlap:.6f}, energy ratio = {ratio:.6f})"
+    sim, overlap = _design_verification(env, g_w, g_r, T, p)
+    ok = overlap >= 0.999 and abs(sim.eta_tot - 0.81) <= 2e-3
+    return ok, f"(overlap = {overlap:.6f}, energy ratio = {sim.eta_tot:.6f})"
 
 
 def _check_thin_medium():
@@ -1295,9 +1289,8 @@ def _check_thin_medium():
     amp = np.exp(-((t_of - 0.5e-6) ** 2) / (2 * sig ** 2))
     amp /= np.sqrt(np.trapezoid(amp ** 2, x=t_of))
     bc = np.sqrt(med.c / med.length) * amp / (1j * g0)
-    eta_fs = float(np.trapezoid(
-        np.abs(numeric_evolution(bc, np.zeros(101, complex), theta, x,
-                                 store_fields=False).s_final) ** 2, x=x))
+    eta_fs = float(numeric_evolution(bc, np.zeros(101, complex), theta, x,
+                                     store_fields=False).s_norm2[-1])
 
     p = CavityParams(kappa=1e6, gamma=0.0)
     g_c = thin_medium_cavity_coupling(g0, med, p.kappa)

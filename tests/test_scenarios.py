@@ -463,7 +463,12 @@ def test_tabulated_input_takes_its_knot_value_on_the_edge_sample():
     freespace_cfg(input=None, initial_excitation={
         "kind": "gaussian", "center_frac": 0.5, "sigma_frac": 0.1,
         "excitation": 1.0}),
-], ids=["cavity-adiabatic", "cavity-full", "freespace-numeric"])
+    freespace_cfg(model="freespace-analytic", input=None,
+                  initial_excitation={
+                      "kind": "gaussian", "center_frac": 0.5,
+                      "sigma_frac": 0.1, "excitation": 1.0}),
+], ids=["cavity-adiabatic", "cavity-full", "freespace-numeric",
+        "freespace-analytic"])
 def test_pure_read_starts_at_grid_start_without_leakage(cfg):
     scn = scenario_from_dict(cfg)
     s = run_scenario(scn).summary
@@ -1128,6 +1133,49 @@ def test_read_sweep_refuses_an_input_it_would_ignore(tmp_path, given):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("given", [0, {"sigma_re": 0, "sigma_im": 0}],
+                         ids=["number", "mapping"])
+def test_read_sweep_refuses_a_zero_initial_excitation(tmp_path, given):
+    """A tau_r row reads the initial excitation, so an explicit zero is
+    refused (exit 2) by a ConfigError naming `initial_excitation`, after
+    the per-value and input checks; an absent key reads sigma = 1."""
+    cfg = cavity_cfg(input=None, initial_excitation=given)
+    scn = scenario_from_dict(cfg)
+    with pytest.raises(ParameterError):
+        run_sweep(scn, "tau_r", [-1.0])
+    with pytest.raises(ConfigError, match="input"):
+        run_sweep(scenario_from_dict(dict(cfg, input={"kind": "optimal"})),
+                  "tau_r", [1.0])
+    with pytest.raises(ConfigError, match="initial_excitation"):
+        run_sweep(scn, "tau_r", [1.0])
+    proc = _cli(["sweep", str(_write_cfg(tmp_path, cfg)), "--axis", "tau_r",
+                 "--values", "1.0", "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert (err["error"] == "ConfigError"
+            and "initial_excitation" in err["message"])
+    assert not (tmp_path / "out").exists()
+    [(_, _, rows)] = run_sweep(scenario_from_dict(cavity_cfg(input=None)),
+                               "tau_r", [1.0]).tables
+    assert abs(rows[0, 1] - (1.0 - math.exp(-2.0))) < 1e-6
+
+
+def test_depth_sweep_refuses_a_model_it_would_not_run(tmp_path):
+    """The depth sweep marches its rows, so a freespace-analytic
+    scenario is refused (exit 2) by a ConfigError naming `model`."""
+    cfg = freespace_cfg(model="freespace-analytic")
+    with pytest.raises(ConfigError, match="model"):
+        run_sweep(scenario_from_dict(cfg), "d", [10.0])
+    proc = _cli(["sweep", str(_write_cfg(tmp_path, cfg)), "--axis", "d",
+                 "--values", "10", "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError" and "model" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_depth_sweep_obeys_theta_points(monkeypatch):
     # one entry per march, holding each batch row's theta node count
     marches = []
@@ -1186,10 +1234,20 @@ def design_cfg(**over):
         "design": {"eta_write": 0.9, "eta_read": 0.9}, **over})
 
 
-def test_design_synthesizes_and_verifies():
+def test_design_synthesizes_and_verifies(monkeypatch):
+    replays = []
+
+    def spy(*args, **kw):
+        replays.append(simulate(*args, **kw))
+        return replays[-1]
+    simulate = scenarios.simulate_adiabatic
+    monkeypatch.setattr(scenarios, "simulate_adiabatic", spy)
     rec = design_couplings(scenario_from_dict(design_cfg()))
     assert rec.summary["replay_overlap"] > 1.0 - 1e-6
     assert abs(rec.summary["energy_ratio"] - 0.81) < 1e-3
+    # the energy ratio is the replay ledger's, bit for bit
+    [replay] = replays
+    assert rec.summary["energy_ratio"] == replay.eta_tot
     names = {name: header for name, header, _ in rec.tables}
     assert names["g_write.csv"] == ("time_s", "value")
     assert names["g_read.csv"] == ("time_s", "value")
