@@ -25,6 +25,18 @@ prefix scan that recurses on its block ends, so Python loops run
 O(n^(1/3)) times instead of once per step.  The chunks do not change
 the arithmetic of any step, so the states do not depend on them.
 
+With Delta = 0 at every grid point and half step, an input on the line
+p R (p = 1 or i) drives the cavity field on p R and the dipole on i p R
+with real rates.  A run whose input samples lie on p R and whose sigma0
+lies on i p R (the optimal write, a read of sigma = 1) is therefore
+solved as one real system u on float tables, (sigma, E) = (i p u_1,
+p u_2), with J = [[-gamma, g], [-g, -kappa]] and f = (0, sqrt(2 kappa)
+E_in/p) in the full model and u' = -(gamma + g^2/kappa) u +
+sqrt(2/kappa) g E_in/p in the adiabatic one.  Scaling by a unit phase
+only copies or negates, and the complex arithmetic on such a state
+computes the same products and sums, so both routes give the same
+bits.  Every other run uses complex tables; the data alone decide.
+
 Efficiencies are defined through the photon-number ledger
 (`schedules.ledger`): at any detuning the dynamics obey
 dN/dt = |E_in|^2 - |E_out|^2 - 2 gamma |sigma|^2, so a normalized input
@@ -194,12 +206,13 @@ def _solve(n, d, h, coefficients, x0) -> np.ndarray:
     """States (d, n+1) of x' = J(t) x + f(t) over n steps from x0.
 
     The RK4 maps are built _CHUNK steps at a time into D and into the
-    state table, both allocated once; coefficients(a, b) gives J
+    state table, both allocated once with the dtype of x0 (float or
+    complex, which the tables must share); coefficients(a, b) gives J
     (d, d, .) and f (d, 1, .) of the steps a..b-1 at the grid points
     a..b and at the half steps, as `_rk4_maps` takes them.
     """
-    D = np.empty((d, d, n), dtype=complex)
-    x = np.empty((d, n + 1), dtype=complex)
+    D = np.empty((d, d, n), dtype=x0.dtype)
+    x = np.empty((d, n + 1), dtype=x0.dtype)
     x[:, 0] = x0
     for a in range(0, n, _CHUNK):
         b = min(a + _CHUNK, n)
@@ -229,6 +242,42 @@ def _midpoints(s):
     return 0.5 * (s[:-1] + s[1:])
 
 
+def _real_system(dv, dm, s_in, sigma0):
+    """The unit p (1 or 1j) that makes the run one real system, with the
+    input's real coordinates s_in / p; (None, s_in) if no p does.
+
+    With Delta = 0 at every grid point and half step both models have
+    real coefficients up to fixed phases: an input on the line p R
+    drives a cavity field on p R and a dipole on i p R.  So if the input
+    samples lie on p R and sigma0 on i p R, the state is
+    (sigma, E) = (i p u_1, p u_2) with u real."""
+    if not (dv.any() or dm.any()):
+        sigma0 = complex(sigma0)
+        for p, on, off, s0_off in ((1.0, s_in.real, s_in.imag, sigma0.real),
+                                   (1j, s_in.imag, s_in.real, sigma0.imag)):
+            if s0_off == 0.0 and not off.any():
+                return p, on
+    return None, s_in
+
+
+def _states(n, h, coefficients, x0, p):
+    """The complex states (d, n+1) of the run from x0 = (sigma0[, E0]):
+    on complex tables if p is None, else as the real u of
+    (sigma, E) = (i p u_1, p u_2) on float tables.  Scaling u by a unit
+    only copies or negates it, so both routes give the same bits."""
+    if p is None:
+        return _solve(n, len(x0), h, coefficients, np.array(x0, dtype=complex))
+    units = (1j * p, p)[:len(x0)]
+    u = _solve(n, len(x0), h, coefficients,
+               np.array([(z * q.conjugate()).real for z, q in zip(x0, units)]))
+    x = np.zeros(u.shape, dtype=complex)
+    for xk, uk, q in zip(x, u, units):
+        np.multiply(uk, q.real or q.imag,
+                    out=xk.real if q.imag == 0.0 else xk.imag)
+    x[:, 0] = x0                        # as given, signed zeros included
+    return x
+
+
 def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
                        delta: Schedule, p: CavityParams, grid: TimeGrid,
                        sigma0: complex = 0.0) -> SimResult:
@@ -251,19 +300,22 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
             f"{MAX_RATE_STEP}; refine the grid")
 
     drive = 1j * np.sqrt(2.0 / p.kappa)
+    unit, s_x = _real_system(dv, dm, s_in, sigma0)
 
-    def rates(g, d):                    # J = -loss - i Delta
+    def tables(g, d, s):                # J = -loss - i Delta, f = drive g s
+        if unit is not None:            # of u, sigma = i unit u
+            return -loss(g)[None, None], (drive.imag * g * s)[None, None]
         j = np.empty((1, 1, g.size), dtype=complex)
         j.real, j.imag = -loss(g), -d
-        return j
+        return j, (drive * g * s)[None, None]
 
     def coefficients(a, b):
-        g, gh, s = gv[a:b + 1], gm[a:b], s_in[a:b + 1]
-        return (rates(g, dv[a:b + 1]), rates(gh, dm[a:b]),
-                (drive * g * s)[None, None],
-                (drive * gh * _midpoints(s))[None, None])
+        s = s_x[a:b + 1]
+        (j, f), (jm, fm) = (tables(gv[a:b + 1], dv[a:b + 1], s),
+                            tables(gm[a:b], dm[a:b], _midpoints(s)))
+        return j, jm, f, fm
 
-    sigma = _solve(grid.n - 1, 1, h, coefficients, sigma0)[0]
+    sigma = _states(grid.n - 1, h, coefficients, (sigma0,), unit)[0]
     del gm, dv, dm                      # freed before the output and ledger
 
     e_out = FieldEnvelope(grid, s_in + drive * gv * sigma)
@@ -288,23 +340,27 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
             f"{MAX_RATE_STEP}; the full model must resolve 1/kappa")
 
     root2k = np.sqrt(2.0 * p.kappa)
+    unit, s_x = _real_system(dv, dm, s_in, sigma0)
 
-    def tables(g, d, s):                # J and f of x = (sigma, E)
-        j = np.empty((2, 2) + g.shape, dtype=complex)
-        j[0, 0].real, j[0, 0].imag = -p.gamma, -d
-        j[1, 1] = -p.kappa
-        j[0, 1] = j[1, 0] = 1j * g
-        f = np.zeros((2, 1) + s.shape, dtype=complex)
+    def tables(g, d, s):                # J and f of x = (sigma, E), or of
+        j = np.empty((2, 2) + g.shape, dtype=s.dtype)   # u if s is real
+        j[0, 0], j[1, 1] = -p.gamma, -p.kappa
+        if unit is None:
+            j[0, 0].imag = -d
+            j[0, 1] = j[1, 0] = 1j * g
+        else:                           # (sigma, E) = (i unit u_1, unit u_2)
+            j[0, 1], j[1, 0] = g, -g
+        f = np.zeros((2, 1) + s.shape, dtype=s.dtype)
         f[1, 0] = root2k * s
         return j, f
 
     def coefficients(a, b):
-        s = s_in[a:b + 1]
+        s = s_x[a:b + 1]
         (j, f), (jm, fm) = (tables(gv[a:b + 1], dv[a:b + 1], s),
                             tables(gm[a:b], dm[a:b], _midpoints(s)))
         return j, jm, f, fm
 
-    sigma, ecav = _solve(grid.n - 1, 2, h, coefficients, [sigma0, 0.0])
+    sigma, ecav = _states(grid.n - 1, h, coefficients, (sigma0, 0.0), unit)
     del gm, dv, dm                      # freed before the output and ledger
 
     e_out = FieldEnvelope(grid, -s_in + root2k * ecav)

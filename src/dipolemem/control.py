@@ -46,15 +46,22 @@ def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
     if gv.max(initial=0.0) == 0.0:
         raise ParameterError("write coupling vanishes on the whole grid; "
                              "no write window")
-    rate = gv * gv / p.kappa + p.gamma
+    rate = gv * gv
+    rate /= p.kappa
+    rate += p.gamma
     if delta is not None and delta.max_abs() > 0.0:
         rate = rate + 1j * delta.eval(t)
     R = cumtrapz0(rate, grid.dt)
+    del rate
     i = g_w.windows(grid)[0][1]
     # past t_w the gamma term keeps growing, so the exponential is only
-    # evaluated up to the window end
+    # evaluated up to the window end, in place in R
+    R = R[:i + 1]
+    R -= R[i]
+    np.exp(R, out=R)
+    R *= gv[:i + 1]
     k = np.zeros(grid.n, dtype=complex)
-    k[:i + 1] = gv[:i + 1] * np.exp(R[:i + 1] - R[i])
+    k[:i + 1] = R
     return k
 
 
@@ -88,7 +95,12 @@ def optimal_write_input(g_w: Schedule, p: CavityParams, grid: TimeGrid,
     gamma = Delta = 0 this is g(t) e^{tau(t) - tau_w}.
     """
     k = _write_kernel(g_w, delta, p, grid)
-    return FieldEnvelope(grid, np.conj(k, out=k)).normalized()
+    env = FieldEnvelope(grid, np.conj(k, out=k))
+    n2 = env.norm2()
+    if n2 <= 0.0:
+        raise ParameterError("cannot normalize a zero envelope")
+    np.divide(k, np.sqrt(n2), out=k)    # env.samples is k
+    return env
 
 
 def variational_optimize(g_w: Schedule, delta: Optional[Schedule],

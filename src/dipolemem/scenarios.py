@@ -1069,6 +1069,9 @@ def _sweep_cavity(scn: Scenario, axis: str, vals):
                 "stores the swept coupling's optimal input")
         raise ConfigError(f"input: sweep axis {axis!r} {does}, so it needs "
                           f"input: {need}, not {scn.input_spec['kind']}")
+    if axis != "tau_r" and scn.initial_excitation is not None:
+        raise ConfigError(f"initial_excitation: sweep axis {axis!r} writes "
+                          "from sigma = 0, so it needs no initial_excitation")
     sigma0 = 1.0 if scn.initial_excitation is None else _cavity_sigma0(scn)
     if axis == "tau_r" and sigma0 == 0.0:
         raise ConfigError("initial_excitation: a tau_r row reads it, so it "

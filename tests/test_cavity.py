@@ -12,6 +12,7 @@ from dipolemem import (CavityParams, FieldEnvelope, ParameterError, Schedule,
                        effective_fields, effective_time, optimal_write_input,
                        read_analytic, simulate_adiabatic, simulate_full,
                        square_pulse_efficiency)
+from dipolemem import cavity
 from dipolemem.cavity import _CHUNK, _affine_scan, _rk4_maps
 
 KAPPA = 1e6
@@ -344,6 +345,88 @@ def test_chunked_map_build_matches_one_whole_array_scan(d, n):
         states = np.stack([res.sigma, res.e_cav])
     ref = _scan(*_rk4_maps(*tables, grid.dt), x0)
     assert states.tobytes() == ref.tobytes()
+
+
+def _record_table_dtypes(monkeypatch):
+    """The dtype of every `_solve` call's tables (that of its x0), in
+    call order."""
+    dtypes = []
+    solve = cavity._solve
+
+    def recording(n, d, h, coefficients, x0):
+        dtypes.append(x0.dtype)
+        return solve(n, d, h, coefficients, x0)
+
+    monkeypatch.setattr(cavity, "_solve", recording)
+    return dtypes
+
+
+@pytest.mark.parametrize("model", ["adiabatic", "full"])
+@pytest.mark.parametrize("unit", [1.0, 1j], ids=["p=1", "p=i"])
+def test_float_tables_match_complex_tables_bit_for_bit(monkeypatch, model,
+                                                       unit):
+    """Without detuning, an input on the line p R and sigma0 on i p R
+    make a run one real system: it is solved on float tables and scaled
+    by its unit phase.  The same run forced onto complex tables gives
+    the same bits in sigma, E_cav and E_out, with decay, an input and
+    sigma0 together, over two chunks of steps."""
+    p = CavityParams(KAPPA, 1e4)
+    grid = TimeGrid(0.0, 5e-8, 2 * _CHUNK + 2)
+    g = Schedule.gaussian(3e5, 0.5 * grid.t_end, 0.2 * grid.t_end)
+    rng = np.random.default_rng(7)
+    e_in = FieldEnvelope(grid, unit * rng.normal(size=grid.n))
+    sim = simulate_adiabatic if model == "adiabatic" else simulate_full
+    dtypes = _record_table_dtypes(monkeypatch)
+    real = sim(e_in, g, ZERO, p, grid, sigma0=0.3j * unit)
+    monkeypatch.setattr(cavity, "_real_system",
+                        lambda dv, dm, s_in, sigma0: (None, s_in))
+    ref = sim(e_in, g, ZERO, p, grid, sigma0=0.3j * unit)
+    assert dtypes == [np.dtype(float), np.dtype(complex)]
+    pairs = [(real.sigma, ref.sigma), (real.e_out.samples, ref.e_out.samples)]
+    if model == "full":
+        pairs.append((real.e_cav, ref.e_cav))
+    for got, want in pairs:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert real.eta_w == ref.eta_w and real.eta_r == ref.eta_r
+
+
+@pytest.mark.parametrize("model", ["adiabatic", "full"])
+def test_which_runs_get_float_tables(monkeypatch, model):
+    """A run is solved on float tables only where its data make it one
+    real system: no detuning, the input on a line p R (p = 1 or i) and
+    sigma0 on i p R.  The optimal-input write and the sigma = 1 read
+    qualify; a detuning, an input with both parts live, or a sigma0 off
+    i p R keep complex tables."""
+    p = CavityParams(KAPPA, 1e3)
+    grid = TimeGrid.from_span(-2e-6, 0.0, 2001)
+    g = Schedule.square(np.sqrt(KAPPA / 2e-6), -2e-6, 0.0)
+    delta = Schedule.square(1e5, -1.5e-6, -0.5e-6)
+    e_opt = optimal_write_input(g, p, grid)
+    gauss = FieldEnvelope.gaussian(grid, -1e-6, 2e-7)
+    both = FieldEnvelope(grid, (1.0 + 1.0j) * gauss.samples)
+    cases = {
+        "detuned write": (optimal_write_input(g, p, grid, delta), delta, 0.0),
+        "input with both parts live": (both, ZERO, 0.0),
+        "sigma0 on the input's own line": (e_opt, ZERO, 0.5),
+        "sigma0 on neither line": (e_opt, ZERO, 0.5 + 0.5j),
+        "optimal-input write": (e_opt, ZERO, 0.0),
+        "sigma = 1 read": (None, ZERO, 1.0),
+        "imaginary input, sigma0 on its i-line": (
+            FieldEnvelope(grid, -1j * gauss.samples), ZERO, 0.5),
+    }
+    sim = simulate_adiabatic if model == "adiabatic" else simulate_full
+    dtypes = _record_table_dtypes(monkeypatch)
+    for e_in, det, sigma0 in cases.values():
+        sim(e_in, g, det, p, grid, sigma0=sigma0)
+    assert dict(zip(cases, (dt.kind for dt in dtypes))) == {
+        "detuned write": "c",
+        "input with both parts live": "c",
+        "sigma0 on the input's own line": "c",
+        "sigma0 on neither line": "c",
+        "optimal-input write": "f",
+        "sigma = 1 read": "f",
+        "imaginary input, sigma0 on its i-line": "f",
+    }
 
 
 def test_adiabatic_solve_holds_at_most_eight_grid_arrays():

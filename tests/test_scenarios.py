@@ -1111,6 +1111,37 @@ def test_write_sweeps_refuse_an_input_they_would_ignore(tmp_path, axis,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("axis, value", [("tau_w", 1.0),
+                                         ("cooperativity", 10.0),
+                                         ("duration", 1e-6)])
+def test_write_sweeps_refuse_an_initial_excitation(tmp_path, axis, value):
+    """A write-axis row writes from sigma = 0, so a scenario with an
+    initial excitation is refused (exit 2) by a ConfigError naming
+    `initial_excitation`, after the per-value and input checks; without
+    the key the same scenario sweeps."""
+    cfg = cavity_cfg(initial_excitation={"sigma_re": 0.5},
+                     cavity={"kappa": "1 MHz_angular", "gamma": "1 kHz"})
+    scn = scenario_from_dict(cfg)
+    with pytest.raises(ParameterError):
+        run_sweep(scn, axis, [-value])
+    with pytest.raises(ConfigError, match="^input:"):
+        run_sweep(scenario_from_dict(dict(cfg, input={
+            "kind": "gaussian", "center": "-0.5 us", "sigma": "200 ns"})),
+            axis, [value])
+    with pytest.raises(ConfigError, match="^initial_excitation:"):
+        run_sweep(scn, axis, [value])
+    proc = _cli(["sweep", str(_write_cfg(tmp_path, cfg)), "--axis", axis,
+                 "--values", str(value), "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert (err["error"] == "ConfigError"
+            and "initial_excitation" in err["message"])
+    assert not (tmp_path / "out").exists()
+    cfg.pop("initial_excitation")
+    assert run_sweep(scenario_from_dict(cfg), axis, [value]).tables
+
+
 @pytest.mark.parametrize("given", [
     {"kind": "gaussian", "center": "-0.5 us", "sigma": "200 ns"},
     {"kind": "optimal"}])
