@@ -18,12 +18,14 @@ Both are linear, x' = J(t) x + f(t) with x = sigma or (sigma, E), and
 use one classical fixed-step RK4 scheme on the TimeGrid (reproducible;
 no adaptivity).  `_solve` builds each step's affine map
 x_{k+1} = x_k + D_k x_k + v_k with `_rk4_maps` in cache-sized chunks
-of steps (schedules at the exact stage times, input samples linearly
-interpolated at the half step), writing D and v into tables allocated
-once; then one `_affine_scan` composes the maps in place with a blocked
-prefix scan that recurses on its block ends, so Python loops run
-O(n^(1/3)) times instead of once per step.  The chunks do not change
-the arithmetic of any step, so the states do not depend on them.
+of steps, sized by the model's d^2 table entries per step (schedules at
+the exact stage times, input samples linearly interpolated at the half
+step), writing D and v into tables allocated once; then one
+`_affine_scan` composes the maps in place with a blocked prefix scan of
+a small fixed radix that recurses in place on its block ends, so Python
+loops run O(log n) times, each over whole slices of a recursion level,
+instead of once per step.  The chunks do not change the arithmetic of
+any step, so the states do not depend on them.
 
 With Delta = 0 at every grid point and half step, an input on the line
 p R (p = 1 or i) drives the cavity field on p R and the dipole on i p R
@@ -46,7 +48,6 @@ energy and, for gamma > 0, dipole decay loss.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -148,9 +149,28 @@ def _rk4_maps(j, jm, f, fm, h):
             increment(f[..., :-1], fm, f[..., 1:]))
 
 
-# steps per chunk of the map build and of the scan's fix-up: the stage
-# tables of one chunk stay in cache
+# the map build takes chunks of _MAP_CHUNK table entries, d^2 per step:
+# 4 _CHUNK steps of the scalar model, _CHUNK of the 2x2 one, so the
+# stage tables of a chunk stay in cache (the scan takes whole tables)
 _CHUNK = 8192
+_MAP_CHUNK = 4 * _CHUNK
+
+# block length of the scan at every level of its recursion
+_RADIX = 4
+
+
+def _step_loop(D, x, a, b):
+    """The steps a..b-1 of the maps one at a time, in place on x."""
+    for k in range(a, b):
+        x[:, k + 1] = (x[:, k] + _mul(D[..., k], x[:, k, None])[:, 0]
+                       + x[:, k + 1])
+
+
+def _add_product(acc, q, y):
+    """acc += y + q y in place, with one temporary."""
+    t = _mul(q, y)
+    t += y
+    acc += t
 
 
 def _affine_scan(D, x) -> np.ndarray:
@@ -158,64 +178,61 @@ def _affine_scan(D, x) -> np.ndarray:
     (d, n+1) holds x_0 and then v (v_k in column k+1) and is overwritten
     with x_0..x_n; D (d, d, n) is overwritten too.  Returns x.
 
-    Recursive blocked prefix scan (Blelloch, CMU-CS-90-190, 1990): over
-    blocks of about n^(1/3) steps (the last may be shorter), running
-    products (as increments Q = P - I, in place of D) and zero-start
-    recurrences w (in place of v) of all blocks at once; this function
-    again on copies of the block-end maps for the state c at each block
-    start; then x = w + c + Q c in place, about _CHUNK steps at a time.
-    Below 64 steps it is the step loop.  The step loops run n^(1/3) +
-    n^(2/9) + ... (+ under 64) times: 91 at n = 100,001, 217 at
-    4,000,001.  Nothing divides by a running product, so strong decay
-    cannot overflow.
+    Recursive blocked prefix scan (Blelloch, CMU-CS-90-190, 1990) of
+    radix r = _RADIX.  Over the whole blocks of r steps it forms the
+    running products (as increments Q = P - I, in place of D) and the
+    zero-start recurrences w (in place of v) of all blocks at once, in
+    r - 1 numpy steps over slices of n/r blocks.  With full = r
+    floor(n/r), the block ends are strided views of the same tables,
+    D[..., r-1:full:r] and x[:, 0:full+1:r] (x_0, then each block's
+    last w), and this function
+    scans them in place: that leaves each block-end state where it
+    belongs and the state c at each block start just before its block.
+    The fix-up x = w + c + Q c then touches only the r - 1 steps before
+    each block end, again in r - 1 numpy steps.  The fewer than r steps
+    after the last whole block, and every run under 64 steps, are the
+    step loop.  So nothing is copied, the largest temporary is one
+    product over the top level's blocks (d^2 n / r entries), and the
+    Python loops run 2 (r - 1) times per level plus the step loops: 68
+    times at n = 100,001 steps (6 levels) and 113 at 4,000,001 (8).
+    Nothing divides by a running product, so strong decay cannot
+    overflow.
     """
     d, n = D.shape[0], D.shape[-1]
     if n < 64:
-        for k in range(n):
-            x[:, k + 1] = (x[:, k] + _mul(D[..., k], x[:, k, None])[:, 0]
-                           + x[:, k + 1])
+        _step_loop(D, x, 0, n)
         return x
-    block = math.ceil(n ** (1.0 / 3.0))
-    full = n // block * block
-    # whole blocks, then the steps left over as one shorter block
-    parts = [(D[..., a:b].reshape(d, d, -1, size),
-              x[:, None, 1 + a:1 + b].reshape(d, 1, -1, size))
-             for a, b, size in ((0, full, block), (full, n, n - full))
-             if b > a]
-    for i in range(1, block):
-        for Q, w in parts:
-            if i < w.shape[-1]:
-                w[..., i] += w[..., i - 1] + _mul(Q[..., i], w[..., i - 1])
-                Q[..., i] += Q[..., i - 1] + _mul(Q[..., i], Q[..., i - 1])
-    # the block-end maps are copied: the fix-up below still reads them
-    Q_end, w_end = (np.concatenate([part[k][..., -1] for part in parts],
-                                   axis=-1) for k in (0, 1))
-    c = _affine_scan(Q_end, np.concatenate([x[:, :1], w_end[:, 0]], axis=1))
-    step = -(-_CHUNK // block)
-    for Q, w in parts:
-        nb = w.shape[-2]
-        cb, c = c[:, None, :nb, None], c[:, nb:]
-        for s in range(0, nb, step):
-            blk = slice(s, s + step)
-            w[..., blk, :] += cb[..., blk, :]
-            w[..., blk, :] += _mul(Q[..., blk, :], cb[..., blk, :])
+    r = _RADIX
+    nb = n // r
+    full = nb * r
+    Q = D[..., :full].reshape(d, d, nb, r)
+    w = x[:, None, 1:1 + full].reshape(d, 1, nb, r)
+    for i in range(1, r):
+        _add_product(w[..., i], Q[..., i], w[..., i - 1])
+        _add_product(Q[..., i], Q[..., i], Q[..., i - 1])
+    _affine_scan(Q[..., -1], x[:, 0:full + 1:r])
+    c = x[:, None, 0:full:r]            # the state at each block start
+    for i in range(r - 1):
+        _add_product(w[..., i], Q[..., i], c)
+    _step_loop(D, x, full, n)
     return x
 
 
 def _solve(n, d, h, coefficients, x0) -> np.ndarray:
     """States (d, n+1) of x' = J(t) x + f(t) over n steps from x0.
 
-    The RK4 maps are built _CHUNK steps at a time into D and into the
-    state table, both allocated once with the dtype of x0 (float or
-    complex, which the tables must share); coefficients(a, b) gives J
-    (d, d, .) and f (d, 1, .) of the steps a..b-1 at the grid points
-    a..b and at the half steps, as `_rk4_maps` takes them.
+    The RK4 maps are built _MAP_CHUNK / d^2 steps at a time into D and
+    into the state table, both allocated once with the dtype of x0
+    (float or complex, which the tables must share); coefficients(a, b)
+    gives J (d, d, .) and f (d, 1, .) of the steps a..b-1 at the grid
+    points a..b and at the half steps, as `_rk4_maps` takes them.
     """
     D = np.empty((d, d, n), dtype=x0.dtype)
     x = np.empty((d, n + 1), dtype=x0.dtype)
     x[:, 0] = x0
-    for a in range(0, n, _CHUNK):
-        b = min(a + _CHUNK, n)
+    chunk = _MAP_CHUNK // (d * d)
+    for a in range(0, n, chunk):
+        b = min(a + chunk, n)
         D[..., a:b], x[:, None, 1 + a:1 + b] = _rk4_maps(*coefficients(a, b),
                                                         h)
     return _affine_scan(D, x)

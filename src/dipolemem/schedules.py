@@ -190,8 +190,22 @@ class _Segment:
         return self.start - tol, self.end + tol
 
     def evaluate(self, t: np.ndarray) -> np.ndarray:
+        # the shape is computed on the samples inside the support only,
+        # as one slice where they are contiguous (as on a grid).  The
+        # output is allocated after it, when the shape's temporaries are
+        # free to be reused, and is zeroed only where it has gaps
         a, b = self.bounds()
-        return np.where((t >= a) & (t <= b), self.shape(t), 0.0)
+        inside = (t >= a) & (t <= b)
+        flat = inside.reshape(-1)
+        count = np.count_nonzero(flat)
+        if not count:
+            return np.zeros(inside.shape)
+        i, j = flat.argmax(), flat.size - flat[::-1].argmax()
+        on = slice(i, j) if j - i == count else flat
+        values = self.shape(t.reshape(-1)[on])
+        out = (np.empty if count == flat.size else np.zeros)(inside.shape)
+        out.reshape(-1)[on] = values
+        return out
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ from dipolemem import (CavityParams, FieldEnvelope, ParameterError, Schedule,
                        read_analytic, simulate_adiabatic, simulate_full,
                        square_pulse_efficiency)
 from dipolemem import cavity
-from dipolemem.cavity import _CHUNK, _affine_scan, _rk4_maps
+from dipolemem.cavity import (_CHUNK, _MAP_CHUNK, _RADIX, _affine_scan,
+                              _rk4_maps)
 
 KAPPA = 1e6
 ZERO = Schedule.zero()
@@ -227,17 +228,20 @@ def _random_complex(rng, *shape):
 
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 960, 961, 962,
-                               10 ** 3 - 1, 10 ** 3, 10 ** 3 + 1, 100_003])
+                               10 ** 3 - 1, 10 ** 3, 10 ** 3 + 1, 100_003]
+                         + [_RADIX ** k + e for k in (4, 5)
+                            for e in (-1, 0, 1)])
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1.0 + 1e-4])
 def test_affine_scan_matches_sequential_loop(d, n, scale):
     """Blocked scan against the step-by-step recurrence.  Below 64 steps
-    the scan is the step loop itself; above, blocks are about n^(1/3)
-    long and the block ends are scanned recursively.  So the sizes sit on
-    the base-case cutoff, on whole numbers of blocks (960 and 10^3) and
-    one step to either side of them, and at three recursion levels
-    (100,003).  The maps are scale times a random unitary: 1e-3 decays
-    the running products past underflow, 1 + 1e-4 grows the state by up
-    to e^10.  The reference runs first: the scan overwrites D."""
+    the scan is the step loop itself; above, blocks are _RADIX steps long
+    at every level and the block ends are scanned recursively.  So the
+    sizes sit on the base-case cutoff, on powers r^4 and r^5 of the radix
+    (whole blocks at every level), on 960 and 10^3, one step to either
+    side of each, and at many recursion levels (100,003).  The
+    maps are scale times a random unitary: 1e-3 decays the running
+    products past underflow, 1 + 1e-4 grows the state by up to e^10.
+    The reference runs first: the scan overwrites D."""
     rng = np.random.default_rng(n + d)
     z = _random_complex(rng, n, d, d)
     M = np.moveaxis(scale * np.linalg.qr(z)[0], 0, -1)
@@ -283,8 +287,8 @@ def test_rk4_maps_are_the_textbook_four_stage_step(d):
 @pytest.mark.parametrize("d, n", [(1, 100_000), (2, 40_000)])
 def test_affine_scan_peak_memory_is_bounded(d, n):
     """The scan works in place on the maps and the state table: its
-    traced peak (the block-end copies and chunk-sized fix-up products)
-    stays within a quarter of the tables it is given."""
+    traced peak (its step products over whole recursion levels) stays
+    within a quarter of the tables it is given."""
     rng = np.random.default_rng(d)
     D = 1e-3 * _random_complex(rng, d, d, n)
     x = _random_complex(rng, d, n + 1)
@@ -297,16 +301,40 @@ def test_affine_scan_peak_memory_is_bounded(d, n):
     assert peak <= 0.25 * (D.nbytes + x.nbytes)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
-                               2 * _CHUNK + 1])
-def test_chunked_map_build_matches_one_whole_array_scan(d, n):
+@pytest.mark.parametrize("d, n", [(1, 100_000), (2, 40_000)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_affine_scan_holds_one_step_product_at_a_time(d, n, dtype):
+    """The block ends are scanned in place as strided views of the
+    tables, never copied: the traced peak is one step product over the
+    blocks of the top level, d^2 n / _RADIX entries, and a few kB of
+    views and Python objects."""
+    rng = np.random.default_rng(d)
+    D = 1e-3 * rng.normal(size=(d, d, n)).astype(dtype)
+    x = rng.normal(size=(d, n + 1)).astype(dtype)
+    tracemalloc.start()
+    try:
+        _affine_scan(D, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= D.itemsize * d * d * (n // _RADIX) + 8192
+
+
+def _chunk_boundaries(chunk):
+    return [chunk - 1, chunk, chunk + 1, 2 * chunk + 1]
+
+
+@pytest.mark.parametrize("n, d", [
+    (n, d) for d in (1, 2)
+    for n in sorted(set(_chunk_boundaries(_CHUNK)
+                        + _chunk_boundaries(_MAP_CHUNK // (d * d))))])
+def test_chunked_map_build_matches_one_whole_array_scan(n, d):
     """simulate_adiabatic (d = 1) and simulate_full (d = 2) build their
-    RK4 maps _CHUNK steps at a time.  Their states equal, bit for bit,
-    one scan of maps built from whole-array tables, written here as the
-    models define J and f, for step counts on either side of one and
-    two chunks.  The write has an input, decay and a detuning that
-    covers part of the grid."""
+    RK4 maps _MAP_CHUNK / d^2 steps at a time.  Their states equal, bit
+    for bit, one scan of maps built from whole-array tables, written here
+    as the models define J and f, for step counts on either side of one
+    and two chunks of each model, and of _CHUNK steps.  The write has an
+    input, decay and a detuning that covers part of the grid."""
     p = CavityParams(KAPPA, 1e4)
     grid = TimeGrid(0.0, 5e-8, n + 1)
     span = grid.t_end

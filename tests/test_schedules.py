@@ -200,6 +200,36 @@ def test_support_intervals_merge_adjacent():
     assert g.windows(TimeGrid.from_span(0.0, 4.0, 9)) == [(0, 4), (6, 8)]
 
 
+_SEGMENTS = {
+    "square": SquareSegment(0.3, 0.7, 2.5),
+    "gaussian": GaussianSegment(0.3, 0.7, 1.5, 0.45, 0.1),
+    "piecewise-linear": PiecewiseLinearSegment(
+        np.array([0.3, 0.4, 0.55, 0.7]), np.array([0.0, 1.0, 0.25, 0.8])),
+    "tabulated": TabulatedSegment(np.linspace(0.3, 0.7, 9),
+                                  np.sin(np.linspace(0.0, 3.0, 9)) ** 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SEGMENTS))
+@pytest.mark.parametrize("span", [(0.0, 1.0), (0.5, 1.0), (0.0, 0.5),
+                                  (0.35, 0.65), (0.0, 0.25), (0.8, 1.0),
+                                  (0.3, 0.7)])
+def test_segment_evaluates_its_shape_on_its_support_only(kind, span):
+    """A segment computes its shape only at the samples inside its
+    support: the values equal the shape computed everywhere and then
+    masked, bit for bit, on grids that cut through the support, lie
+    inside it, miss it, or end on its edges, and on the same samples
+    shuffled, where those inside are not one slice."""
+    seg = _SEGMENTS[kind]
+    grid = np.linspace(*span, 1001)
+    lo, hi = seg.bounds()
+    for t in (grid, np.random.default_rng(3).permutation(grid)):
+        masked = np.where((t >= lo) & (t <= hi), seg.shape(t), 0.0)
+        got = seg.evaluate(t)
+        assert got.dtype == masked.dtype
+        assert got.tobytes() == masked.tobytes()
+
+
 def test_tabulated_reproduces_nodes(rng):
     tt = np.linspace(0.0, 1e-6, 41)
     vv = np.abs(rng.standard_normal(41))
