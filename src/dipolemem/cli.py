@@ -72,8 +72,6 @@ def _parse_values(text: str) -> list[float]:
             vals.append(float(piece))
         except ValueError:
             raise ConfigError(f"--values entry {piece!r} is not a number")
-    if not vals:
-        raise ConfigError("--values is empty")
     return vals
 
 

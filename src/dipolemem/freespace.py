@@ -25,7 +25,8 @@ kernels
 
     K0(a) = sum_k a^k / (k!)^2        (= I0(2 sqrt(a)) for a >= 0,
                                          J0(2 sqrt(-a)) for a < 0)
-    K1(a) = sum_k a^k / (k! (k+1)!)
+    K1(a) = sum_k a^k / (k! (k+1)!)   (= I1(2 sqrt(a)) / sqrt(a),
+                                         J1(2 sqrt(-a)) / sqrt(-a))
 
 namely (primes are integration variables; all kernel arguments are
 non-positive in the causal region):
@@ -41,13 +42,15 @@ that keep t z <= 30 for the kernels' power series.  Each series term
 is separable, as in (t (z'-z))^k = (-t)^k (z-z')^k, so running
 trapezoid moments convolve the sources with the monomials t^k and z^k,
 and matrix products with the series coefficients sum them: no kernel
-is tabulated.  `numeric_evolution` is the cross-check and the
-workhorse for runs and sweeps: the system treats z and tau alike, so
-it marches a batch of systems along z, in n_z - 1 midpoint steps each
-on whole tau axes (any increasing ones).  Its coefficients are real,
-so each complex row is two real systems; the march packs them two per
-complex lane and drops those with all-zero data, whose solution is
-zero.
+is tabulated.  `entire_bessel_kernel` evaluates the kernels by their
+Bessel forms at any argument; no solver calls it, and `verify` holds
+both solvers to the exact read of a uniform spin wave that it gives.
+`numeric_evolution` is the cross-check and the workhorse for runs and
+sweeps: the system treats z and tau alike, so it marches a batch of
+systems along z, in n_z - 1 midpoint steps each on whole tau axes (any
+increasing ones).  Its coefficients are real, so each complex row is
+two real systems; the march packs them two per complex lane and drops
+those with all-zero data, whose solution is zero.
 
 Scaled variables: for a medium of length L, x = z/L, theta = tau*L,
 A = curly-E/sqrt(L) and S_hat = sqrt(L)*S satisfy the same system on
@@ -119,59 +122,43 @@ def _series_terms(amax: float, order: int) -> int:
     return _SERIES_TERMS + 1
 
 
-def _kernel_series(a: np.ndarray, order: int) -> np.ndarray:
-    terms = _series_terms(float(np.max(np.abs(a), initial=0.0)), order)
-    acc = np.ones_like(a)
-    term = np.ones_like(a)
-    for k in range(1, terms):
-        term = term * (a / (k * (k + order)))
-        acc += term
-    return acc
-
-
-def _kernel_by_integral(a: np.ndarray, order: int) -> np.ndarray:
-    """K0 or K1 at the nonzero entries of a 1-d array, by the midpoint
-    rule on I_n(x) = (1/pi) int_0^pi e^{x cos t} cos nt dt (a > 0) or
-    J_n(x) = (1/pi) int_0^pi cos(nt - x sin t) dt, x = 2 sqrt|a| (over
-    sqrt|a| for K1): smooth periodic integrands, so ceil(x/2) + 40 nodes
-    reach round-off.  Entries of one node count go in blocks of about
-    2^16 integrand samples."""
-    r = np.sqrt(np.abs(a))
-    nodes = np.ceil(r).astype(int) + 40
-    out = np.empty(a.shape)
-    for m in sorted(set(nodes.tolist())):  # np.unique loads numpy.ma
-        t = (np.arange(m) + 0.5) * (np.pi / m)
-        idx = np.flatnonzero(nodes == m)
-        for sel in np.array_split(idx, idx.size * m // (1 << 16) + 1):
-            x = 2.0 * r[sel, None]
-            with np.errstate(over="ignore"):        # I_n beyond 1e308
-                f = np.where(a[sel, None] > 0.0,
-                             np.exp(x * np.cos(t)) * np.cos(order * t),
-                             np.cos(order * t - x * np.sin(t)))
-            out[sel] = f.mean(axis=1)
-    return out / r if order else out
-
-
 def entire_bessel_kernel(a, order: int = 0):
     """K0(a) = sum a^k/(k!)^2 or K1(a) = sum a^k/(k!(k+1)!), entire in a.
 
-    Power series on |a| <= 30, the range the kernel solver's separable
-    sums of the same series cover (`analytic_evolution`).  Outside, where
-    the series would lose digits (a < 0) or cost terms (a > 0), the
-    forms I_n(2 sqrt(a)), J_n(2 sqrt(-a)) by `_kernel_by_integral`;
-    non-finite a gives NaN.
+    The exact Bessel forms at every argument: with r = sqrt|a| and
+    x = 2r, K0 is I0(x) for a > 0 and J0(x) for a < 0, K1 is I1(x)/r or
+    J1(x)/r, each by the midpoint rule on its integral over [0, pi]:
+
+        I0(x) = mean e^{x cos t}        I1(x) = mean cos t sinh(x cos t)
+        J0(x) = mean cos(x sin t)       J1(x) = mean sin t sin(x sin t)
+
+    The integrands are smooth, even and periodic, so ceil(r) + 40 nodes
+    reach round-off, and the K1 forms cancel nothing as a -> 0.  Entries
+    of one node count go in blocks of about 2^16 integrand samples.
+    K(0) = 1 and non-finite a gives NaN.  The kernel solver sums the
+    series itself (`analytic_evolution`); this is the exact read that
+    `verify` holds both propagation solvers to.
     """
     if order not in (0, 1):
         raise ParameterError(f"kernel order must be 0 or 1, got {order}")
     a_arr = np.asarray(a, dtype=float)
-    out = np.full_like(a_arr, np.nan)      # NaN is in no branch below
-    small = np.abs(a_arr) <= _SERIES_CUT
-    out[small] = _kernel_series(a_arr[small], order)
-    big = np.isfinite(a_arr) & ~small
-    out[big] = _kernel_by_integral(a_arr[big], order)
-    if np.isscalar(a) or a_arr.ndim == 0:
-        return float(out)
-    return out
+    out = np.where(a_arr == 0.0, 1.0, np.nan)
+    live = np.flatnonzero(np.isfinite(a_arr) & (a_arr != 0.0))
+    a_live = a_arr.ravel()[live]
+    r = np.sqrt(np.abs(a_live))
+    nodes = np.ceil(r).astype(int) + 40
+    for m in sorted(set(nodes.tolist())):  # np.unique loads numpy.ma
+        t = (np.arange(m) + 0.5) * (np.pi / m)
+        idx = np.flatnonzero(nodes == m)
+        for sel in np.array_split(idx, idx.size * m // (1 << 16) + 1):
+            pos = a_live[sel, None] > 0.0
+            c = np.where(pos, np.cos(t), np.sin(t))
+            u = 2.0 * r[sel, None] * c
+            with np.errstate(over="ignore"):        # I_n beyond 1e308
+                f = (np.where(pos, np.exp(u), np.cos(u)) if order == 0
+                     else c * np.where(pos, np.sinh(u), np.sin(u)))
+            out.flat[live[sel]] = f.mean(axis=1) / r[sel] ** order
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dipolemem import (FieldEnvelope, FreeSpaceTransform, GaussianSegment,
                        analytic_evolution, entire_bessel_kernel, freespace,
                        numeric_evolution, reduced_continuity_residual,
                        storage_retrieval_sweep, thin_medium_cavity_coupling)
-from dipolemem.freespace import (_WINDOW_RADIUS, _erfinv, _kernel_series,
+from dipolemem.freespace import (_WINDOW_RADIUS, _erfinv, _series_terms,
                                  _window_theta_map, theta_nodes)
 from dipolemem.schedules import cumtrapz0, effective_fields, effective_time
 
@@ -73,19 +73,52 @@ def test_kernel_returns_nan_for_nan(order):
     assert math.isnan(entire_bessel_kernel(np.nan, order))
 
 
+@pytest.mark.parametrize("order", [0, 1])
+def test_kernel_edge_inputs(order):
+    """K(0) = 1 at either zero, any non-finite argument gives NaN, and a
+    0-d array or a Python float gives a float."""
+    for zero in (0.0, -0.0):
+        assert entire_bessel_kernel(zero, order) == 1.0
+    got = entire_bessel_kernel(np.array([0.0, -0.0, np.inf, -np.inf, np.nan]),
+                               order)
+    np.testing.assert_array_equal(got, [1.0, 1.0, np.nan, np.nan, np.nan])
+    for a in (np.inf, -np.inf):
+        assert math.isnan(entire_bessel_kernel(a, order))
+    for a in (np.array(-2.5), -2.5):
+        got = entire_bessel_kernel(a, order)
+        assert type(got) is float
+        assert got == entire_bessel_kernel(np.array([-2.5]), order)[0]
+
+
+def test_kernel_stays_exact_near_zero():
+    """The K1 forms cancel nothing at small |a|: K is 1 + a/(o + 1) + ...
+    to round-off from |a| = 1e-6 down to 1e-300."""
+    a = np.concatenate([-np.geomspace(1e-300, 1e-6, 60),
+                        np.geomspace(1e-300, 1e-6, 60)])
+    for order in (0, 1):
+        want = 1.0 + a / (order + 1) + a * a / (2 * (order + 1) * (order + 2))
+        np.testing.assert_allclose(entire_bessel_kernel(a, order), want,
+                                   rtol=1e-15, atol=0)
+
+
 @pytest.mark.parametrize("a_max", [0.5, 3.35, 30.0])
 def test_kernel_series_stops_at_negligible_terms(a_max):
-    """The series sums terms only while the next one's bound at max |a|
-    is >= 2^-60, so small tables (the preset's |a| <= 3.35) take about
-    16 terms.  It matches the fixed 48-term sum to 1e-15 of the kernel
-    scale, max(1, |K|) (K(0) = 1)."""
-    a = np.linspace(-a_max, a_max, 20001)
+    """The kernel solver sums its series coefficients (-a_max)^p /
+    (p! (p+o)!) times w^p, w in [0, 1], only while the next term's bound
+    at a_max is >= 2^-60 (`_series_terms`), so small slabs (the preset's
+    |a| <= 3.35) take about 16 terms.  That sum matches the fixed
+    48-term sum to 1e-15 of the kernel scale, max(1, |K|) (K(0) = 1)."""
+    w = np.linspace(0.0, 1.0, 20001)
+    terms = _series_terms(a_max, 0)
+    assert terms <= 48
+    fact = [math.factorial(k) for k in range(50)]
     for order in (0, 1):
-        acc, term = np.ones_like(a), np.ones_like(a)
-        for k in range(1, 49):
-            term = term * (a / (k * (k + order)))
-            acc += term
-        err = np.abs(_kernel_series(a, order) - acc)
+        acc = np.zeros_like(w)
+        for p in range(49):
+            if p == terms:
+                cut = acc.copy()
+            acc += (-a_max) ** p / (fact[p] * fact[p + order]) * w ** p
+        err = np.abs(cut - acc)
         assert np.all(err <= 1e-15 * np.maximum(1.0, np.abs(acc))), order
 
 

@@ -1449,6 +1449,13 @@ def test_cli_sweep_and_value_parsing(tmp_path):
                cwd=tmp_path)
     assert bad.returncode == 2, bad.stderr
     assert json.loads(bad.stderr)["error"] == "ConfigError"
+    # no values at all: the sweep's own check is the only one
+    bad = _cli(["sweep", str(cfg), "--axis", "tau_r", "--values", ","],
+               cwd=tmp_path)
+    assert bad.returncode == 2, bad.stderr
+    assert json.loads(bad.stderr) == {
+        "error": "ConfigError",
+        "message": "the sweep needs at least one axis value"}
     fs_cfg = _write_cfg(tmp_path, freespace_cfg(), "fs.yaml")
     for path, axis, values in ((fs_cfg, "d", "10,nan"),
                                (cfg, "tau_r", "0.5,inf")):
@@ -1509,14 +1516,16 @@ def test_formatter_loads_with_the_first_write(tmp_path):
 
 
 def test_verify_loads_no_yaml(tmp_path):
-    # only `load_scenario` parses YAML, and `verify` reads no file
+    # only `load_scenario` parses YAML, and `verify` reads no file; its
+    # checks draw no random numbers, so numpy.random stays unloaded
     code = ("import sys\n"
             "from dipolemem.cli import main\n"
             "assert main(['verify']) == 0\n"
-            "print('yaml' in sys.modules)\n")
+            "mods = ('yaml', 'numpy.random')\n"
+            "print([m for m in mods if m in sys.modules])\n")
     proc = _python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_depth_sweep_and_verify_load_no_scipy(tmp_path):
@@ -1553,14 +1562,14 @@ def test_version_comes_from_one_literal(tmp_path):
 
 
 def test_verify_bessel_reference_matches_scipy():
-    # verify's reference is also the kernel's route for |a| > 30
+    # the kernel's one route at every argument, and verify's exact read
     from scipy import special
     u = np.concatenate([np.linspace(0.0, 30.0, 3001)[1:],
                         np.linspace(30.0, 2000.0, 19701)[1:]])
     x = 2.0 * np.sqrt(u)
     for n, a, want in ((0, u, special.i0(x)), (1, u, special.i1(x)),
                        (0, -u, special.j0(x)), (1, -u, special.j1(x))):
-        got = freespace._kernel_by_integral(a, n) * np.sqrt(u) ** n
+        got = freespace.entire_bessel_kernel(a, n) * np.sqrt(u) ** n
         err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
         assert err.max() <= 1e-14, (n, a[-1], err.max())
 
@@ -1568,7 +1577,7 @@ def test_verify_bessel_reference_matches_scipy():
 def test_kernel_solver_runs_without_scipy(tmp_path):
     # scipy is a test dependency only: with every scipy import failing, a
     # freespace-analytic run past one theta slab and the kernel's Bessel
-    # forms beyond the series range still run
+    # forms still run
     cfg = freespace_cfg(model="freespace-analytic", space_points=201)
     cfg["coupling"][0]["amplitude"] = "2750 MHz_angular"
     path = _write_cfg(tmp_path, cfg)
@@ -1618,7 +1627,8 @@ def test_verify_text_passes_the_benchmark_checks(monkeypatch):
 
 def test_verify_marches_the_propagation_case_once(monkeypatch):
     # the continuity check reuses the two-solver check's march; the
-    # thin-medium check marches its own case, and no march outlives a call
+    # exact-read and thin-medium checks march their own cases, and no
+    # march outlives a call
     calls = []
 
     def spy(*args, **kw):
@@ -1627,6 +1637,23 @@ def test_verify_marches_the_propagation_case_once(monkeypatch):
     solver = scenarios.numeric_evolution
     monkeypatch.setattr(scenarios, "numeric_evolution", spy)
     assert scenarios.builtin_verify(io.StringIO())
-    assert len(calls) == 2
+    assert len(calls) == 3
     assert scenarios.builtin_verify(io.StringIO())
-    assert len(calls) == 4
+    assert len(calls) == 6
+
+
+@pytest.mark.parametrize("solver", ["analytic_evolution", "numeric_evolution"])
+@pytest.mark.parametrize("field", ["e_end", "s_final"])
+def test_verify_exact_read_fails_a_solver_off_by_twice_its_bound(solver,
+                                                                 field):
+    # the exact-read lines hold each solver's read to 0.15 a^2
+    # (a = theta_total h_x = 2/60); an offset of twice that fails them
+    bound = 0.15 * (2.0 / 60.0) ** 2
+
+    def off(*case):
+        fields = getattr(scenarios, solver)(*case)
+        setattr(fields, field, getattr(fields, field) + 2.0 * bound)
+        return fields
+    ok, detail = scenarios._check_exact_read(off)
+    assert not ok, detail
+    assert scenarios._check_exact_read(getattr(scenarios, solver))[0]
