@@ -345,12 +345,15 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
                   sigma0: complex = 0.0) -> SimResult:
     """Integrate the full two-mode model (dipole + intracavity field).
 
-    The step must resolve the cavity pole: dt * kappa <= 0.1 enforced.
+    The step must resolve the cavity pole: the step guard is
+    dt * max(kappa, gamma + |Delta|, g) <= 0.1 at the grid points and
+    the half steps, where RK4's middle stages read the rates.
     """
     gv, gm, dv, dm, s_in = _stage_values(e_in, g, delta, grid)
     h = grid.dt
-    stiff = max(p.kappa, p.gamma + float(np.abs(dv).max(initial=0.0)),
-                float(gv.max(initial=0.0)))
+    stiff = max(p.kappa, p.gamma + float(max(np.abs(dv).max(initial=0.0),
+                                             np.abs(dm).max(initial=0.0))),
+                float(max(gv.max(initial=0.0), gm.max(initial=0.0))))
     if h * stiff > MAX_RATE_STEP:
         raise StabilityError(
             f"dt*kappa (or dt*max rate) = {h * stiff:.3g} exceeds "

@@ -62,8 +62,9 @@ x in [0,1], with photon-exact bookkeeping:
 `storage_retrieval_sweep` uses these to scan storage + retrieval
 efficiency against the peak optical depth of a scenario's Gaussian
 coupling pulse, for forward and backward retrieval, on each window's
-uniform theta grid (theta(t) is an erf): one `numeric_evolution` march
-writes all depths of one node count, and one more reads them all.
+uniform theta grid (theta(t) is an erf, inverted by the standard
+library's normal quantile): one `numeric_evolution` march writes all
+depths of one node count, and one more reads them all.
 Without detuning their boundary traces and spin waves are imaginary,
 so each lane of those marches carries two of them.
 """
@@ -548,29 +549,6 @@ def theta_nodes(theta_total: float, theta_points: Optional[int] = None) -> int:
                int(np.ceil(theta_total / _AUTO_THETA_STEP)) + 1)
 
 
-_erf = np.frompyfunc(math.erf, 1, 1)
-
-
-def _erfinv(y: np.ndarray) -> np.ndarray:
-    """Inverse error function of an array in (-1, 1): Newton's method on
-    math.erf from 0.  erf is concave on u > 0 (convex on u < 0), so the
-    iterates climb to the root without overshoot.  Near the window edge
-    erfinv's condition number is about 900, so the last steps cycle at a
-    few ulps instead of meeting a fixed tolerance: the iteration stops
-    once the largest step no longer shrinks (at most 14 steps on the
-    sweep's grids)."""
-    u = np.zeros_like(y)
-    last = np.inf
-    while True:
-        step = ((_erf(u).astype(float) - y)
-                * (0.5 * math.sqrt(math.pi)) * np.exp(u * u))
-        size = np.max(np.abs(step), initial=0.0)
-        if not size < last:
-            return u
-        u -= step
-        last = size
-
-
 def _window_theta_map(d, gamma: float, sigma: float, center: float,
                       n_theta: int):
     """Uniform theta grids over one active coupling window.
@@ -578,12 +556,18 @@ def _window_theta_map(d, gamma: float, sigma: float, center: float,
     Returns (theta, t_of_theta, rho_of_theta).  For rho(t) =
     d*gamma*exp(-(t-center)^2/sigma^2) on |t - center| <= R the
     effective time is theta(t) = (full/2) (erf((t-center)/sigma) +
-    erf(R/sigma)) with full = d*gamma*sigma*sqrt(pi), inverted exactly.
+    erf(R/sigma)) with full = d*gamma*sigma*sqrt(pi), inverted in closed
+    form by the normal quantile: erfinv(y) = sign(y) |Phi^-1((1-|y|)/2)|
+    / sqrt(2), with (1-|y|)/2 exact where Phi^-1 is steep (|y| >= 1/2).
     The times depend on the node count only, so a 1-d array of depths
     shares them: theta and rho then hold one row per depth.
     """
+    from statistics import NormalDist   # imported here: only a sweep pays
     edge = math.erf(_WINDOW_RADIUS)
-    u = _erfinv(np.linspace(-edge, edge, n_theta))
+    y = np.linspace(-edge, edge, n_theta)
+    inv_cdf = NormalDist().inv_cdf
+    q = np.array([inv_cdf(p) for p in ((1.0 - np.abs(y)) / 2.0).tolist()])
+    u = np.copysign(q, y) / math.sqrt(2.0)
     d = np.asarray(d, dtype=float)
     theta = np.linspace(0.0, d * gamma * sigma * math.sqrt(math.pi) * edge,
                         n_theta, axis=-1)

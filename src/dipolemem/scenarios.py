@@ -1115,6 +1115,12 @@ def _sweep_depth(scn: Scenario, vals):
                           "segment (its amplitude is set by each d value)")
     if scn.input_spec["kind"] != "gaussian":
         raise ConfigError("a depth sweep needs a gaussian input envelope")
+    if scn.initial_excitation is not None:
+        raise ConfigError("initial_excitation: sweep axis 'd' writes into an "
+                          "empty medium, so it needs no initial_excitation")
+    if scn.dump_fields:
+        raise ConfigError("outputs.fields: sweep axis 'd' writes no field "
+                          "dump, so it needs fields: false")
     table = storage_retrieval_sweep(
         vals, scn.medium, segs[0], scn.input_spec["center"],
         scn.input_spec["sigma"], scn.storage_time or 0.0, scn.space_points,

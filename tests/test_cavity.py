@@ -540,6 +540,20 @@ def test_stability_guard_trips():
         simulate_full(None, g, ZERO, CavityParams(KAPPA), grid, sigma0=1.0)
 
 
+@pytest.mark.parametrize("sim", [simulate_adiabatic, simulate_full])
+def test_stability_guard_reads_the_half_steps(sim):
+    """RK4's middle stages use the rates at the half steps, so a
+    detuning spike that only one half step sees (dt |Delta| = 2) trips
+    the guard of both models."""
+    grid = TimeGrid.from_span(0.0, 2e-6, 2001)
+    h, t_k = grid.dt, grid.times()[1000]
+    g = Schedule.square(np.sqrt(KAPPA / 2e-6), 0.0, 2e-6)     # tau_r = 1
+    delta = Schedule.square(2.0 / h, t_k + h / 4, t_k + 3 * h / 4)
+    assert not delta.eval(grid.times()).any()
+    with pytest.raises(StabilityError):
+        sim(None, g, delta, CavityParams(KAPPA), grid, sigma0=1.0)
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         CavityParams(-1.0)

@@ -14,7 +14,7 @@ from dipolemem import (FieldEnvelope, FreeSpaceTransform, GaussianSegment,
                        analytic_evolution, entire_bessel_kernel, freespace,
                        numeric_evolution, reduced_continuity_residual,
                        storage_retrieval_sweep, thin_medium_cavity_coupling)
-from dipolemem.freespace import (_WINDOW_RADIUS, _erfinv, _series_terms,
+from dipolemem.freespace import (_WINDOW_RADIUS, _series_terms,
                                  _window_theta_map, theta_nodes)
 from dipolemem.schedules import cumtrapz0, effective_fields, effective_time
 
@@ -614,21 +614,15 @@ def _sweep(d_values, gamma=GAMMA, **kw):
     return storage_retrieval_sweep(d_values, **args).T
 
 
-def test_erfinv_stops_at_round_off_and_matches_scipy(monkeypatch):
-    # near the window edge the last Newton steps cycle at a few ulps, so
-    # a fixed step tolerance (1e-15) would never stop on n = 688 or 1493
-    calls = []
-    erf = freespace._erf
-    monkeypatch.setattr(freespace, "_erf",
-                        lambda u: calls.append(None) or erf(u))
+def test_window_times_match_scipy_erfinv():
+    # the closed-form inverse lands within a few ulps of erfinv, also at
+    # the node counts (688, 1493) where Newton's last steps cycled
     edge = math.erf(_WINDOW_RADIUS)
     for n in [*range(2, 3000, 7), 688, 1493]:
-        y = np.linspace(-edge, edge, n)
-        calls.clear()
-        got = _erfinv(y)
-        assert len(calls) <= 15, (n, len(calls))     # 14 Newton steps
-        np.testing.assert_allclose(got, special.erfinv(y), rtol=0.0,
-                                   atol=5e-14, err_msg=f"n = {n}")
+        _theta, t_of, _rho = _window_theta_map(1.0, GAMMA, 1.0, 0.0, n)
+        np.testing.assert_allclose(
+            t_of, special.erfinv(np.linspace(-edge, edge, n)), rtol=0.0,
+            atol=5e-15, err_msg=f"n = {n}")
 
 
 def test_window_theta_map_inverts_the_depth_integral():

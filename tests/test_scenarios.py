@@ -1207,6 +1207,36 @@ def test_depth_sweep_refuses_a_model_it_would_not_run(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, over", [
+    ("initial_excitation", {"initial_excitation": {
+        "kind": "gaussian", "center_frac": 0.5, "sigma_frac": 0.1,
+        "excitation": 0.7}}),
+    ("outputs.fields", {"outputs": {"fields": True}})])
+def test_depth_sweep_refuses_what_it_would_ignore(tmp_path, key, over):
+    """A depth row writes into an empty medium and dumps no fields, so a
+    scenario with an initial excitation or outputs.fields is refused
+    (exit 2) by a ConfigError naming the key, after the model and input
+    checks; without the key the same scenario sweeps."""
+    cfg = freespace_cfg(**over)
+    with pytest.raises(ConfigError, match="^model:"):
+        run_sweep(scenario_from_dict(dict(cfg, model="freespace-analytic")),
+                  "d", [10.0])
+    with pytest.raises(ConfigError, match="gaussian input"):
+        run_sweep(scenario_from_dict(dict(cfg, input={"kind": "none"})),
+                  "d", [10.0])
+    with pytest.raises(ConfigError, match=f"^{key}:"):
+        run_sweep(scenario_from_dict(cfg), "d", [10.0])
+    proc = _cli(["sweep", str(_write_cfg(tmp_path, cfg)), "--axis", "d",
+                 "--values", "10", "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError" and key in err["message"]
+    assert not (tmp_path / "out").exists()
+    cfg.pop(key.split(".")[0])
+    assert run_sweep(scenario_from_dict(cfg), "d", [10.0]).tables
+
+
 def test_depth_sweep_obeys_theta_points(monkeypatch):
     # one entry per march, holding each batch row's theta node count
     marches = []
@@ -1529,9 +1559,9 @@ def test_verify_loads_no_yaml(tmp_path):
 
 
 def test_depth_sweep_and_verify_load_no_scipy(tmp_path):
-    # the depth sweep's erf map and verify's Bessel reference are numpy,
-    # and the version is a literal: neither command loads scipy or the
-    # package-metadata machinery
+    # the depth sweep's erf map and verify's Bessel reference are numpy
+    # and the standard library, and the version is a literal: neither
+    # command loads scipy or the package-metadata machinery
     preset = REPO / "presets" / "freespace_gaussian_sweep.yaml"
     code = ("import sys\n"
             "from dipolemem.cli import main\n"
