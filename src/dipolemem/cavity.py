@@ -15,12 +15,15 @@ Two models of one atom/ensemble dipole coupled to a one-sided cavity:
       E_out      =  E_in + i sqrt(2/kappa) g sigma.
 
 Both are linear, x' = J(t) x + f(t) with x = sigma or (sigma, E), and
-use one classical fixed-step RK4 scheme on the TimeGrid (reproducible;
-no adaptivity).  `_solve` builds each step's affine map
-x_{k+1} = x_k + D_k x_k + v_k with `_rk4_maps` in cache-sized chunks
-of steps, sized by the model's d^2 table entries per step (schedules at
-the exact stage times, input samples linearly interpolated at the half
-step), writing D and v into tables allocated once; then one
+share one run pipeline, `_run`: a model gives only its equations (its
+stiffest rate, J and f, and its output map), and `_run` samples g and
+Delta, guards the step, picks the tables, solves with one classical
+fixed-step RK4 scheme on the TimeGrid (reproducible; no adaptivity) and
+closes with E_out, tau and the ledger.  `_solve` builds each step's
+affine map x_{k+1} = x_k + D_k x_k + v_k with `_rk4_maps` in cache-sized
+chunks of steps, sized by the model's d^2 table entries per step
+(schedules at the exact stage times, input samples linearly interpolated
+at the half step), writing D and v into tables allocated once; then one
 `_affine_scan` composes the maps in place with a blocked prefix scan of
 a small fixed radix that recurses in place on its block ends, so Python
 loops run O(log n) times, each over whole slices of a recursion level,
@@ -238,27 +241,6 @@ def _solve(n, d, h, coefficients, x0) -> np.ndarray:
     return _affine_scan(D, x)
 
 
-def _stage_values(e_in: Optional[FieldEnvelope], g: Schedule,
-                  delta: Schedule, grid: TimeGrid):
-    """Checks shared by both models, then g and Delta at the grid points
-    and half steps and the input samples (the half-step input, built per
-    chunk, is the midpoint of its neighbours, the best available with
-    sampled data)."""
-    if e_in is not None and e_in.grid != grid:
-        raise ParameterError("input envelope grid differs from the run grid")
-    if not g.is_nonnegative():
-        raise ParameterError("coupling schedule must be non-negative")
-    t = grid.times()
-    tm = t[:-1] + 0.5 * grid.dt
-    s_in = (e_in.samples if e_in is not None
-            else np.zeros(grid.n, dtype=complex))
-    return g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm), s_in
-
-
-def _midpoints(s):
-    return 0.5 * (s[:-1] + s[1:])
-
-
 def _real_system(dv, dm, s_in, sigma0):
     """The unit p (1 or 1j) that makes the run one real system, with the
     input's real coordinates s_in / p; (None, s_in) if no p does.
@@ -295,6 +277,42 @@ def _states(n, h, coefficients, x0, p):
     return x
 
 
+def _run(e_in, g, delta, p, grid, x0, rate, guard, tables, output):
+    """A run of either model from x0 = (sigma0[, E0]), all but the
+    model's equations: rate(g, Delta) gives its stiffest rate on a set of
+    samples and guard its StabilityError text, with hr = dt * that rate
+    and bound = MAX_RATE_STEP; tables(g, Delta, s) gives J (d, d, .) and
+    f (d, 1, .) at samples, of u if s is real; output(x, s_in, g) gives
+    E_out and E_cav (or None).  The half-step input is the midpoint."""
+    if e_in is not None and e_in.grid != grid:
+        raise ParameterError("input envelope grid differs from the run grid")
+    if not g.is_nonnegative():
+        raise ParameterError("coupling schedule must be non-negative")
+    h = grid.dt
+    t = grid.times()
+    tm = t[:-1] + 0.5 * h
+    gv, gm, dv, dm = g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm)
+    del t, tm
+    hr = h * max(rate(gv, dv), rate(gm, dm))
+    if hr > MAX_RATE_STEP:
+        raise StabilityError(guard.format(hr=hr, bound=MAX_RATE_STEP))
+    s_in = (e_in.samples if e_in is not None
+            else np.zeros(grid.n, dtype=complex))
+    unit, s_x = _real_system(dv, dm, s_in, x0[0])
+
+    def coefficients(a, b):
+        s = s_x[a:b + 1]
+        (j, f), (jm, fm) = (tables(gv[a:b + 1], dv[a:b + 1], s),
+                            tables(gm[a:b], dm[a:b], 0.5 * (s[:-1] + s[1:])))
+        return j, jm, f, fm
+
+    x = _states(grid.n - 1, h, coefficients, x0, unit)
+    del gm, dv, dm                      # freed before the output and ledger
+    e_out, e_cav = output(x, s_in, gv)
+    return _with_ledger(p, g, x[0], e_in, FieldEnvelope(grid, e_out),
+                        _effective_time(gv, p.kappa, h), e_cav)
+
+
 def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
                        delta: Schedule, p: CavityParams, grid: TimeGrid,
                        sigma0: complex = 0.0) -> SimResult:
@@ -304,40 +322,23 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
     sigma0).  The step guard is dt * max(g^2/kappa + gamma + |Delta|)
     <= 0.1, the stiffest retained rate.
     """
-    gv, gm, dv, dm, s_in = _stage_values(e_in, g, delta, grid)
-    h = grid.dt
+    drive = 1j * np.sqrt(2.0 / p.kappa)
 
     def loss(g):                        # -Re J, also in the step guard
         return p.gamma + g * g / p.kappa
 
-    rmax = max((loss(gv) + np.abs(dv)).max(), (loss(gm) + np.abs(dm)).max())
-    if h * rmax > MAX_RATE_STEP:
-        raise StabilityError(
-            f"dt*max(g^2/kappa+gamma+|Delta|) = {h * rmax:.3g} exceeds "
-            f"{MAX_RATE_STEP}; refine the grid")
-
-    drive = 1j * np.sqrt(2.0 / p.kappa)
-    unit, s_x = _real_system(dv, dm, s_in, sigma0)
-
     def tables(g, d, s):                # J = -loss - i Delta, f = drive g s
-        if unit is not None:            # of u, sigma = i unit u
+        if s.dtype.kind == "f":         # of u, sigma = i unit u
             return -loss(g)[None, None], (drive.imag * g * s)[None, None]
         j = np.empty((1, 1, g.size), dtype=complex)
         j.real, j.imag = -loss(g), -d
         return j, (drive * g * s)[None, None]
 
-    def coefficients(a, b):
-        s = s_x[a:b + 1]
-        (j, f), (jm, fm) = (tables(gv[a:b + 1], dv[a:b + 1], s),
-                            tables(gm[a:b], dm[a:b], _midpoints(s)))
-        return j, jm, f, fm
-
-    sigma = _states(grid.n - 1, h, coefficients, (sigma0,), unit)[0]
-    del gm, dv, dm                      # freed before the output and ledger
-
-    e_out = FieldEnvelope(grid, s_in + drive * gv * sigma)
-    tau = _effective_time(gv, p.kappa, h)
-    return _with_ledger(p, g, sigma, e_in, e_out, tau)
+    return _run(e_in, g, delta, p, grid, (sigma0,),
+                lambda g, d: (loss(g) + np.abs(d)).max(),
+                "dt*max(g^2/kappa+gamma+|Delta|) = {hr:.3g} exceeds "
+                "{bound}; refine the grid", tables,
+                lambda x, s_in, g: (s_in + drive * g * x[0], None))
 
 
 def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
@@ -349,23 +350,12 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
     dt * max(kappa, gamma + |Delta|, g) <= 0.1 at the grid points and
     the half steps, where RK4's middle stages read the rates.
     """
-    gv, gm, dv, dm, s_in = _stage_values(e_in, g, delta, grid)
-    h = grid.dt
-    stiff = max(p.kappa, p.gamma + float(max(np.abs(dv).max(initial=0.0),
-                                             np.abs(dm).max(initial=0.0))),
-                float(max(gv.max(initial=0.0), gm.max(initial=0.0))))
-    if h * stiff > MAX_RATE_STEP:
-        raise StabilityError(
-            f"dt*kappa (or dt*max rate) = {h * stiff:.3g} exceeds "
-            f"{MAX_RATE_STEP}; the full model must resolve 1/kappa")
-
     root2k = np.sqrt(2.0 * p.kappa)
-    unit, s_x = _real_system(dv, dm, s_in, sigma0)
 
     def tables(g, d, s):                # J and f of x = (sigma, E), or of
         j = np.empty((2, 2) + g.shape, dtype=s.dtype)   # u if s is real
         j[0, 0], j[1, 1] = -p.gamma, -p.kappa
-        if unit is None:
+        if s.dtype.kind == "c":
             j[0, 0].imag = -d
             j[0, 1] = j[1, 0] = 1j * g
         else:                           # (sigma, E) = (i unit u_1, unit u_2)
@@ -374,18 +364,12 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
         f[1, 0] = root2k * s
         return j, f
 
-    def coefficients(a, b):
-        s = s_x[a:b + 1]
-        (j, f), (jm, fm) = (tables(gv[a:b + 1], dv[a:b + 1], s),
-                            tables(gm[a:b], dm[a:b], _midpoints(s)))
-        return j, jm, f, fm
-
-    sigma, ecav = _states(grid.n - 1, h, coefficients, (sigma0, 0.0), unit)
-    del gm, dv, dm                      # freed before the output and ledger
-
-    e_out = FieldEnvelope(grid, -s_in + root2k * ecav)
-    tau = _effective_time(gv, p.kappa, h)
-    return _with_ledger(p, g, sigma, e_in, e_out, tau, ecav)
+    return _run(e_in, g, delta, p, grid, (sigma0, 0.0),
+                lambda g, d: max(p.kappa, p.gamma + np.abs(d).max(initial=0.0),
+                                 g.max(initial=0.0)),
+                "dt*kappa (or dt*max rate) = {hr:.3g} exceeds {bound}; "
+                "the full model must resolve 1/kappa", tables,
+                lambda x, s_in, g: (-s_in + root2k * x[1], x[1]))
 
 
 def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,

@@ -37,8 +37,10 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import time
 from contextlib import ExitStack
@@ -137,8 +139,15 @@ def _read_csv_columns(path: Path, ncols_min: int, ncols_max: int,
     data row has the same width and only finite cells."""
     if not path.exists():
         raise ConfigError(f"CSV file {path} at {where} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"CSV file {path} at {where} is not a file")
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"CSV file {path} at {where} is not UTF-8 text: {exc}") from exc
     rows = []
-    with open(path, newline="") as f:
+    with io.StringIO(text, newline="") as f:
         for lineno, rec in enumerate(csv.reader(f), start=1):
             if not rec:
                 continue
@@ -175,6 +184,8 @@ def _table(node: dict, base_dir: Path, where: str, names,
         if inline:
             raise ConfigError(
                 f"{where}: give either csv or inline arrays, not both")
+        if not isinstance(node["csv"], str):
+            raise ConfigError(f"{where}.csv must be a path, got {node['csv']!r}")
         cols = _read_csv_columns(base_dir / node["csv"],
                                  len(names) - len(optional), len(names), where)
     else:
@@ -525,16 +536,38 @@ def scenario_from_dict(raw: dict, base_dir="." ) -> Scenario:
                     dump_fields=dump_fields, design=design, config=config)
 
 
+@functools.cache
+def _yaml_loader():
+    """yaml.SafeLoader that also reads 1e-6, 5e5 and 1e+16 as floats.
+    YAML 1.1 wants a dot and a signed exponent, so the safe loader
+    returns these as strings, although JSON and YAML 1.2 write them."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."))
+    return Loader
+
+
 def load_scenario(path) -> Scenario:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    if not path.is_file():
+        raise ConfigError(f"config file {path} is not a file")
     import yaml     # imported here: only loading a file pays for it
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:
         try:
-            raw = yaml.safe_load(f)
+            raw = yaml.load(f, Loader=_yaml_loader())
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"config file {path} is not UTF-8 text: {exc}") from exc
     return scenario_from_dict(raw, base_dir=path.parent)
 
 
@@ -603,7 +636,12 @@ def _initial_spinwave(scn: Scenario, x: np.ndarray) -> np.ndarray:
         prof = np.exp(-((x - spec["center_frac"]) ** 2)
                       / (2.0 * spec["sigma_frac"] ** 2)).astype(complex)
         n2 = float(np.trapezoid(np.abs(prof) ** 2, x=x))
-        return prof * np.sqrt(spec["excitation"] / n2)
+        # a norm that is 0, or so small that the scale overflows
+        scale = spec["excitation"] / n2 if n2 > 0.0 else np.inf
+        if not np.isfinite(scale):
+            raise ConfigError("initial_excitation: the Gaussian spin wave "
+                              "vanishes on the z grid")
+        return prof * np.sqrt(scale)
     return _sampled(spec, "x", x)
 
 

@@ -540,6 +540,25 @@ def test_stability_guard_trips():
         simulate_full(None, g, ZERO, CavityParams(KAPPA), grid, sigma0=1.0)
 
 
+@pytest.mark.parametrize("sim, message", [
+    (simulate_adiabatic, "dt*max(g^2/kappa+gamma+|Delta|) = 26.7 exceeds "
+                         "0.1; refine the grid"),
+    (simulate_full, "dt*kappa (or dt*max rate) = 14.3 exceeds 0.1; the "
+                    "full model must resolve 1/kappa"),
+])
+def test_stability_guard_messages(sim, message):
+    """Each model's guard names its stiffest rate and gives dt times it
+    to three digits: g^2/kappa + gamma + |Delta| = 2.669e6 rad/s in the
+    adiabatic model, and gamma + |Delta| = 1.4345e6 rad/s, above kappa
+    and g, in the full one, at dt = 1e-5 s."""
+    grid = TimeGrid.from_span(0.0, 1e-3, 101)
+    g = Schedule.square(1.1111e6, 0.0, 1e-3)
+    delta = Schedule.square(1.2345e6, 0.0, 1e-3)
+    with pytest.raises(StabilityError) as exc:
+        sim(None, g, delta, CavityParams(KAPPA, 2e5), grid, sigma0=1.0)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("sim", [simulate_adiabatic, simulate_full])
 def test_stability_guard_reads_the_half_steps(sim):
     """RK4's middle stages use the rates at the half steps, so a

@@ -1192,6 +1192,34 @@ def test_read_sweep_refuses_a_zero_initial_excitation(tmp_path, given):
     assert abs(rows[0, 1] - (1.0 - math.exp(-2.0))) < 1e-6
 
 
+# (center_frac, sigma_frac) of Gaussian spin waves that vanish on the
+# default 201-point z grid, centred between two points: the first is 0
+# at every point, the second's norm is so small that its scale overflows
+_VANISHING_SPINWAVES = {
+    "zero": (0.5003, 1e-9),
+    "overflowing scale": (0.5025, 0.0025 / math.sqrt(310 * math.log(10))),
+}
+
+
+@pytest.mark.parametrize("case", _VANISHING_SPINWAVES)
+def test_a_vanishing_gaussian_spin_wave_is_refused(tmp_path, case):
+    """A Gaussian initial spin wave that vanishes on the z grid cannot
+    be scaled to its excitation: the run refuses it (exit 2) with a
+    ConfigError naming `initial_excitation`."""
+    center, sigma = _VANISHING_SPINWAVES[case]
+    cfg = freespace_cfg(input={"kind": "none"}, initial_excitation={
+        "kind": "gaussian", "center_frac": center, "sigma_frac": sigma})
+    with pytest.raises(ConfigError, match="initial_excitation.*vanishes"):
+        run_scenario(scenario_from_dict(cfg))
+    proc = _cli(["run", str(_write_cfg(tmp_path, cfg)), "--outdir",
+                 str(tmp_path / "out")], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert (err["error"] == "ConfigError"
+            and "initial_excitation" in err["message"])
+    assert not (tmp_path / "out").exists()
+
+
 def test_depth_sweep_refuses_a_model_it_would_not_run(tmp_path):
     """The depth sweep marches its rows, so a freespace-analytic
     scenario is refused (exit 2) by a ConfigError naming `model`."""
@@ -1395,6 +1423,106 @@ def test_cli_reports_config_errors_as_json(tmp_path):
     err = json.loads(proc.stderr)
     assert err["error"] == "ConfigError"
     assert "missing.yaml" in err["message"]
+
+
+# a cavity scenario whose tables are written in exponent notation, as
+# YAML 1.2 and JSON (json.dumps prints 1e-06) write them
+_EXPONENT_YAML = """\
+model: cavity-adiabatic
+cavity: {kappa: "1 MHz_angular"}
+grid: {start: "0 us", stop: "2 us", points: 201}
+coupling:
+  - kind: piecewise_linear
+    time_s: [0, 1e-6, 1.5e-6, 2e-6]
+    value: [0, 5e5, 5.0e5, 0]
+input: {kind: optimal}
+"""
+
+
+def _exponent_cfg():
+    return cavity_cfg(
+        grid={"start": "0 us", "stop": "2 us", "points": 201},
+        coupling=[{"kind": "piecewise_linear",
+                   "time_s": [0.0, 1e-6, 1.5e-6, 2e-6],
+                   "value": [0.0, 5e5, 5e5, 0.0]}])
+
+
+@pytest.mark.parametrize("name", ["case.yaml", "case.json"])
+def test_cli_reads_exponent_notation_as_numbers(tmp_path, name):
+    """1e-6 and 5e5 are numbers in YAML and in json.dumps output, and
+    the scenario hashes as the same dict given to scenario_from_dict."""
+    cfg = _exponent_cfg()
+    path = tmp_path / name
+    path.write_text(_EXPONENT_YAML if name.endswith(".yaml")
+                    else json.dumps(cfg))
+    assert "1e-06" in path.read_text() or "1e-6" in path.read_text()
+    proc = _cli(["run", str(path), "--outdir", str(tmp_path / "out")],
+                cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert result["scenario_hash"] == scenario_hash(scenario_from_dict(cfg))
+
+
+def test_cli_still_refuses_a_quoted_exponent(tmp_path):
+    path = tmp_path / "case.yaml"
+    path.write_text(_EXPONENT_YAML.replace("[0, 1e-6,", '[0, "1e-6",'))
+    proc = _cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr) == {
+        "error": "ConfigError",
+        "message": "expected a bare number at coupling[0].time_s[1], "
+                   "got '1e-6'"}
+
+
+def test_load_keeps_counts_strings_and_specials():
+    """The exponent resolver changes only unquoted exponent notation:
+    counts stay ints, quoted numbers and unit strings stay strings."""
+    from dipolemem.scenarios import _yaml_loader
+    doc = yaml.load(
+        "[2001, '1e-6', 1 us, .inf, 1.0e-6, 5.0e+5, 1e-6, 5e5, 1e+16, 1.e3,"
+        " .5e-1, -2E3, 1e, e5, 1_000]", Loader=_yaml_loader())
+    assert doc[:4] == [2001, "1e-6", "1 us", float("inf")]
+    assert doc[4:12] == [1e-6, 5e5, 1e-6, 5e5, 1e16, 1e3, 0.05, -2e3]
+    assert all(type(x) is float for x in doc[4:12])
+    assert doc[12:14] == ["1e", "e5"] and doc[14] == 1000
+    assert type(doc[0]) is int
+
+
+@pytest.mark.parametrize("what", ["directory", "non-UTF-8 file"])
+def test_cli_refuses_a_config_that_is_not_a_text_file(tmp_path, what):
+    if what == "directory":
+        path = tmp_path / "cfg.yaml"
+        path.mkdir()
+    else:
+        path = _write_cfg(tmp_path, cavity_cfg())
+        path.write_bytes(path.read_bytes() + b"# caf\xe9\n")
+    proc = _cli(["run", str(path)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert str(path) in err["message"]
+
+
+@pytest.mark.parametrize("what", ["directory", "non-UTF-8 file", "number"])
+def test_cli_refuses_a_table_that_is_not_a_text_file(tmp_path, what):
+    """A csv path to a directory or to a file that is not UTF-8, or a
+    csv value that is not a path at all (`csv: 1e5` reads as a number),
+    exits 2 with a ConfigError naming the table."""
+    table = tmp_path / "g.csv"
+    if what == "directory":
+        table.mkdir()
+    else:
+        table.write_bytes(b"time_s,value\xff\n0,0\n1e-6,5e5\n2e-6,0\n")
+    cfg = _write_cfg(tmp_path, cavity_cfg(
+        grid={"start": "0 us", "stop": "2 us", "points": 201},
+        coupling=[{"kind": "piecewise_linear",
+                   "csv": 1e5 if what == "number" else "g.csv"}]))
+    proc = _cli(["run", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert "coupling[0]" in err["message"]
+    assert ("100000.0" if what == "number" else "g.csv") in err["message"]
 
 
 def test_cli_reports_numeric_refusals(tmp_path):
