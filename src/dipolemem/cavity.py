@@ -16,10 +16,14 @@ Two models of one atom/ensemble dipole coupled to a one-sided cavity:
 
 Both are linear, x' = J(t) x + f(t) with x = sigma or (sigma, E), and
 share one run pipeline, `_run`: a model gives only its equations (its
-stiffest rate, J and f, and its output map), and `_run` samples g and
-Delta, guards the step, picks the tables, solves with one classical
-fixed-step RK4 scheme on the TimeGrid (reproducible; no adaptivity) and
-closes with E_out, tau and the ledger.  `_solve` builds each step's
+stiffest rate, J and f, and its output map), and `_run` reads the
+samples that g and Delta keep for the grid (`Schedule._samples`),
+guards the step, picks the tables, solves with one classical fixed-step
+RK4 scheme on the TimeGrid (reproducible; no adaptivity), checks that
+the states are finite and returns a `SimResult`.  The result computes
+E_out, tau and each ledger entry on its first read and keeps it, so a
+sweep row that reads one efficiency pays for the solve and that number
+only.  `_solve` builds each step's
 affine map x_{k+1} = x_k + D_k x_k + v_k with `_rk4_maps` in cache-sized
 chunks of steps, sized by the model's d^2 table entries per step
 (schedules at the exact stage times, input samples linearly interpolated
@@ -43,7 +47,7 @@ computes the same products and sums, so both routes give the same
 bits.  Every other run uses complex tables; the data alone decide.
 
 Efficiencies are defined through the photon-number ledger
-(`schedules.ledger`): at any detuning the dynamics obey
+(`schedules.Ledger`): at any detuning the dynamics obey
 dN/dt = |E_in|^2 - |E_out|^2 - 2 gamma |sigma|^2, so a normalized input
 pulse splits into stored excitation, leaked (reflected/transmitted)
 energy and, for gamma > 0, dipole decay loss.
@@ -58,7 +62,7 @@ import numpy as np
 
 from .errors import ParameterError, StabilityError
 from .schedules import (FieldEnvelope, Ledger, Schedule, TimeGrid,
-                        _effective_time, ledger)
+                        _effective_time, _entry)
 
 # Explicit RK4 is stable for |rate * dt| up to ~2.8, but accuracy (and the
 # spirit of a fixed-step scheme) wants a hard guard well below that.
@@ -86,19 +90,54 @@ class CavityParams:
         return g0 * g0 / (self.kappa * self.gamma)
 
 
-@dataclass(eq=False)
 class SimResult(Ledger):
     """Trajectories plus the photon-number ledger (`Ledger`, N = |sigma|^2)
-    of one run; e_cav is None where the model slaves the field to sigma."""
+    of one run; e_cav is None where the model slaves the field to sigma.
+    e_out, tau and each ledger entry are computed on their first read
+    and then kept, each by the one formula it always has: a sweep row
+    that reads eta_w computes |sigma|^2 and the input energy, and one
+    that reads eta_r the stored energy and the read's decay."""
 
-    grid: TimeGrid
-    params: CavityParams
-    g: Schedule
-    sigma: np.ndarray
-    e_cav: Optional[np.ndarray]
-    e_in: Optional[FieldEnvelope]
-    e_out: FieldEnvelope
-    tau: np.ndarray
+    def __init__(self, grid: TimeGrid, params: CavityParams, g: Schedule,
+                 sigma: np.ndarray, e_cav: Optional[np.ndarray],
+                 e_in: Optional[FieldEnvelope], output):
+        super().__init__(grid, params.gamma)
+        self.params, self.g, self.sigma, self.e_cav, self.e_in = (
+            params, g, sigma, e_cav, e_in)
+        self._output = output           # () -> the E_out samples
+
+    @_entry
+    def e_out(self) -> FieldEnvelope:
+        return FieldEnvelope(self.grid, self._output())
+
+    @_entry
+    def tau(self) -> np.ndarray:
+        return _effective_time(self.g._samples(self.grid, False),
+                               self.params.kappa, self.grid.dt)
+
+    @_entry
+    def input_energy(self) -> float:
+        return self.e_in.norm2() if self.e_in is not None else 0.0
+
+    @_entry
+    def _windows(self):
+        return self.g.windows(self.grid)
+
+    @_entry
+    def _n(self) -> np.ndarray:
+        return np.abs(self.sigma) ** 2
+
+    @_entry
+    def _total(self) -> np.ndarray:
+        """The stored energy: |sigma|^2, plus |E_cav|^2 if the model
+        keeps the field."""
+        if self.e_cav is None:
+            return self._n
+        return self._n + np.abs(self.e_cav) ** 2
+
+    @_entry
+    def _out2(self) -> np.ndarray:
+        return np.abs(self.e_out.samples) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +322,16 @@ def _run(e_in, g, delta, p, grid, x0, rate, guard, tables, output):
     samples and guard its StabilityError text, with hr = dt * that rate
     and bound = MAX_RATE_STEP; tables(g, Delta, s) gives J (d, d, .) and
     f (d, 1, .) at samples, of u if s is real; output(x, s_in, g) gives
-    E_out and E_cav (or None).  The half-step input is the midpoint."""
+    E_out, computed when the result's e_out is first read.  The state is
+    sigma, then E_cav where the model keeps it.  The half-step input is
+    the midpoint."""
     if e_in is not None and e_in.grid != grid:
         raise ParameterError("input envelope grid differs from the run grid")
     if not g.is_nonnegative():
         raise ParameterError("coupling schedule must be non-negative")
     h = grid.dt
-    t = grid.times()
-    tm = t[:-1] + 0.5 * h
-    gv, gm, dv, dm = g.eval(t), g.eval(tm), delta.eval(t), delta.eval(tm)
-    del t, tm
+    gv, gm, dv, dm = (sched._samples(grid, half) for sched in (g, delta)
+                      for half in (False, True))
     hr = h * max(rate(gv, dv), rate(gm, dm))
     if hr > MAX_RATE_STEP:
         raise StabilityError(guard.format(hr=hr, bound=MAX_RATE_STEP))
@@ -307,10 +346,11 @@ def _run(e_in, g, delta, p, grid, x0, rate, guard, tables, output):
         return j, jm, f, fm
 
     x = _states(grid.n - 1, h, coefficients, x0, unit)
-    del gm, dv, dm                      # freed before the output and ledger
-    e_out, e_cav = output(x, s_in, gv)
-    return _with_ledger(p, g, x[0], e_in, FieldEnvelope(grid, e_out),
-                        _effective_time(gv, p.kappa, h), e_cav)
+    if not np.isfinite(x.view(float)).all():
+        raise ParameterError("the run's states must be finite; its input "
+                             "or initial excitation overflows the solve")
+    return SimResult(grid, p, g, x[0], x[1] if len(x) > 1 else None, e_in,
+                     lambda: output(x, s_in, gv))
 
 
 def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
@@ -338,7 +378,7 @@ def simulate_adiabatic(e_in: Optional[FieldEnvelope], g: Schedule,
                 lambda g, d: (loss(g) + np.abs(d)).max(),
                 "dt*max(g^2/kappa+gamma+|Delta|) = {hr:.3g} exceeds "
                 "{bound}; refine the grid", tables,
-                lambda x, s_in, g: (s_in + drive * g * x[0], None))
+                lambda x, s_in, g: s_in + drive * g * x[0])
 
 
 def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
@@ -369,7 +409,7 @@ def simulate_full(e_in: Optional[FieldEnvelope], g: Schedule, delta: Schedule,
                                  g.max(initial=0.0)),
                 "dt*kappa (or dt*max rate) = {hr:.3g} exceeds {bound}; "
                 "the full model must resolve 1/kappa", tables,
-                lambda x, s_in, g: (-s_in + root2k * x[1], x[1]))
+                lambda x, s_in, g: -s_in + root2k * x[1])
 
 
 def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,
@@ -387,11 +427,13 @@ def read_analytic(sigma0: complex, g: Schedule, p: CavityParams,
     if not g.is_nonnegative():
         raise ParameterError("coupling schedule must be non-negative")
     t = grid.times()
-    gv = g.eval(t)
+    gv = g._samples(grid, False)
     tau = _effective_time(gv, p.kappa, grid.dt)
     sigma = sigma0 * np.exp(-tau - p.gamma * (t - grid.t0))
-    e_out = FieldEnvelope(grid, 1j * np.sqrt(2.0 / p.kappa) * gv * sigma)
-    return _with_ledger(p, g, sigma, None, e_out, tau)
+    res = SimResult(grid, p, g, sigma, None, None,
+                    lambda: 1j * np.sqrt(2.0 / p.kappa) * gv * sigma)
+    res.tau = tau
+    return res
 
 
 def square_pulse_efficiency(g0: float, duration: float, p: CavityParams) -> float:
@@ -415,24 +457,8 @@ def square_pulse_efficiency(g0: float, duration: float, p: CavityParams) -> floa
 
 
 # ---------------------------------------------------------------------------
-# ledger and diagnostics
+# diagnostics
 # ---------------------------------------------------------------------------
-
-def _stored(sigma, e_cav):
-    """|sigma|^2 and the stored energy, which adds |E_cav|^2 if given."""
-    spin = np.abs(sigma) ** 2
-    return spin, spin if e_cav is None else spin + np.abs(e_cav) ** 2
-
-
-def _with_ledger(p, g, sigma, e_in, e_out, tau, e_cav=None) -> SimResult:
-    grid = e_out.grid
-    spin, total = _stored(sigma, e_cav)
-    led = ledger(grid, g.windows(grid), spin, np.abs(e_out.samples) ** 2,
-                 e_in.norm2() if e_in is not None else 0.0, p.gamma,
-                 total=total)
-    return SimResult(**vars(led), grid=grid, params=p, g=g, sigma=sigma,
-                     e_cav=e_cav, e_in=e_in, e_out=e_out, tau=tau)
-
 
 def continuity_residual(result: SimResult) -> float:
     """Photon-number continuity diagnostic:
@@ -448,13 +474,12 @@ def continuity_residual(result: SimResult) -> float:
     straddles the edge's kink there, an artifact of differentiation.
     """
     grid = result.grid
-    spin, stored = _stored(result.sigma, result.e_cav)
+    spin, stored, out2 = result._n, result._total, result._out2
     in2 = 0.0 if result.e_in is None else np.abs(result.e_in.samples) ** 2
-    out2 = np.abs(result.e_out.samples) ** 2
     resid = np.abs(np.gradient(stored, grid.dt, edge_order=2) - in2 + out2
                    + 2.0 * result.params.gamma * spin)
     mask = np.ones(grid.n, dtype=bool)
-    for window in result.g.windows(grid):
+    for window in result._windows:
         for k in window:
             mask[max(k - 1, 0):k + 2] = False
     denom = max(np.max(in2, initial=0.0), out2.max(initial=0.0))

@@ -38,9 +38,10 @@ def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
                   grid: TimeGrid) -> np.ndarray:
     """The write kernel's shape g(t) exp(R(t) - R(t_w)) on the grid, so
     that k = i sqrt(2/kappa) times it; zero past the write end t_w, the
-    last sample of the first window of `Schedule.windows`."""
-    t = grid.times()
-    gv = g_w.eval(t)
+    last sample of the first window of `Schedule.windows`.  g and Delta
+    are the schedules' kept samples (`Schedule._samples`), which the run
+    that stores this input reads too."""
+    gv = g_w._samples(grid, False)
     if np.any(gv < 0.0):
         raise ParameterError("write coupling must be non-negative")
     if gv.max(initial=0.0) == 0.0:
@@ -50,7 +51,7 @@ def _write_kernel(g_w: Schedule, delta: Optional[Schedule], p: CavityParams,
     rate /= p.kappa
     rate += p.gamma
     if delta is not None and delta.max_abs() > 0.0:
-        rate = rate + 1j * delta.eval(t)
+        rate = rate + 1j * delta._samples(grid, False)
     R = cumtrapz0(rate, grid.dt)
     del rate
     i = g_w.windows(grid)[0][1]

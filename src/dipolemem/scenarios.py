@@ -121,9 +121,17 @@ def _read(node, where: str, dims: dict, required=None, extra=()) -> dict:
             for k, dim in dims.items() if k in node}
 
 
+# the largest point count a config may give: a grid of 10^9 points
+# holds 8 GB in each float array, far past any useful run, and numpy
+# cannot even allocate a count past 2^63
+_MAX_COUNT = 10**9
+
+
 def _count(n, where: str, least: int, note: str = "") -> int:
     if not isinstance(n, int) or isinstance(n, bool) or n < least:
         raise ConfigError(f"{where} must be an integer >= {least}{note}")
+    if n > _MAX_COUNT:
+        raise ConfigError(f"{where} must be at most {_MAX_COUNT:,}, got {n}")
     return n
 
 
@@ -142,7 +150,8 @@ def _read_csv_columns(path: Path, ncols_min: int, ncols_max: int,
     if not path.is_file():
         raise ConfigError(f"CSV file {path} at {where} is not a file")
     try:
-        text = path.read_bytes().decode("utf-8")
+        # a byte-order mark is not part of the first row
+        text = path.read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(
             f"CSV file {path} at {where} is not UTF-8 text: {exc}") from exc
@@ -807,11 +816,14 @@ def _run_cavity(scn: Scenario):
                    "continuity_residual": continuity_residual(sim)}
     summary = {"model": scn.model, "tau_total": float(sim.tau[-1]),
                **_ledger_summary(sim)}
+    # the tables are the run's largest arrays: the result's input, tau
+    # and ledger arrays go before they are built
+    e_out, sigma = sim.e_out.samples, sim.sigma
+    del sim
     t = scn.grid.times()
     tables = [
-        ("e_out.csv", ("time_s", "re", "im"),
-         _envelope_rows(t, sim.e_out.samples)),
-        ("spinwave.csv", ("time_s", "re", "im"), _envelope_rows(t, sim.sigma)),
+        ("e_out.csv", ("time_s", "re", "im"), _envelope_rows(t, e_out)),
+        ("spinwave.csv", ("time_s", "re", "im"), _envelope_rows(t, sigma)),
     ]
     return summary, diagnostics, tables
 

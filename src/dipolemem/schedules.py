@@ -31,6 +31,7 @@ normalization drift of a run, measured against its coupling windows.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -41,6 +42,10 @@ from .errors import ParameterError, SingularTransformError
 # Values below this fraction of a schedule's peak are snapped to exactly
 # zero, so "where the coupling vanishes" is a well-defined set.
 ZERO_LEVEL = 1e-12
+
+# guards every schedule's kept samples (`Schedule._samples`); reentrant,
+# as a scaled copy fills its own from its base's
+_SAMPLES_LOCK = threading.RLock()
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +417,10 @@ class Schedule:
                     "meet where both are nonzero; their values would add "
                     "at the shared sample")
         self.segments = segs
+        # the samples of `_samples`, kept for one grid at a time; a
+        # schedule made by `scaled` reads its base's
+        self._grid, self._kept = None, [None, None]
+        self._base, self._factor = None, 1.0
 
     # -- evaluation ---------------------------------------------------------
 
@@ -428,6 +437,27 @@ class Schedule:
         peak = self.max_abs()
         if peak > 0.0:
             out[np.abs(out) < ZERO_LEVEL * peak] = 0.0
+        return out
+
+    def _samples(self, grid: TimeGrid, half: bool) -> np.ndarray:
+        """The schedule at the n points of `grid`, or at its n - 1 half
+        steps t + dt/2 if `half`, sampled once through `eval` and kept
+        read-only until another grid is asked for.  A schedule made by
+        `scaled(s)` takes s times its base's samples, so however many
+        scaled copies a sweep's rows read, the segments are evaluated
+        once per grid.  Safe to call from several threads."""
+        with _SAMPLES_LOCK:
+            if self._grid != grid:
+                self._grid, self._kept = grid, [None, None]
+            out = self._kept[half]
+            if out is None:
+                if self._base is not None:
+                    out = self._factor * self._base._samples(grid, half)
+                else:
+                    t = grid.times()
+                    out = self.eval(t[:-1] + 0.5 * grid.dt if half else t)
+                out.flags.writeable = False
+                self._kept[half] = out
         return out
 
     # -- structure ----------------------------------------------------------
@@ -452,7 +482,9 @@ class Schedule:
         return [(i, j) for i, j in spans if i <= j]
 
     def scaled(self, s: float) -> "Schedule":
-        return Schedule([seg.scaled(s) for seg in self.segments])
+        out = Schedule([seg.scaled(s) for seg in self.segments])
+        out._base, out._factor = self, s
+        return out
 
     def is_nonnegative(self) -> bool:
         """Non-negativity from the amplitudes and knots alone.  No grid
@@ -574,7 +606,7 @@ def effective_time(g: Schedule, kappa: float, grid: TimeGrid) -> np.ndarray:
     Trapezoidal quadrature on the grid; tau is non-decreasing and
     dimensionless.  kappa must be positive and g non-negative.
     """
-    return _effective_time(g.eval(grid.times()), kappa, grid.dt)
+    return _effective_time(g._samples(grid, False), kappa, grid.dt)
 
 
 def _effective_time(gv: np.ndarray, kappa: float, dt: float) -> np.ndarray:
@@ -597,7 +629,7 @@ def effective_fields(field: FieldEnvelope, g: Schedule,
     raised.
     """
     t = field.grid.times()
-    gv = g.eval(t)
+    gv = g._samples(field.grid, False)
     tau = _effective_time(gv, kappa, field.grid.dt)
     values = _effective_values(field.samples, gv, kappa, t)
     return EffectiveField(tau=tau, t=t, values=values, grid=field.grid)
@@ -624,7 +656,24 @@ def _effective_values(samples: np.ndarray, gv: np.ndarray, kappa: float,
 # photon-number ledger
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
+class _entry:
+    """A result entry computed on its first read and then kept in the
+    instance, where later reads find it without coming back here.
+    Unlike `functools.cached_property` (before Python 3.12) it takes no
+    lock shared by all instances, so results on several threads do not
+    wait for each other."""
+
+    def __init__(self, compute):
+        self.compute, self.name = compute, compute.__name__
+        self.__doc__ = compute.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
+
+
 class Ledger:
     """Photon bookkeeping of one run against its coupling windows.
 
@@ -633,37 +682,125 @@ class Ledger:
     loss.  eta_w is the excitation at the last grid sample of the first
     coupling window (the write window) over the input; eta_r is the
     share of the energy stored at the first sample of the second window
-    (the read window) that the read releases (see `ledger`);
-    eta_tot is the output from there on over the input.  write_end and
-    read_start are the times of those two samples.  Entries that do not
-    apply to a run (e.g. eta_w for a pure read) are None.
+    (the read window) that the read releases; eta_tot is the output from
+    there on over the input.  write_end and read_start are the times of
+    those two samples.  Entries that do not apply to a run (e.g. eta_w
+    for a pure read) are None.
+
+    Each entry is computed on its first read and then kept, so a caller
+    pays only for what it reads: eta_w needs N and the input energy,
+    eta_r the stored energy and the decay over the read.  The run
+    supplies, as attributes or as entries of its own, `_windows` (the
+    coupling windows of `Schedule.windows`), `_n` (the stored excitation
+    N(t) that decays at rate 2 gamma), `_total` (the whole stored
+    energy, N unless the model stores more), `_out2` (|E_out|^2 on the
+    grid) and `input_energy`; see `ledger` for the rules.
     """
 
-    input_energy: float
-    output_energy: float
-    stored_initial: float
-    stored_final: float
-    decay: float
-    normalization_drift: float
-    eta_w: Optional[float]
-    eta_r: Optional[float]
-    eta_tot: Optional[float]
-    leakage: Optional[float]
-    write_end: Optional[float]
-    read_start: Optional[float]
+    def __init__(self, grid: TimeGrid, gamma: float):
+        self.grid, self._gamma = grid, gamma
+
+    @_entry
+    def _total(self):
+        return self._n
+
+    @_entry
+    def output_energy(self) -> float:
+        return float(np.trapezoid(self._out2, dx=self.grid.dt))
+
+    @_entry
+    def decay(self) -> float:
+        return 2.0 * self._gamma * float(np.trapezoid(self._n, dx=self.grid.dt))
+
+    @_entry
+    def stored_initial(self) -> float:
+        return float(self._total[0])
+
+    @_entry
+    def stored_final(self) -> float:
+        return float(self._total[-1])
+
+    @_entry
+    def normalization_drift(self) -> float:
+        norm = max(self.input_energy, self.stored_initial)
+        if not norm > 0.0:
+            return 0.0
+        return abs(self.input_energy + self.stored_initial - self.output_energy
+                   - self.stored_final - self.decay) / norm
+
+    @_entry
+    def _ends(self) -> tuple[Optional[int], Optional[int]]:
+        """The samples (i_w, i_r) where the write ends and the read
+        starts, each None where the run has none."""
+        windows = self._windows
+        if self.input_energy > 0.0:
+            return (windows[0][1] if windows else None,
+                    windows[1][0] if len(windows) > 1 else None)
+        return None, (0 if self._n[0] > 0.0 else None)
+
+    @_entry
+    def eta_w(self) -> Optional[float]:
+        i_w = self._ends[0]
+        if i_w is not None:
+            return float(self._n[i_w]) / self.input_energy
+        return 0.0 if self.input_energy > 0.0 else None
+
+    @_entry
+    def write_end(self) -> Optional[float]:
+        i_w = self._ends[0]
+        return None if i_w is None else self.grid.t0 + self.grid.dt * i_w
+
+    @_entry
+    def read_start(self) -> Optional[float]:
+        i_r = self._ends[1]
+        if i_r is None:
+            return None
+        # a pure read starts at the grid start itself (i_r = 0)
+        return self.grid.t0 + self.grid.dt * i_r if i_r else self.grid.t0
+
+    @_entry
+    def leakage(self) -> Optional[float]:
+        i_w, i_r = self._ends
+        if self.input_energy > 0.0:
+            if i_w is None:
+                return self.output_energy / self.input_energy
+            return float(np.trapezoid(self._out2[:i_w + 1], dx=self.grid.dt)
+                         ) / self.input_energy
+        return 0.0 if i_r is not None else None
+
+    @_entry
+    def eta_r(self) -> Optional[float]:
+        i_r = self._ends[1]
+        total = self._total
+        if i_r is None or not total[i_r] > 0.0:
+            return None
+        tail = 2.0 * self._gamma * np.trapezoid(self._n[i_r:], dx=self.grid.dt)
+        return float((total[i_r] - total[-1] - tail) / total[i_r])
+
+    @_entry
+    def eta_tot(self) -> Optional[float]:
+        i_r = self._ends[1]
+        if not self.input_energy > 0.0:
+            return None
+        if not self._windows:
+            return 0.0
+        if i_r is None:
+            return None
+        return float(np.trapezoid(self._out2[i_r:], dx=self.grid.dt)
+                     ) / self.input_energy
 
 
 def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
            n: np.ndarray, out2: np.ndarray, input_energy: float,
-           gamma: float, *, total: Optional[np.ndarray] = None) -> Ledger:
+           gamma: float) -> Ledger:
     """The photon-number ledger of one run, for every memory model.
 
     n is the stored excitation N(t) that decays at rate 2 gamma
     (|sigma|^2 in a cavity, the spin-wave norm in free space), out2 the
     output flux |E_out|^2 on the grid and windows the coupling windows
-    of `Schedule.windows`, as grid-sample spans.  total is the whole
-    stored energy where it exceeds N (|sigma|^2 + |E_cav|^2 in the full
-    cavity model); the normalization drift is the relative residual of
+    of `Schedule.windows`, as grid-sample spans.  The whole stored
+    energy, `_total`, is N here; the full cavity model adds |E_cav|^2.
+    The normalization drift is the relative residual of
     E_in + total(t0) = E_out + total(t_end) + decay.
 
     With input, the first window writes up to its last sample and the
@@ -676,41 +813,7 @@ def ledger(grid: TimeGrid, windows: list[tuple[int, int]],
     and at most 1 even when the full model's cavity still holds light
     there.
     """
-    h = grid.dt
-    total = n if total is None else total
-    output_energy = float(np.trapezoid(out2, dx=h))
-    decay = 2.0 * gamma * float(np.trapezoid(n, dx=h))
-    norm = max(input_energy, float(total[0]))
-    drift = 0.0
-    if norm > 0.0:
-        drift = abs(input_energy + float(total[0]) - output_energy
-                    - float(total[-1]) - decay) / norm
-
-    eta_w = eta_r = eta_tot = leakage = None
-    write_end = read_start = i_r = None
-    if input_energy > 0.0 and windows:
-        i_w = windows[0][1]
-        write_end = grid.t0 + grid.dt * i_w
-        eta_w = float(n[i_w]) / input_energy
-        leakage = float(np.trapezoid(out2[: i_w + 1], dx=h)) / input_energy
-        if len(windows) > 1:
-            i_r = windows[1][0]
-            read_start = grid.t0 + grid.dt * i_r
-    elif input_energy > 0.0:
-        eta_w = eta_tot = 0.0
-        leakage = output_energy / input_energy
-    elif n[0] > 0.0:
-        read_start, i_r, leakage = grid.t0, 0, 0.0
-    if i_r is not None:
-        if total[i_r] > 0.0:
-            tail = 2.0 * gamma * np.trapezoid(n[i_r:], dx=h)
-            eta_r = float((total[i_r] - total[-1] - tail) / total[i_r])
-        if input_energy > 0.0:
-            eta_tot = float(np.trapezoid(out2[i_r:], dx=h)) / input_energy
-
-    return Ledger(
-        input_energy=input_energy, output_energy=output_energy,
-        stored_initial=float(total[0]), stored_final=float(total[-1]),
-        decay=decay, normalization_drift=drift, eta_w=eta_w, eta_r=eta_r,
-        eta_tot=eta_tot, leakage=leakage, write_end=write_end,
-        read_start=read_start)
+    led = Ledger(grid, gamma)
+    led._windows, led._n, led._out2 = windows, n, out2
+    led.input_energy = input_energy
+    return led

@@ -457,10 +457,18 @@ def test_which_runs_get_float_tables(monkeypatch, model):
     }
 
 
+# every entry of a run's photon-number ledger
+_LEDGER_ENTRIES = ("input_energy", "output_energy", "stored_initial",
+                   "stored_final", "decay", "normalization_drift", "eta_w",
+                   "eta_r", "eta_tot", "leakage", "write_end", "read_start")
+
+
 def test_adiabatic_solve_holds_at_most_eight_grid_arrays():
     """A 100,001-point detuned write with decay, output and ledger
     included, peaks at no more than 8 complex arrays of the grid: the
-    maps are built in chunks and the scan works in place."""
+    maps are built in chunks and the scan works in place.  A result
+    computes E_out, tau and its ledger on first read, so they are read
+    here, inside the window."""
     grid = TimeGrid.from_span(-2e-6, 0.0, 100_001)
     g = Schedule.square(np.sqrt(KAPPA / 2e-6), -2e-6, 0.0)
     delta = Schedule.square(1e5, -1.5e-6, -0.5e-6)
@@ -468,11 +476,69 @@ def test_adiabatic_solve_holds_at_most_eight_grid_arrays():
     e_in = optimal_write_input(g, p, grid, delta)
     tracemalloc.start()
     try:
-        simulate_adiabatic(e_in, g, delta, p, grid)
+        res = simulate_adiabatic(e_in, g, delta, p, grid)
+        assert res.e_out.samples.size == res.tau.size == grid.n
+        for name in _LEDGER_ENTRIES:
+            getattr(res, name)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 16 * grid.n
+
+
+def _write_and_read(model):
+    """A detuned write of the optimal input into a decaying dipole, then
+    a read in a second window, and a pure read of the same coupling:
+    both runs of `model`, every ledger entry live."""
+    kappa = 2e7 if model == "full" else KAPPA
+    p = CavityParams(kappa, 2e4)
+    grid = TimeGrid.from_span(-2e-6, 2e-6, 4001)
+    g = Schedule([SquareSegment(-2e-6, 0.0, np.sqrt(kappa / 2e-6)),
+                  SquareSegment(0.5e-6, 2e-6, np.sqrt(kappa / 1.5e-6))])
+    delta = Schedule.square(1e5, -1.5e-6, 1.5e-6)
+    sim = simulate_adiabatic if model == "adiabatic" else simulate_full
+    e_in = optimal_write_input(g, p, grid, delta)
+    return (lambda: sim(e_in, g, delta, p, grid),
+            lambda: sim(None, g, delta, p, grid, sigma0=0.6 + 0.3j))
+
+
+@pytest.mark.parametrize("model", ["adiabatic", "full"])
+@pytest.mark.parametrize("case, first", [(0, "eta_w"), (1, "eta_r")],
+                         ids=["write", "pure read"])
+def test_result_entries_give_the_same_bits_in_any_read_order(model, case,
+                                                             first):
+    """A result computes each entry on its first read: reading only the
+    sweep row's number first computes neither E_out, tau nor the other
+    energies, and gives the same bits as reading every entry, E_out and
+    tau first; so does every entry after it."""
+    run = _write_and_read(model)[case]
+    lazy, full = run(), run()
+    got = getattr(lazy, first)
+    assert not {"e_out", "tau", "output_energy", "decay"} & set(vars(lazy))
+    everything = [repr(getattr(full, name)) for name in _LEDGER_ENTRIES]
+    assert full.e_out.samples.size == full.tau.size
+    assert got is not None and repr(got) == repr(getattr(full, first))
+    assert [repr(getattr(lazy, name))
+            for name in _LEDGER_ENTRIES] == everything
+    assert lazy.e_out.samples.tobytes() == full.e_out.samples.tobytes()
+    assert lazy.tau.tobytes() == full.tau.tobytes()
+    if case == 0:
+        assert "None" not in everything
+    else:
+        assert everything[_LEDGER_ENTRIES.index("eta_w")] == "None"
+    assert continuity_residual(lazy) == continuity_residual(full)
+
+
+@pytest.mark.parametrize("sim", [simulate_adiabatic, simulate_full])
+def test_a_run_whose_states_overflow_raises_at_the_call(sim):
+    """An input too large for the solve overflows the states; the run
+    raises before it returns a result, not when an entry is read."""
+    grid = TimeGrid.from_span(-2e-6, 0.0, 2001)
+    g = Schedule.square(np.sqrt(KAPPA / 2e-6), -2e-6, 0.0)
+    huge = FieldEnvelope(grid, np.full(grid.n, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ParameterError, match="states must be finite"):
+            sim(huge, g, ZERO, CavityParams(KAPPA), grid)
 
 
 # ---------------------------------------------------------------------------

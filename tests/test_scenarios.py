@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,8 +24,8 @@ from dipolemem.scenarios import (MODELS, SWEEP_AXES, build_input,
                                  design_couplings, load_scenario,
                                  run_scenario, run_sweep, scenario_from_dict,
                                  scenario_hash, write_artifacts)
-from dipolemem.schedules import (FieldEnvelope, Schedule, SquareSegment,
-                                 effective_time)
+from dipolemem.schedules import (FieldEnvelope, GaussianSegment, Schedule,
+                                 SquareSegment, effective_time)
 from dipolemem.units import format_quantity, parse_quantity
 
 REPO = Path(__file__).resolve().parents[1]
@@ -1015,6 +1016,39 @@ def test_concurrent_sweep_rows_match_a_sequential_loop(tmp_path, monkeypatch,
                                                                    rows)
 
 
+def test_sweep_rows_share_one_sampling_of_the_coupling(monkeypatch):
+    """Each row's coupling is a scaled copy of the scenario's, and a
+    scaled copy takes its base's kept samples times its factor.  So a
+    6-row tau_w sweep on a Gaussian coupling, its rows on three threads,
+    evaluates the coupling's segment once at the grid points and once
+    at the half steps; with every layer sampling it again, the same
+    sweep made 31 `Schedule.eval` calls."""
+    monkeypatch.setattr(scenarios, "_usable_cpus", lambda: 3)
+    sizes = []
+    evaluate = GaussianSegment.evaluate
+
+    def counting(seg, t):
+        sizes.append(np.size(t))
+        time.sleep(0.02)        # long enough for the other rows to ask too
+        return evaluate(seg, t)
+
+    monkeypatch.setattr(GaussianSegment, "evaluate", counting)
+    scn = scenario_from_dict(cavity_cfg(coupling=[
+        {"kind": "gaussian", "amplitude": "0.8 MHz_angular",
+         "center": "-1 us", "sigma": "300 ns",
+         "support": ["-1.9 us", "-0.1 us"]}]))
+    # switch threads often, so that rows reach the shared samples at once
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = run_sweep(scn, "tau_w", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]).tables
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(rows[0][2]) == 6
+    assert sorted(sizes) == [scn.grid.n - 1, scn.grid.n]
+    assert not scn.coupling._samples(scn.grid, False).flags.writeable
+
+
 def test_sweep_raises_the_first_failing_value_error(tmp_path, monkeypatch):
     # the 2nd and 4th values both trip the step guard (dt*rate = 0.25 and
     # 0.45); whichever row fails first, the 2nd value's error is raised
@@ -1523,6 +1557,47 @@ def test_cli_refuses_a_table_that_is_not_a_text_file(tmp_path, what):
     assert err["error"] == "ConfigError"
     assert "coupling[0]" in err["message"]
     assert ("100000.0" if what == "number" else "g.csv") in err["message"]
+
+
+def test_csv_table_with_a_byte_order_mark_keeps_its_first_row(tmp_path):
+    """A table saved with a UTF-8 byte-order mark (as some spreadsheets
+    save CSV) loads as the same table: the mark is not read into the
+    first cell, which would turn the first data row into a header."""
+    rows = b"0,0\n1e-6,5e5\n1.5e-6,5e5\n2e-6,0\n"
+    (tmp_path / "plain.csv").write_bytes(rows)
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + rows)
+    configs = [scenario_from_dict(cavity_cfg(
+        grid={"start": "0 us", "stop": "2 us", "points": 201},
+        coupling=[{"kind": "piecewise_linear", "csv": name}]),
+        base_dir=tmp_path).config["coupling"][0]
+        for name in ("plain.csv", "bom.csv")]
+    assert configs[0]["time_s"] == [0.0, 1e-6, 1.5e-6, 2e-6]
+    assert configs[1] == configs[0]
+
+
+@pytest.mark.parametrize("count", [2**70, scenarios._MAX_COUNT + 1])
+@pytest.mark.parametrize("key", ["grid.points", "space_points",
+                                 "theta_points"])
+def test_oversized_counts_are_refused_at_parse_time(key, count):
+    """A count past the stated bound is a ConfigError naming its key,
+    raised while parsing, before any array of that size is made."""
+    if key == "grid.points":
+        raw = cavity_cfg(grid={"start": "-2 us", "stop": "0 us",
+                               "points": count})
+    else:
+        raw = freespace_cfg(**{key: count})
+    with pytest.raises(ConfigError, match=f"{key} must be at most"):
+        scenario_from_dict(raw)
+
+
+def test_cli_refuses_an_oversized_grid_with_exit_2(tmp_path):
+    cfg = _write_cfg(tmp_path, cavity_cfg(
+        grid={"start": "-2 us", "stop": "0 us", "points": 2**70}))
+    proc = _cli(["run", str(cfg)], cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = json.loads(proc.stderr)
+    assert err["error"] == "ConfigError"
+    assert "grid.points" in err["message"]
 
 
 def test_cli_reports_numeric_refusals(tmp_path):
